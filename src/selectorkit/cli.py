@@ -259,7 +259,7 @@ def cmd_robot_export(args) -> int:
         "tau": svf.tau,
         "range_lo": [float(c) for c in svf.range_map.lo],
         "range_hi": [float(c) for c in svf.range_map.hi],
-        "meta": {k: v for k, v in svf.meta.items() if not k.startswith("_")},
+        "meta": svf.meta,
         "nets": [np.asarray(n).tolist() for n in svf.nets],
     }
     run.add("robot_svf.json", _json_bytes(payload))

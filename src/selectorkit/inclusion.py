@@ -79,9 +79,6 @@ class DITrajectory:
     certified: bool
     tube_margin: float  # min over grid of xi + slack - |x - g|
 
-    def state_certificate_holds(self) -> bool:
-        return self.certified
-
 
 # ---------------------------------------------------------------------------
 # xi bound

@@ -19,10 +19,9 @@ RationalLike = Union[int, float, str, Fraction, dict]
 def as_fraction(value: RationalLike) -> Fraction:
     """Convert to an exact Fraction without rounding.
 
-    Floats convert to their exact binary value.  Strings accept "p/q"
-    and plain integer literals; decimal strings are rejected because
-    silently reading "0.3" as 3/10 or as the float bits would be a
-    guess either way.
+    Floats convert to their exact binary value.  Strings go through
+    `Fraction`: "p/q", integer and decimal literals are read exactly
+    as written, so "0.3" is 3/10, not the float nearest to it.
     """
     if isinstance(value, Fraction):
         return value

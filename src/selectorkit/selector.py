@@ -6,11 +6,15 @@ range; a point x keeps mesh value r when r is within 2**-k of F(x) and
 within 2**-(k-1) of the previous approximant, and ties go to the
 lowest mesh index via the countable reduction in row-major order.
 
-Two engines share this logic.  The exact engine handles cellwise SVFs
-with rational arithmetic end to end; the grid engine handles sampled
-SVFs on their cell grid with declared slack tau folded into every
-certificate (acceptance threshold 2**-k + 2*tau, certified error
-2**-k + 3*tau).
+Only mesh points within four pitches of the previous value can pass,
+so both engines enumerate the same lattice ball around it
+(`_ball_offsets`) in lexicographic order, which keeps the tie-break,
+and differ only in the distance test.  The exact engine handles
+cellwise SVFs and decides both tests in rational arithmetic for each
+atom (cell times previous piece).  The grid engine handles sampled
+SVFs on their cell grid, vectorized in float64, with declared slack
+tau folded into every certificate (acceptance threshold
+2**-k + 2*tau, certified error 2**-k + 3*tau).
 
 The initial approximant is the real-space zero vector expressed in
 normalized coordinates.  Its feasibility at the first constructed
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -52,28 +57,6 @@ from .svf import (
 
 # ---------------------------------------------------------------------------
 # mesh
-
-
-def regular_mesh(k: int, beta: int) -> list[tuple[Fraction, ...]]:
-    """All points of pitch 2**-(k+1) in [0,1]**beta, lexicographic."""
-    if k < 2:
-        raise InputError("mesh level must be at least 2")
-    if beta < 1:
-        raise InputError("range dimension must be positive")
-    pitch = Fraction(1, 2 ** (k + 1))
-    n = 2 ** (k + 1) + 1
-    axis = [pitch * i for i in range(n)]
-    out: list[tuple[Fraction, ...]] = []
-
-    def rec(prefix):
-        if len(prefix) == beta:
-            out.append(tuple(prefix))
-            return
-        for v in axis:
-            rec(prefix + [v])
-
-    rec([])
-    return out
 
 
 def mesh_pitch(k: int) -> Fraction:
@@ -115,9 +98,6 @@ class ExactStep:
             [p for q, _ in self.pieces for p in q.parts], dim=dim
         )
 
-    def export_pieces(self):
-        return self.pieces
-
 
 @dataclass(frozen=True)
 class GridStep:
@@ -131,9 +111,6 @@ class GridStep:
     winner: np.ndarray = field(repr=False)
     grid: GridSpec
     certificate: StepCertificate
-
-    def covered_cells(self) -> int:
-        return int((self.winner >= 0).sum())
 
 
 @dataclass
@@ -260,6 +237,8 @@ def extraction_step(f_prev, F: CellwiseSVF, k: int, budget=None) -> "ExactStep":
     Exposed for the desk examples and the brute-force oracle
     comparison; `extract` drives the same code.
     """
+    if k < 2:
+        raise InputError("extraction level must be at least 2")
     chain = SelectorChain(
         F, k, Fraction(1, 16), F.range_map.normalize([0] * F.beta), [], "exact"
     )
@@ -267,6 +246,28 @@ def extraction_step(f_prev, F: CellwiseSVF, k: int, budget=None) -> "ExactStep":
         chain.steps = [f_prev]
     budget = as_fraction(budget) if budget is not None else Fraction(1, 2 ** (k + 2))
     return _exact_step(chain, F, k, budget)
+
+
+# ---------------------------------------------------------------------------
+# candidate ball
+
+
+def _ball_offsets(beta: int) -> list[tuple[int, ...]]:
+    """Mesh-digit offsets that can hold an admissible value, lexicographic.
+
+    An admissible value at level k lies within gap 2**-(k-1), four
+    pitches, of the previous value, which sits at most half a pitch per
+    axis from its nearest node.  So every admissible node is that node
+    plus an offset o in [-4, 4]**beta with sum max(|o_j| - 1/2, 0)**2
+    < 16.  Walking the offsets in lexicographic order around a fixed
+    node follows the row-major mesh order, so the first admissible
+    candidate is the lowest mesh index, which is the tie-break.
+    """
+    return [
+        o
+        for o in itertools.product(range(-4, 5), repeat=beta)
+        if sum(max(2 * abs(c) - 1, 0) ** 2 for c in o) < 64
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -281,70 +282,60 @@ def _prev_pieces_exact(chain: SelectorChain, F: CellwiseSVF):
 
 
 def _exact_step(chain: SelectorChain, F: CellwiseSVF, k: int, budget) -> ExactStep:
-    mesh = regular_mesh(k, F.beta)
+    pitch = mesh_pitch(k)
+    top = 2 ** (k + 1)  # largest mesh digit
     eps_k = Fraction(1, 2**k)
     gap_k = Fraction(1, 2 ** (k - 1))
+    e2 = eps_k * eps_k
+    g2 = gap_k * gap_k
     prev = _prev_pieces_exact(chain, F)
+    offsets = _ball_offsets(F.beta)
 
-    # atoms: cell x previous-piece intersections (pairwise disjoint)
-    atoms = []  # (cell_idx, prev_idx, GeneralizedBasicSet)
+    # winner per atom (cell x previous piece, pairwise disjoint): the
+    # first ball candidate within gap of the previous value and within
+    # eps of the cell's value set
+    winners: dict[tuple[Fraction, ...], list[GeneralizedBasicSet]] = {}
     for ci, (cell, _) in enumerate(F.cells):
         cell_g = GeneralizedBasicSet.of([cell], dim=F.alpha)
-        for pi, (q, _) in enumerate(prev):
-            inter = cell_g.intersect(q)
-            if not inter.is_empty:
-                atoms.append((ci, pi, inter))
+        vals = F.normalized_values(ci).parts
+        for pi, (q, v) in enumerate(prev):
+            region = cell_g.intersect(q)
+            if region.is_empty:
+                continue
+            base = [round(c / pitch) for c in v]
+            for off in offsets:
+                digits = [b + o for b, o in zip(base, off)]
+                if not all(0 <= d <= top for d in digits):
+                    continue
+                r = tuple(pitch * d for d in digits)
+                if sum((a - b) * (a - b) for a, b in zip(r, v)) < g2 and min(
+                    p.dist2_point(r) for p in vals
+                ) < e2:
+                    break
+            else:
+                raise CoverageError(
+                    f"no mesh point at level {k} serves cell {ci} from piece {pi}; "
+                    "the value set lies outside the previous approximant's reach",
+                    region=region,
+                )
+            winners.setdefault(r, []).append(region)
 
-    # mesh acceptance against the value sets and against the previous step
-    cell_ok: list[list[bool]] = []
-    e2 = eps_k * eps_k
-    for ci in range(len(F.cells)):
-        vals = F.normalized_values(ci)
-        ok = []
-        for r in mesh:
-            d2 = min(p.dist2_point(r) for p in vals.parts)
-            ok.append(d2 < e2)
-        cell_ok.append(ok)
-    g2 = gap_k * gap_k
-    prev_ok: list[list[bool]] = []
-    for _, v in prev:
-        ok = []
-        for r in mesh:
-            d2 = sum((a - b) * (a - b) for a, b in zip(r, v))
-            ok.append(d2 < g2)
-        prev_ok.append(ok)
-
-    # winner per atom: lowest mesh index passing both tests
-    winners: dict[int, list[GeneralizedBasicSet]] = {}
-    for ci, pi, region in atoms:
-        got = None
-        for i in range(len(mesh)):
-            if cell_ok[ci][i] and prev_ok[pi][i]:
-                got = i
-                break
-        if got is None:
-            raise CoverageError(
-                f"no mesh point at level {k} serves cell {ci} from piece {pi}; "
-                "the value set lies outside the previous approximant's reach",
-                region=region,
-            )
-        winners.setdefault(got, []).append(region)
-
+    # value tuples sort in mesh-index order
     pieces = tuple(
         (
             GeneralizedBasicSet.of(
-                [p for g in winners[i] for p in g.parts], dim=F.alpha
+                [p for g in winners[r] for p in g.parts], dim=F.alpha
             ),
-            mesh[i],
+            r,
         )
-        for i in sorted(winners)
+        for r in sorted(winners)
     )
     dom_measure = sum(
         (q.measure() for q, _ in pieces), Fraction(0)
     )
     cert = StepCertificate(
         level=k,
-        mesh_pitch=mesh_pitch(k),
+        mesh_pitch=pitch,
         error_bound=eps_k,
         slack=0.0,
         step_gap=gap_k,
@@ -365,7 +356,6 @@ def _grid_step(chain: SelectorChain, F: SampledSVF, k: int, budget) -> GridStep:
     n_axis = 2 ** (k + 1) + 1
     eps_accept = 2.0**-k + 2.0 * F.tau
     gap = 2.0 ** -(k - 1)
-    nets = F.normalized_nets()
     n_cells = F.grid.n_cells
 
     if chain.steps:
@@ -379,17 +369,7 @@ def _grid_step(chain: SelectorChain, F: SampledSVF, k: int, budget) -> GridStep:
     if F.mask is not None:
         prev_ok = prev_ok & F.mask
 
-    # any admissible mesh point lies within `gap` of the previous
-    # value, so enumerating the lattice ball around it in lexicographic
-    # order preserves the lowest-index-wins tie-break; the previous value
-    # sits at most half a pitch from its nearest node
-    ratio = gap / pitch  # always 4
-    reach = int(np.floor(ratio + 0.5))
-    rng = np.arange(-reach, reach + 1)
-    grids = np.meshgrid(*([rng] * beta), indexing="ij")
-    offsets = np.stack([g.reshape(-1) for g in grids], axis=-1)  # lex order
-    slack_to_node = np.maximum(np.abs(offsets) - 0.5, 0.0)
-    offsets = offsets[(slack_to_node**2).sum(axis=1) < ratio * ratio]
+    offsets = np.array(_ball_offsets(beta))
 
     strides = np.array(
         [n_axis ** (beta - 1 - j) for j in range(beta)], dtype=np.int64
@@ -397,15 +377,7 @@ def _grid_step(chain: SelectorChain, F: SampledSVF, k: int, budget) -> GridStep:
     winner = np.full(n_cells, -1, dtype=np.int64)
     accept2 = eps_accept * eps_accept
     gap2 = gap * gap
-
-    if "_padded_nets" not in F.meta:
-        m_max = max(len(n) for n in nets)
-        padded = np.empty((n_cells, m_max, beta))
-        for flat, net in enumerate(nets):
-            padded[flat, : len(net)] = net
-            padded[flat, len(net) :] = net[0]
-        F.meta["_padded_nets"] = padded
-    padded_all = F.meta["_padded_nets"]
+    padded_all = F.padded_nets
     m_max = padded_all.shape[1]
 
     active = np.nonzero(prev_ok)[0]

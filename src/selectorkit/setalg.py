@@ -192,7 +192,8 @@ class BasicSet:
         """Guillotine difference; pieces are pairwise disjoint."""
         if self.is_empty:
             return []
-        if other.is_empty or not self.intersects(other):
+        mid = self.intersect(other)
+        if mid.is_empty:
             return [self]
         pieces: list[BasicSet] = []
         cur = self
@@ -203,9 +204,10 @@ class BasicSet:
             right = _clip_axis_lo(cur, j, other.hi[j], not other.closed_hi[j])
             if right is not None:
                 pieces.append(right)
-            cur = _clip_axis_mid(cur, j, other, j)
-            # the boxes intersect on every axis, so the middle slab survives
-            assert cur is not None
+            # cur's axis j is still self's, so its middle slab is mid's
+            cur = _replace_axis(
+                cur, j, mid.lo[j], mid.hi[j], mid.closed_lo[j], mid.closed_hi[j]
+            )
         # the all-middle core lies inside `other`: dropped
         return pieces
 
@@ -307,28 +309,6 @@ def _clip_axis_lo(box: BasicSet, j: int, v: Fraction, closed: bool) -> BasicSet 
     else:
         nlo, nclo = v, closed
     out = _replace_axis(box, j, nlo, box.hi[j], nclo, box.closed_hi[j])
-    return out if not out.is_empty else None
-
-
-def _clip_axis_mid(box: BasicSet, j: int, other: BasicSet, k: int) -> BasicSet | None:
-    """Intersection of `box` with `other`'s axis-k extent, on axis j."""
-    a_lo, a_clo = box.lo[j], box.closed_lo[j]
-    b_lo, b_clo = other.lo[k], other.closed_lo[k]
-    if a_lo > b_lo:
-        nlo, nclo = a_lo, a_clo
-    elif b_lo > a_lo:
-        nlo, nclo = b_lo, b_clo
-    else:
-        nlo, nclo = a_lo, a_clo and b_clo
-    a_hi, a_chi = box.hi[j], box.closed_hi[j]
-    b_hi, b_chi = other.hi[k], other.closed_hi[k]
-    if a_hi < b_hi:
-        nhi, nchi = a_hi, a_chi
-    elif b_hi < a_hi:
-        nhi, nchi = b_hi, b_chi
-    else:
-        nhi, nchi = a_hi, a_chi and b_chi
-    out = _replace_axis(box, j, nlo, nhi, nclo, nchi)
     return out if not out.is_empty else None
 
 
@@ -443,13 +423,6 @@ class GeneralizedBasicSet:
                 if p.intersects(q):
                     return False
         return True
-
-    def bounding_box(self) -> BasicSet | None:
-        if self.is_empty:
-            return None
-        lo = [min(p.lo[j] for p in self.parts) for j in range(self.dim)]
-        hi = [max(p.hi[j] for p in self.parts) for j in range(self.dim)]
-        return BasicSet.closed_box(lo, hi)
 
     def __repr__(self) -> str:
         if self.is_empty:

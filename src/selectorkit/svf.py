@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -81,11 +82,6 @@ class AffineRangeMap:
         lo = np.array([float(c) for c in self.lo])
         w = np.array([float(h - l) for l, h in zip(self.lo, self.hi)])
         return (ys - lo) / w
-
-    def denormalize_array(self, rs: np.ndarray) -> np.ndarray:
-        lo = np.array([float(c) for c in self.lo])
-        w = np.array([float(h - l) for l, h in zip(self.lo, self.hi)])
-        return lo + rs * w
 
     def normalize_gbs(self, s: GeneralizedBasicSet) -> GeneralizedBasicSet:
         parts = []
@@ -320,12 +316,23 @@ class SampledSVF:
     def net_raw(self, flat_idx: int) -> np.ndarray:
         return self.nets[flat_idx]
 
+    @cached_property
     def normalized_nets(self) -> list[np.ndarray]:
-        if "_norm" not in self.meta:
-            self.meta["_norm"] = [
-                self.range_map.normalize_array(n) for n in self.nets
-            ]
-        return self.meta["_norm"]
+        return [self.range_map.normalize_array(n) for n in self.nets]
+
+    @cached_property
+    def padded_nets(self) -> np.ndarray:
+        """Normalized nets as one (cells, m_max, beta) array.
+
+        Short nets are padded with their first point, which leaves every
+        nearest-point distance unchanged.
+        """
+        nets = self.normalized_nets
+        padded = np.empty((len(nets), max(len(n) for n in nets), self.beta))
+        for flat, net in enumerate(nets):
+            padded[flat, : len(net)] = net
+            padded[flat, len(net) :] = net[0]
+        return padded
 
 
 def build_sampled_svf(
@@ -360,7 +367,7 @@ def build_sampled_svf(
 
 def estimate_tau(svf: SampledSVF) -> float:
     """Grid-estimated slack: half the max adjacent-cell net deviation."""
-    norm = svf.normalized_nets()
+    norm = svf.normalized_nets
     shape = svf.grid.shape
     worst = 0.0
     for flat in range(svf.grid.n_cells):

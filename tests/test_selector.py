@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from selectorkit.errors import CoverageError, InputError, PrecisionError
 from selectorkit.selector import (
     EvalResult,
+    _ball_offsets,
     cauchy_defect,
     chain_from_json,
     chain_to_json,
@@ -15,11 +17,11 @@ from selectorkit.selector import (
     extract,
     extraction_step,
     piecewise_constant_finish,
-    regular_mesh,
     selector_csv,
 )
 from selectorkit.setalg import BasicSet, GeneralizedBasicSet
 from selectorkit.svf import (
+    AffineRangeMap,
     GridSpec,
     build_cellwise_svf,
     build_sampled_svf,
@@ -75,28 +77,93 @@ def four_cell_svf():
     return build_cellwise_svf(box, cells)
 
 
+def offmesh_beta2_svf():
+    """beta = 2; real zero normalizes to (1/3, 2/5), which is no mesh node."""
+    box = BasicSet.closed_box([0], [1])
+    cells = [
+        (
+            BasicSet.interval(0, F_(1, 3), True, True),
+            GeneralizedBasicSet.of([BasicSet.singleton([F_(1, 10), F_(-1, 7)])], dim=2),
+        ),
+        (
+            BasicSet.interval(F_(1, 3), F_(2, 3), False, True),
+            GeneralizedBasicSet.of(
+                [
+                    BasicSet.closed_box([F_(-1, 5), 0], [F_(-1, 10), F_(1, 9)]),
+                    BasicSet.singleton([F_(1, 4), F_(1, 5)]),
+                ],
+                dim=2,
+            ),
+        ),
+        (
+            BasicSet.interval(F_(2, 3), 1, False, True),
+            GeneralizedBasicSet.of(
+                [
+                    BasicSet.singleton([F_(-1, 4), F_(1, 6)]),
+                    BasicSet.singleton([F_(1, 5), F_(-1, 5)]),
+                ],
+                dim=2,
+            ),
+        ),
+    ]
+    rmap = AffineRangeMap.of([F_(-1, 3), F_(-2, 5)], [F_(2, 3), F_(3, 5)])
+    return build_cellwise_svf(box, cells, rmap)
+
+
+def beta3_svf():
+    """beta = 3; real zero normalizes near the low mesh corner, which keeps
+    the brute-force sweep short."""
+    box = BasicSet.closed_box([0], [1])
+    cells = [
+        (
+            BasicSet.interval(0, F_(1, 2), True, True),
+            GeneralizedBasicSet.of(
+                [BasicSet.singleton([F_(1, 5), F_(-1, 5), F_(1, 10)])], dim=3
+            ),
+        ),
+        (
+            BasicSet.interval(F_(1, 2), 1, False, True),
+            GeneralizedBasicSet.of(
+                [
+                    BasicSet.closed_box([0, 0, 0], [F_(1, 8)] * 3),
+                    BasicSet.singleton([F_(-1, 5), F_(1, 4), 0]),
+                ],
+                dim=3,
+            ),
+        ),
+    ]
+    rmap = AffineRangeMap.of([F_(-1, 4)] * 3, [F_(7, 4)] * 3)
+    return build_cellwise_svf(box, cells, rmap)
+
+
 # ---------------------------------------------------------------------------
-# mesh
+# mesh levels
 
 
-def test_mesh_k2_beta1():
-    mesh = regular_mesh(2, 1)
-    assert len(mesh) == 9
-    assert mesh[0] == (0,) and mesh[-1] == (1,)
-    assert mesh[1] == (F_(1, 8),)
-
-
-def test_mesh_k2_beta2():
-    assert len(regular_mesh(2, 2)) == 81
-
-
-def test_mesh_k3_beta1():
-    assert len(regular_mesh(3, 1)) == 17
+def test_ball_offsets_hold_every_node_within_gap():
+    assert [len(_ball_offsets(b)) for b in (1, 2, 3)] == [9, 69, 461]
+    rng = random.Random(5)
+    k = 3
+    pitch = F_(1, 2 ** (k + 1))
+    gap2 = F_(1, 2 ** (k - 1)) ** 2
+    for beta in (1, 2):
+        offsets = _ball_offsets(beta)
+        assert offsets == sorted(offsets)
+        for _ in range(50):
+            v = tuple(F_(rng.randint(0, 999), 999) for _ in range(beta))
+            base = [round(c / pitch) for c in v]
+            ball = {tuple(b + o for b, o in zip(base, off)) for off in offsets}
+            for d in itertools.product(range(2 ** (k + 1) + 1), repeat=beta):
+                if sum((pitch * i - c) ** 2 for i, c in zip(d, v)) < gap2:
+                    assert d in ball
 
 
 def test_mesh_rejects_low_level():
+    f = desk_svf()
     with pytest.raises(InputError):
-        regular_mesh(1, 1)
+        extract(f, 1)
+    with pytest.raises(InputError):
+        extraction_step(None, f, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +248,10 @@ def test_chain_contracts(svf_fn):
         assert b.carrier(dims).subtract(a.carrier(dims)).is_empty
 
 
-@pytest.mark.parametrize("svf_fn", [desk_svf, three_cell_svf, four_cell_svf])
+@pytest.mark.parametrize(
+    "svf_fn",
+    [desk_svf, three_cell_svf, four_cell_svf, offmesh_beta2_svf, beta3_svf],
+)
 def test_bruteforce_oracle_piece_structure(svf_fn):
     f = svf_fn()
     n = 4

@@ -24,6 +24,8 @@ from selectorkit.setalg import (
     unflatten_index,
 )
 
+from selectorkit.rational import as_fraction
+
 from oracles import seq_boxes, union_measure
 
 F = Fraction
@@ -35,6 +37,16 @@ def iv(lo, hi, cl=True, ch=True):
 
 def gbs(*parts):
     return GeneralizedBasicSet.of(parts, dim=parts[0].dim if parts else 1)
+
+
+# ---------------------------------------------------------------------------
+# rational scalars
+
+
+def test_as_fraction_reads_decimal_strings_exactly():
+    assert as_fraction("0.3") == Fraction(3, 10)
+    assert as_fraction("-5/8") == Fraction(-5, 8)
+    assert as_fraction(0.3) != Fraction(3, 10)  # floats keep their binary value
 
 
 # ---------------------------------------------------------------------------
