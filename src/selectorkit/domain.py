@@ -171,10 +171,14 @@ def well_containment_margin(
     r0: Fraction | None = None,
     max_halvings: int = 40,
 ) -> Fraction | None:
-    """Largest verified r > 0 with (faces + B_r) inside M \\ Gamma_M.
+    """First verified r = r0 / 2**k, k < max_halvings.
 
-    Gamma_M is taken as the essential boundary of M.  Returns None when
-    no positive margin down to r0 / 2**max_halvings verifies.
+    r verifies when (faces + B_r) lies inside M \\ Gamma_M, with Gamma_M
+    taken as the essential boundary of M.  r0 defaults to a quarter of
+    the thinnest side of M's parts, over their non-degenerate axes.
+    Returns None when no such r verifies, and also when r0 is not given
+    and every part of M is degenerate: no inflated box fits inside a
+    measure-zero M.  Without faces, returns r0 (1/4 if not given).
     """
     faces = [f for f in faces if not f.is_empty]
     if not faces:
@@ -182,18 +186,25 @@ def well_containment_margin(
     if m.is_empty:
         return None
     if r0 is None:
-        thick = min(
-            min(p.hi[j] - p.lo[j] for j in range(p.dim) if p.hi[j] > p.lo[j])
-            for p in m.parts
-        )
+        thick = _thinnest_side(m)
+        if thick is None:
+            return None
         r0 = thick / 4
-    ess = m.essential_gamma()
+    ess = m.essential_gamma
     r = as_fraction(r0)
     for _ in range(max_halvings):
         if _contained_with_margin(faces, m, ess, r):
             return r
         r /= 2
     return None
+
+
+def _thinnest_side(m: GeneralizedBasicSet) -> Fraction | None:
+    """Shortest non-degenerate side over M's parts; None if there is none."""
+    sides = [
+        p.hi[j] - p.lo[j] for p in m.parts for j in range(p.dim) if p.hi[j] > p.lo[j]
+    ]
+    return min(sides) if sides else None
 
 
 def _contained_with_margin(faces, m, ess, r) -> bool:
@@ -577,19 +588,14 @@ def check_weak_finite_adjacency(
 
     Each probe box must be covered by the delta-inflated carrier parts
     it meets; a region no inflated part reaches is reported as the
-    offending cell.
+    offending cell.  delta defaults to half the thinnest side of the
+    1/16 witness, or 1/8 when that witness has no non-degenerate side.
     """
     parts = [p for it in dom.carrier.items for p in it.parts]
     dim = dom.dim
     if delta is None:
-        m = dom.witness(Fraction(1, 16))
-        if m.is_empty:
-            delta = Fraction(1, 8)
-        else:
-            delta = min(
-                min(p.hi[j] - p.lo[j] for j in range(dim) if p.hi[j] > p.lo[j])
-                for p in m.parts
-            ) / 2
+        thick = _thinnest_side(dom.witness(Fraction(1, 16)))
+        delta = thick / 2 if thick is not None else Fraction(1, 8)
     delta = as_fraction(delta)
     inflated = [p.inflate(delta) for p in parts]
 

@@ -106,16 +106,12 @@ class BasicSet:
 
     # -- structure ---------------------------------------------------------
 
-    def _axis_empty(self, j: int) -> bool:
-        if self.lo[j] > self.hi[j]:
-            return True
-        if self.lo[j] == self.hi[j]:
-            return not (self.closed_lo[j] and self.closed_hi[j])
-        return False
-
     @property
     def is_empty(self) -> bool:
-        return any(self._axis_empty(j) for j in range(self.dim))
+        return any(
+            _interval_empty(self.lo[j], self.closed_lo[j], self.hi[j], self.closed_hi[j])
+            for j in range(self.dim)
+        )
 
     def axis_degenerate(self, j: int) -> bool:
         return self.lo[j] == self.hi[j]
@@ -160,54 +156,43 @@ class BasicSet:
 
     def intersect(self, other: "BasicSet") -> "BasicSet":
         _check_dims(self, other)
-        lo, hi, clo, chi = [], [], [], []
-        for j in range(self.dim):
-            a_lo, a_clo = self.lo[j], self.closed_lo[j]
-            b_lo, b_clo = other.lo[j], other.closed_lo[j]
-            if a_lo > b_lo:
-                nlo, nclo = a_lo, a_clo
-            elif b_lo > a_lo:
-                nlo, nclo = b_lo, b_clo
-            else:
-                nlo, nclo = a_lo, a_clo and b_clo
-            a_hi, a_chi = self.hi[j], self.closed_hi[j]
-            b_hi, b_chi = other.hi[j], other.closed_hi[j]
-            if a_hi < b_hi:
-                nhi, nchi = a_hi, a_chi
-            elif b_hi < a_hi:
-                nhi, nchi = b_hi, b_chi
-            else:
-                nhi, nchi = a_hi, a_chi and b_chi
-            lo.append(nlo)
-            hi.append(nhi)
-            clo.append(nclo)
-            chi.append(nchi)
-        out = BasicSet(self.dim, tuple(lo), tuple(hi), tuple(clo), tuple(chi))
-        return out if not out.is_empty else BasicSet.empty(self.dim)
+        axes = [_meet_axis(self, other, j) for j in range(self.dim)]
+        if any(_interval_empty(*ax) for ax in axes):
+            return BasicSet.empty(self.dim)
+        lo, clo, hi, chi = zip(*axes)
+        return BasicSet(self.dim, lo, hi, clo, chi)
 
     def intersects(self, other: "BasicSet") -> bool:
-        return not self.intersect(other).is_empty
+        """Whether the boxes meet, decided axis by axis without building the meet."""
+        _check_dims(self, other)
+        for j in range(self.dim):
+            if _interval_empty(*_meet_axis(self, other, j)):
+                return False
+        return True
 
     def subtract(self, other: "BasicSet") -> list["BasicSet"]:
         """Guillotine difference; pieces are pairwise disjoint."""
         if self.is_empty:
             return []
-        mid = self.intersect(other)
-        if mid.is_empty:
+        if not self.intersects(other):
             return [self]
         pieces: list[BasicSet] = []
         cur = self
         for j in range(self.dim):
-            left = _clip_axis_hi(cur, j, other.lo[j], not other.closed_lo[j])
-            if left is not None:
-                pieces.append(left)
-            right = _clip_axis_lo(cur, j, other.hi[j], not other.closed_hi[j])
-            if right is not None:
-                pieces.append(right)
-            # cur's axis j is still self's, so its middle slab is mid's
-            cur = _replace_axis(
-                cur, j, mid.lo[j], mid.hi[j], mid.closed_lo[j], mid.closed_hi[j]
-            )
+            # the boxes meet, so self's slabs below and above other on axis j
+            # end at other's ends with the opposite closure; between them lies the meet
+            lo, clo = self.lo[j], self.closed_lo[j]
+            hi, chi = self.hi[j], self.closed_hi[j]
+            if not _interval_empty(lo, clo, other.lo[j], not other.closed_lo[j]):
+                pieces.append(
+                    _replace_axis(cur, j, lo, other.lo[j], clo, not other.closed_lo[j])
+                )
+            if not _interval_empty(other.hi[j], not other.closed_hi[j], hi, chi):
+                pieces.append(
+                    _replace_axis(cur, j, other.hi[j], hi, not other.closed_hi[j], chi)
+                )
+            m_lo, m_clo, m_hi, m_chi = _meet_axis(self, other, j)
+            cur = _replace_axis(cur, j, m_lo, m_hi, m_clo, m_chi)
         # the all-middle core lies inside `other`: dropped
         return pieces
 
@@ -281,35 +266,39 @@ class BasicSet:
         return "x".join(axes)
 
 
+def _interval_empty(lo: Fraction, clo: bool, hi: Fraction, chi: bool) -> bool:
+    """An interval is empty when lo > hi, or lo == hi without both ends closed."""
+    return lo > hi or (lo == hi and not (clo and chi))
+
+
+def _meet_axis(
+    a: BasicSet, b: BasicSet, j: int
+) -> tuple[Fraction, bool, Fraction, bool]:
+    """Axis j of the meet of two boxes as (lo, closed_lo, hi, closed_hi).
+
+    The larger lower end and the smaller upper end win; where both boxes
+    end at the same value, that end is closed only if it is closed in both.
+    """
+    a_lo, b_lo = a.lo[j], b.lo[j]
+    if a_lo > b_lo:
+        lo, clo = a_lo, a.closed_lo[j]
+    elif b_lo > a_lo:
+        lo, clo = b_lo, b.closed_lo[j]
+    else:
+        lo, clo = a_lo, a.closed_lo[j] and b.closed_lo[j]
+    a_hi, b_hi = a.hi[j], b.hi[j]
+    if a_hi < b_hi:
+        hi, chi = a_hi, a.closed_hi[j]
+    elif b_hi < a_hi:
+        hi, chi = b_hi, b.closed_hi[j]
+    else:
+        hi, chi = a_hi, a.closed_hi[j] and b.closed_hi[j]
+    return lo, clo, hi, chi
+
+
 def _check_dims(a, b) -> None:
     if a.dim != b.dim:
         raise SetAlgebraError(f"dimension mismatch {a.dim} != {b.dim}")
-
-
-def _clip_axis_hi(box: BasicSet, j: int, v: Fraction, closed: bool) -> BasicSet | None:
-    """Intersect `box` with {x_j < v} (or <= v when closed)."""
-    hi, chi = box.hi[j], box.closed_hi[j]
-    if v > hi:
-        nhi, nchi = hi, chi
-    elif v == hi:
-        nhi, nchi = hi, chi and closed
-    else:
-        nhi, nchi = v, closed
-    out = _replace_axis(box, j, box.lo[j], nhi, box.closed_lo[j], nchi)
-    return out if not out.is_empty else None
-
-
-def _clip_axis_lo(box: BasicSet, j: int, v: Fraction, closed: bool) -> BasicSet | None:
-    """Intersect `box` with {x_j > v} (or >= v when closed)."""
-    lo, clo = box.lo[j], box.closed_lo[j]
-    if v < lo:
-        nlo, nclo = lo, clo
-    elif v == lo:
-        nlo, nclo = lo, clo and closed
-    else:
-        nlo, nclo = v, closed
-    out = _replace_axis(box, j, nlo, box.hi[j], nclo, box.closed_hi[j])
-    return out if not out.is_empty else None
 
 
 def _replace_axis(box: BasicSet, j: int, lo, hi, clo, chi) -> BasicSet:
@@ -375,6 +364,7 @@ class GeneralizedBasicSet:
     def gamma_contains(self, point: Sequence) -> bool:
         return any(f.contains(point) for f in self.gamma)
 
+    @cached_property
     def essential_gamma(self) -> tuple[BasicSet, ...]:
         """Part boundaries minus the open interiors of all parts.
 

@@ -5,6 +5,7 @@ import pytest
 
 from selectorkit.domain import (
     PiecewiseConstantMap,
+    RepresentabilityWitness,
     RepresentableDomain,
     check_weak_finite_adjacency,
     continuous_extension,
@@ -15,6 +16,7 @@ from selectorkit.domain import (
     make_witness,
     reduce_domain,
     termwise_intersect_domains,
+    well_containment_margin,
     WitnessError,
 )
 from selectorkit.setalg import (
@@ -375,6 +377,58 @@ def test_adjacency_check_reports_hole():
     report = check_weak_finite_adjacency(dom, delta=F(1, 16))
     assert not report.ok
     assert report.offending_cell is not None
+
+
+def test_adjacency_default_delta_with_degenerate_witness():
+    # a measure-zero witness passes the budget but has no side to halve
+    dom = square_domain(2, 2)
+    point = GeneralizedBasicSet.of([BasicSet.singleton([F(1, 2), F(1, 2)])], dim=2)
+    dom = RepresentableDomain(
+        dom.carrier, dom.ambient, RepresentabilityWitness(lambda eps: point)
+    )
+    report = check_weak_finite_adjacency(dom)
+    assert report.delta == F(1, 8)
+    assert report.ok
+
+
+# ---------------------------------------------------------------------------
+# well-containment margin
+
+
+def test_margin_none_when_every_witness_part_is_degenerate():
+    dom = unit_interval_domain()
+    points = GeneralizedBasicSet.of(
+        [BasicSet.singleton([c]) for c in (0, F(1, 2), 1)], dim=1
+    )
+    dom = RepresentableDomain(
+        dom.carrier, dom.ambient, RepresentabilityWitness(lambda eps: points)
+    )
+    assert well_containment_margin(list(dom.carrier.gamma()), points) is None
+    cert = dom.verify(F(1, 10))
+    assert cert.margin is None and not cert.ok
+
+
+def test_margin_thickness_skips_degenerate_witness_parts():
+    # r0 comes from the open part alone: a quarter of its width 1/4
+    m = GeneralizedBasicSet.of(
+        [BasicSet.open_box([F(-1, 8)], [F(1, 8)]), BasicSet.singleton([1])], dim=1
+    )
+    assert well_containment_margin([BasicSet.singleton([0])], m) == F(1, 16)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_margin_halves_explicit_r0(dim, k):
+    # r verifies exactly when r < 1/8, so r0 = 2**k / 16 halves k times
+    face = BasicSet.closed_box([0] * dim, [0] + [1] * (dim - 1))
+    m = GeneralizedBasicSet.of(
+        [BasicSet.open_box([F(-1, 8)] * dim, [F(1, 8)] + [F(9, 8)] * (dim - 1))],
+        dim=dim,
+    )
+    r0 = F(2**k, 16)
+    assert well_containment_margin([face], m, r0=r0) == r0 / 2**k
+    assert well_containment_margin([face], m, r0=r0, max_halvings=k + 1) == r0 / 2**k
+    assert well_containment_margin([face], m, r0=r0, max_halvings=k) is None
 
 
 # ---------------------------------------------------------------------------

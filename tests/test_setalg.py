@@ -143,6 +143,64 @@ def test_difference_box_2d_frame():
 
 
 # ---------------------------------------------------------------------------
+# hypothesis property: deciding a meet without building it
+
+GRID = [F(k, 2) for k in range(5)]
+
+
+@st.composite
+def box_pairs(draw):
+    """Two boxes of one dimension with corners on a half-integer grid.
+
+    A negative width makes an axis empty and a zero width a degenerate
+    one; with the grid this small, touching and equal ends are common.
+    """
+    dim = draw(st.integers(1, 3))
+
+    def box():
+        lo, hi = [], []
+        for _ in range(dim):
+            a = draw(st.sampled_from(GRID))
+            lo.append(a)
+            hi.append(a + F(draw(st.integers(-1, 3)), 2))
+        flags = st.tuples(*[st.booleans()] * dim)
+        return BasicSet(dim, tuple(lo), tuple(hi), draw(flags), draw(flags))
+
+    return box(), box()
+
+
+def _meets_pointwise(a, b):
+    """Oracle: both boxes hold a common point, looked for axis by axis.
+
+    Ends lie on the half-integer grid, so an axis meet that holds a point
+    holds one on the quarter grid.
+    """
+    for j in range(a.dim):
+        axis = [
+            BasicSet.interval(p.lo[j], p.hi[j], p.closed_lo[j], p.closed_hi[j])
+            for p in (a, b)
+        ]
+        if not any(
+            axis[0].contains([F(k, 4)]) and axis[1].contains([F(k, 4)])
+            for k in range(-4, 13)
+        ):
+            return False
+    return True
+
+
+@given(box_pairs())
+@settings(max_examples=400, deadline=None)
+def test_intersects_agrees_with_intersect_hypothesis(pair):
+    a, b = pair
+    meets = a.intersects(b)
+    assert meets == (not a.intersect(b).is_empty)
+    assert meets == b.intersects(a)
+    assert meets == _meets_pointwise(a, b)
+    if not meets:
+        assert a.subtract(b) == ([] if a.is_empty else [a])
+
+
+# ---------------------------------------------------------------------------
 # distance
 
 
