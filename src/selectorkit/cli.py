@@ -209,6 +209,12 @@ def cmd_robot_sim(args) -> int:
     from .robot import SimConfig, gnuplot_script, sim_csv, simulate
 
     run = Run(args)
+    cfg = SimConfig(
+        controller=args.controller,
+        x0=tuple(float(c) for c in args.x0),
+        T=args.T,
+        dt_control=args.dt,
+    )
     chain = None
     if args.controller == "selector":
         from .robot import export_svf
@@ -216,12 +222,6 @@ def cmd_robot_sim(args) -> int:
 
         svf = export_svf(box_halfwidth=2.0, resolution=args.res)
         chain = extract(svf, args.n)
-    cfg = SimConfig(
-        controller=args.controller,
-        x0=tuple(float(c) for c in args.x0),
-        T=args.T,
-        dt_control=args.dt,
-    )
     result = simulate(cfg, chain=chain)
     run.add("sim.csv", sim_csv(result))
     run.add("sim_metadata.json", _json_bytes(result.metadata()))

@@ -81,12 +81,14 @@ def make_witness(
     budget_rule: str = "geometric",
     coverage: str = "ambient",
 ) -> GeneralizedBasicSet:
-    """Build a witness M(eps) for the endpoint set of x.
+    """Build a witness M(eps) for the endpoint set of x, in one attempt.
 
     Open slabs around each merged endpoint group, budgeted per
     `budget_rule`, clipped to a slight inflation of the ambient box.
-    Raises WitnessError if the three representability clauses cannot be
-    verified (non-representable input).
+    Each failed clause raises WitnessError: a vanishing slab margin or a
+    measure over eps (clause 1), no positive well-containment margin
+    (clause 2), or coverage-region points outside both the witness and
+    the carrier (clause 3, non-representable input).
     """
     eps = as_fraction(eps)
     if eps <= 0:
@@ -110,35 +112,29 @@ def make_witness(
         ]
         caps.append(min(gaps) / 4 if gaps else Fraction(1, 2))
 
-    shrink = Fraction(1)
-    for _attempt in range(12):
-        parts = []
-        for (pin, value, extent), budget, cap in zip(groups, budgets, caps):
-            m = _slab_margin(budget, extent, pin, cap) * shrink
-            if m <= 0:
-                raise WitnessError("witness margin vanished")
-            lo = [extent.lo[j] - m for j in range(dim)]
-            hi = [extent.hi[j] + m for j in range(dim)]
-            lo[pin], hi[pin] = value - m, value + m
-            parts.append(BasicSet.open_box(lo, hi))
-        max_m = max((p.hi[0] - p.lo[0]) for p in parts) if parts else Fraction(0)
-        clip = ambient.inflate(max_m)
-        parts = [p.intersect(clip) for p in parts]
-        candidate = GeneralizedBasicSet.of(parts, dim=dim)
-        if candidate.measure() > eps:
-            raise WitnessError("witness exceeds its measure budget")
-        margin = well_containment_margin(gamma, candidate)
-        region = _coverage_region(ambient, carrier, coverage)
-        if margin is not None and _covers_complement(region, candidate, carrier):
-            return candidate
-        if margin is not None:
-            # clause 3 failed: the carrier genuinely misses interior chunks
-            raise WitnessError(
-                "ambient minus witness is not inside the carrier "
-                "(non-representable input)"
-            )
-        shrink *= Fraction(3, 4)
-    raise WitnessError("could not realize a positive well-containment margin")
+    parts = []
+    for (pin, value, extent), budget, cap in zip(groups, budgets, caps):
+        m = _slab_margin(budget, extent, pin, cap)
+        if m <= 0:
+            raise WitnessError("witness margin vanished")
+        lo = [extent.lo[j] - m for j in range(dim)]
+        hi = [extent.hi[j] + m for j in range(dim)]
+        lo[pin], hi[pin] = value - m, value + m
+        parts.append(BasicSet.open_box(lo, hi))
+    max_m = max((p.hi[0] - p.lo[0]) for p in parts) if parts else Fraction(0)
+    clip = ambient.inflate(max_m)
+    witness = GeneralizedBasicSet.of([p.intersect(clip) for p in parts], dim=dim)
+    if witness.measure() > eps:
+        raise WitnessError("witness exceeds its measure budget")
+    region = _coverage_region(ambient, carrier, coverage)
+    if well_containment_margin(gamma, witness) is None:
+        raise WitnessError("could not realize a positive well-containment margin")
+    if not _covers_complement(region, witness, carrier):
+        raise WitnessError(
+            "ambient minus witness is not inside the carrier "
+            "(non-representable input)"
+        )
+    return witness
 
 
 def _coverage_region(

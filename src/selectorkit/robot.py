@@ -23,17 +23,17 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from ._threads import ordered_map
 from .errors import InputError
 from .selector import SelectorChain, eval_selector
 from .setalg import BasicSet
-from .svf import GridSpec, SampledSVF, symmetric_range_box
+from .svf import GridSpec, SampledSVF, directed_deviation, symmetric_range_box
 
 
 @dataclass(frozen=True)
@@ -207,6 +207,8 @@ def export_svf(
 
     b = as_fraction(box_halfwidth)
     h = as_fraction(resolution)
+    if b <= 0 or h <= 0:
+        raise InputError("box half-width and resolution must be positive")
     n_axis = (2 * b) / h
     if n_axis.denominator != 1:
         raise InputError("resolution must divide the box width")
@@ -216,9 +218,8 @@ def export_svf(
 
     full_nets = []
     excluded = []
-    for i, g in enumerate(
-        ordered_map(lambda c: disassembled_subgradients(c, cfg), centers)
-    ):
+    for i, c in enumerate(centers):
+        g = disassembled_subgradients(c, cfg)
         if len(g) == 0:
             excluded.append(i)
             full_nets.append(np.zeros((1, 3)))
@@ -244,9 +245,9 @@ def export_svf(
             tau_thin = max(tau_thin, radius)
     svf = SampledSVF(grid, range_map, tuple(nets), 0.0, mask=mask)
 
-    tau_theta = _theta_refinement_tau(svf, centers, cfg, max_net)
+    tau_theta = _theta_refinement_tau(svf, centers, cfg)
     tau = tau_thin + tau_theta
-    spatial = _directed_spatial_tau(svf, grid, cfg)
+    spatial = _directed_spatial_tau(svf, centers, cfg)
     return SampledSVF(
         grid,
         range_map,
@@ -272,13 +273,12 @@ def _thin_net(g: np.ndarray, max_net: int, range_map) -> tuple[np.ndarray, float
     idx = np.unique(np.linspace(0, len(g) - 1, max_net).round().astype(int))
     kept = g[idx]
     dropped = np.delete(g, idx, axis=0)
-    kept_n = range_map.normalize_array(kept)
-    drop_n = range_map.normalize_array(dropped)
-    d = np.linalg.norm(drop_n[:, None, :] - kept_n[None, :, :], axis=-1)
-    return kept, float(d.min(axis=1).max())
+    return kept, directed_deviation(
+        range_map.normalize_array(dropped), range_map.normalize_array(kept)
+    )
 
 
-def _directed_spatial_tau(svf: SampledSVF, grid: GridSpec, cfg: CLFConfig) -> float:
+def _directed_spatial_tau(svf: SampledSVF, centers: np.ndarray, cfg: CLFConfig) -> float:
     """Directed deviation of center nets into off-center value sets.
 
     The chain certificate needs every center-net point to stay close to
@@ -287,7 +287,7 @@ def _directed_spatial_tau(svf: SampledSVF, grid: GridSpec, cfg: CLFConfig) -> fl
     where the subdifferential jumps from a circle to a point near the
     x3 axis, but never enters the certificate.
     """
-    centers = grid.centers_array()
+    grid = svf.grid
     w = np.array([float(c) for c in grid.widths()])
     stride = max(grid.n_cells // 256, 1)
     sampled = list(range(0, grid.n_cells, stride))
@@ -307,14 +307,11 @@ def _directed_spatial_tau(svf: SampledSVF, grid: GridSpec, cfg: CLFConfig) -> fl
             if len(g) == 0:
                 continue
             g_n = svf.range_map.normalize_array(g)
-            d = np.linalg.norm(net_n[:, None, :] - g_n[None, :, :], axis=-1)
-            worst = max(worst, float(d.min(axis=1).max()))
+            worst = max(worst, directed_deviation(net_n, g_n))
     return worst
 
 
-def _theta_refinement_tau(
-    svf: SampledSVF, centers: np.ndarray, cfg: CLFConfig, max_net: int
-) -> float:
+def _theta_refinement_tau(svf: SampledSVF, centers: np.ndarray, cfg: CLFConfig) -> float:
     """Deviation of the declared nets from a doubled-theta-grid pass."""
     fine_cfg = CLFConfig(
         theta_grid=2 * cfg.theta_grid,
@@ -332,8 +329,7 @@ def _theta_refinement_tau(
             continue
         coarse_n = svf.range_map.normalize_array(svf.nets[i])
         fine_n = svf.range_map.normalize_array(fine)
-        d = np.linalg.norm(fine_n[:, None, :] - coarse_n[None, :, :], axis=-1)
-        worst = max(worst, float(d.min(axis=1).max()))
+        worst = max(worst, directed_deviation(fine_n, coarse_n))
     return worst
 
 
@@ -352,6 +348,12 @@ class SimConfig:
     clf: CLFConfig = field(default_factory=CLFConfig)
 
     def __post_init__(self):
+        if not all(
+            math.isfinite(v) and v > 0 for v in (self.dt_control, self.dt_internal, self.T)
+        ):
+            raise InputError("dt_control, dt_internal and T must be positive and finite")
+        if len(self.x0) != 3:
+            raise InputError(f"x0 must have 3 coordinates, got {len(self.x0)}")
         n = round(self.dt_control / self.dt_internal)
         if abs(n * self.dt_internal - self.dt_control) > 1e-12:
             raise InputError("dt_internal must divide dt_control")

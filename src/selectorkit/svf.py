@@ -36,7 +36,6 @@ from .setalg import (
     gbs_from_json,
     gbs_to_json,
 )
-from ._threads import ordered_map
 from .domain import RepresentableDomain, RepresentabilityWitness
 
 
@@ -378,15 +377,15 @@ def estimate_tau(svf: SampledSVF) -> float:
                 nb = list(idx)
                 nb[j] += 1
                 b = norm[svf.grid.flat(tuple(nb))]
-                d = _directed_net_deviation(a, b)
+                d = max(directed_deviation(a, b), directed_deviation(b, a))
                 worst = max(worst, d)
     return 0.5 * worst
 
 
-def _directed_net_deviation(a: np.ndarray, b: np.ndarray) -> float:
+def directed_deviation(a: np.ndarray, b: np.ndarray) -> float:
     """max over points of a of the distance to the nearest point of b."""
     d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    return float(d.min(axis=1).max())
 
 
 RepresentableSVF = CellwiseSVF | SampledSVF
@@ -475,17 +474,15 @@ def sublevel_domains(
 
 def _sublevel_cellwise(F: CellwiseSVF, centers, delta: Fraction, strict: bool):
     d2 = delta * delta
-
-    def accept_for(r):
+    accepted = []
+    for r in centers:
         idxs = []
         for i, (cell, values) in enumerate(F.cells):
             dist2 = dist2_point_set(r, values)
             ok = dist2 < d2 if strict else dist2 <= d2
             if ok:
                 idxs.append(i)
-        return tuple(idxs)
-
-    accepted = ordered_map(accept_for, centers)
+        accepted.append(tuple(idxs))
     domains = tuple(
         _cells_to_domain(F, idxs) for idxs in accepted
     )

@@ -183,6 +183,15 @@ def test_artifacts_identical_across_thread_counts(tmp_path):
     ).read_bytes()
 
 
+def test_package_reads_no_environment_variable():
+    src = Path(__file__).resolve().parent.parent / "src" / "selectorkit"
+    modules = sorted(src.rglob("*.py"))
+    assert modules
+    for path in modules:
+        text = path.read_text()
+        assert "environ" not in text and "getenv" not in text, path.name
+
+
 def test_robot_export_svf(tmp_path):
     r = run_cli(
         ["--out", "x", "robot", "export-svf", "--res", "4/3"],
@@ -193,3 +202,23 @@ def test_robot_export_svf(tmp_path):
     assert payload["grid_shape"] == [3, 3, 3]
     assert len(payload["nets"]) == 27
     assert payload["tau"] > 0
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["export-svf", "--res", "0"],
+        ["export-svf", "--res", "-1"],
+        ["export-svf", "--box", "0"],
+        ["sim", "--controller", "analytic", "--dt", "0"],
+        ["sim", "--controller", "analytic", "--dt", "-0.01"],
+        ["sim", "--controller", "analytic", "--T", "-1"],
+        ["sim", "--controller", "analytic", "--x0", "1,1"],
+    ],
+    ids=["res0", "res-neg", "box0", "dt0", "dt-neg", "T-neg", "x0-short"],
+)
+def test_bad_robot_input_is_input_error(tmp_path, args):
+    r = run_cli(["--out", "x", "robot", *args], tmp_path)
+    assert r.returncode == 3, r.stderr
+    assert any(line.startswith("input error:") for line in r.stderr.splitlines())
+    assert "Traceback" not in r.stderr

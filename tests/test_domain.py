@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selectorkit.domain import (
     PiecewiseConstantMap,
@@ -18,6 +20,7 @@ from selectorkit.domain import (
     termwise_intersect_domains,
     well_containment_margin,
     WitnessError,
+    _thinnest_side,
 )
 from selectorkit.setalg import (
     BasicSet,
@@ -129,6 +132,60 @@ def test_witness_3d_domain_passes_def6():
     dom = RepresentableDomain.from_cells(cells, ambient)
     cert = dom.verify(F(1, 8))
     assert cert.ok
+
+
+def test_witness_margin_failure_makes_one_margin_search(monkeypatch):
+    # the carrier pokes out of the ambient, so its endpoint 3/2 lies
+    # outside every clipped slab and no margin exists
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return well_containment_margin(*args, **kwargs)
+
+    monkeypatch.setattr("selectorkit.domain.well_containment_margin", counted)
+    carrier = GeneralizedBasicSet.of([BasicSet.closed_box([F(1, 2)], [F(3, 2)])])
+    with pytest.raises(WitnessError, match="positive well-containment margin"):
+        make_witness(carrier, BasicSet.closed_box([0], [1]), F(1, 10))
+    assert len(calls) == 1
+
+
+SIXTEENTHS = [F(k, 16) for k in range(17)]
+
+
+@st.composite
+def carriers_inside_unit_box(draw):
+    """Unions of 1-3 boxes with corners on the 1/16 grid inside [0,1]^d.
+
+    Parts may overlap, and a zero width makes an axis degenerate.
+    """
+    dim = draw(st.integers(1, 3))
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        lo, hi = [], []
+        for _ in range(dim):
+            a, b = sorted(draw(st.tuples(*[st.sampled_from(SIXTEENTHS)] * 2)))
+            lo.append(a)
+            hi.append(b)
+        flags = st.tuples(*[st.booleans()] * dim)
+        parts.append(BasicSet(dim, tuple(lo), tuple(hi), draw(flags), draw(flags)))
+    return GeneralizedBasicSet.of(parts, dim=dim)
+
+
+@given(carriers_inside_unit_box(), st.sampled_from(["geometric", "equal"]))
+@settings(max_examples=100, deadline=None)
+def test_witness_margin_holds_for_carriers_inside_ambient(carrier, budget_rule):
+    ambient = BasicSet.closed_box([0] * carrier.dim, [1] * carrier.dim)
+    eps = F(1, 10)
+    try:
+        make_witness(carrier, ambient, eps, budget_rule, coverage="ambient")
+    except WitnessError as e:
+        assert "well-containment margin" not in str(e)
+    m = make_witness(carrier, ambient, eps, budget_rule, coverage="closure")
+    if m.is_empty:
+        assert not carrier.gamma
+    else:
+        assert well_containment_margin(carrier.gamma, m) == _thinnest_side(m) / 4
 
 
 # ---------------------------------------------------------------------------
