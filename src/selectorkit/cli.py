@@ -5,7 +5,8 @@ capturing the resolved command, parameters, input digests, package
 versions, and wall time.  Artifacts are byte-deterministic for a fixed
 manifest; the manifest itself carries the (varying) wall time.
 
-Exit codes: 0 success, 2 contract violation, 3 input error.
+Exit codes: 0 success, 2 contract violation, 3 input error (command-line
+usage errors included).
 """
 
 from __future__ import annotations
@@ -86,7 +87,6 @@ class Run:
             "inputs": self.inputs,
             "outputs": sorted(self.artifacts),
             "parameters": parameters,
-            "seed": getattr(self.args, "seed", 0),
             "versions": {
                 "selectorkit": __version__,
                 "python": sys.version.split()[0],
@@ -209,7 +209,7 @@ def cmd_robot_sim(args) -> int:
     from .robot import SimConfig, gnuplot_script, sim_csv, simulate
 
     run = Run(args)
-    cfg = SimConfig(
+    config = SimConfig(
         controller=args.controller,
         x0=tuple(float(c) for c in args.x0),
         T=args.T,
@@ -222,7 +222,7 @@ def cmd_robot_sim(args) -> int:
 
         svf = export_svf(box_halfwidth=2.0, resolution=args.res)
         chain = extract(svf, args.n)
-    result = simulate(cfg, chain=chain)
+    result = simulate(config, chain=chain)
     run.add("sim.csv", sim_csv(result))
     run.add("sim_metadata.json", _json_bytes(result.metadata()))
     if args.plot_script:
@@ -251,7 +251,7 @@ def cmd_robot_export(args) -> int:
     from .robot import export_svf
 
     run = Run(args)
-    svf = export_svf(box_halfwidth=float(args.box), resolution=args.res)
+    svf = export_svf(box_halfwidth=args.box, resolution=args.res)
     payload = {
         "grid_shape": list(svf.grid.shape),
         "box_halfwidth": float(args.box),
@@ -263,10 +263,9 @@ def cmd_robot_export(args) -> int:
         "nets": [np.asarray(n).tolist() for n in svf.nets],
     }
     run.add("robot_svf.json", _json_bytes(payload))
-    print(
-        f"exported {svf.grid.n_cells} cells, tau = {svf.tau:.5f} "
-        f"(admits n <= {max(k for k in range(2, 16) if svf.tau <= 2.0 ** -(k + 1))})"
-    )
+    admitted = [k for k in range(2, 16) if svf.tau <= 2.0 ** -(k + 1)]
+    reach = f"admits n <= {admitted[-1]}" if admitted else "admits no n >= 2"
+    print(f"exported {svf.grid.n_cells} cells, tau = {svf.tau:.5f} ({reach})")
     return run.finish({"res": str(args.res), "box": str(args.box)})
 
 
@@ -274,13 +273,22 @@ def cmd_robot_export(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors: one `input error:` line, exit 3.
+
+    Subparsers inherit the class, so this covers every subcommand.
+    """
+
+    def error(self, message):
+        self.exit(3, f"input error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="selectorkit",
         description="Constructive measurable-selector toolkit",
     )
     p.add_argument("--out", default=".", help="artifact output directory")
-    p.add_argument("--seed", type=int, default=0, help="recorded RNG seed")
     sub = p.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("reduce", help="countable reduction of a set sequence")

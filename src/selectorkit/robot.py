@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -36,33 +36,21 @@ from .setalg import BasicSet
 from .svf import GridSpec, SampledSVF, directed_deviation, symmetric_range_box
 
 
-@dataclass(frozen=True)
-class CLFConfig:
-    """Discretization knobs for the marginal-function minimization."""
-
-    theta_grid: int = 128
-    refine_levels: int = 3
-    denom_floor: float = 1e-6
-    argmin_tol: float = 1e-4  # acceptance band is argmin_tol * (1 + V)
-
-    def __post_init__(self):
-        if self.denom_floor <= 0 or self.argmin_tol <= 0:
-            raise InputError("denom_floor and argmin_tol must be positive")
+# discretization of the marginal-function minimization
+THETA_GRID = 128
+REFINE_LEVELS = 3
+DENOM_FLOOR = 1e-6
+ARGMIN_TOL = 1e-4  # acceptance band is ARGMIN_TOL * (1 + V)
+MAX_NET = 12  # value-net entries kept per exported cell
+WORKING_HALFWIDTH = 2.0  # a simulated state leaving [-2, 2]^3 truncates the run
 
 
-DEFAULT_CLF = CLFConfig()
-
-
-def _thetas(cfg: CLFConfig) -> np.ndarray:
-    return np.linspace(0.0, 2.0 * np.pi, cfg.theta_grid, endpoint=False)
-
-
-def marginal_value(x: Sequence[float], theta: float, cfg: CLFConfig = DEFAULT_CLF) -> float:
+def marginal_value(x: Sequence[float], theta: float) -> float:
     """F(x, theta); +inf sentinel when the denominator degenerates."""
-    return float(marginal_values(x, np.array([float(theta)]), cfg)[0])
+    return float(marginal_values(x, np.array([float(theta)]))[0])
 
 
-def marginal_values(x, thetas: np.ndarray, cfg: CLFConfig = DEFAULT_CLF) -> np.ndarray:
+def marginal_values(x, thetas: np.ndarray) -> np.ndarray:
     x1, x2, x3 = (float(c) for c in x)
     u = abs(x3)
     poly = x1**4 + x2**4
@@ -71,32 +59,32 @@ def marginal_values(x, thetas: np.ndarray, cfg: CLFConfig = DEFAULT_CLF) -> np.n
         return np.full_like(thetas, poly, dtype=float)
     d = x1 * np.cos(thetas) + x2 * np.sin(thetas) + np.sqrt(u)
     out = np.full_like(thetas, np.inf, dtype=float)
-    ok = np.abs(d) >= cfg.denom_floor
+    ok = np.abs(d) >= DENOM_FLOOR
     out[ok] = poly + u**3 / d[ok] ** 2
     return out
 
 
-def clf_value(x, cfg: CLFConfig = DEFAULT_CLF) -> tuple[float, np.ndarray]:
+def clf_value(x, theta_grid: int = THETA_GRID) -> tuple[float, np.ndarray]:
     """V(x) = min_theta F(x, theta) and the near-minimizer grid angles."""
-    thetas = _thetas(cfg)
+    thetas = np.linspace(0.0, 2.0 * np.pi, theta_grid, endpoint=False)
     if all(float(c) == 0.0 for c in x):
         return 0.0, thetas
-    vals = marginal_values(x, thetas, cfg)
+    vals = marginal_values(x, thetas)
     finite = np.isfinite(vals)
     if not finite.any():
         return np.inf, thetas[:0]
     best_i = int(np.argmin(vals))
     v_best = float(vals[best_i])
     theta_best = float(thetas[best_i])
-    width = 2.0 * np.pi / cfg.theta_grid
-    for _ in range(cfg.refine_levels):
+    width = 2.0 * np.pi / theta_grid
+    for _ in range(REFINE_LEVELS):
         local = theta_best + np.linspace(-width, width, 9)
-        lv = marginal_values(x, local, cfg)
+        lv = marginal_values(x, local)
         j = int(np.argmin(lv))
         if np.isfinite(lv[j]) and lv[j] < v_best:
             v_best, theta_best = float(lv[j]), float(local[j])
         width /= 4.0
-    band = cfg.argmin_tol * (1.0 + v_best)
+    band = ARGMIN_TOL * (1.0 + v_best)
     minimizers = thetas[finite & (vals <= v_best + band)]
     # the refined minimizer may undercut every base-grid angle by more
     # than the band; it is a genuine argmin member either way
@@ -106,7 +94,7 @@ def clf_value(x, cfg: CLFConfig = DEFAULT_CLF) -> tuple[float, np.ndarray]:
     return v_best, minimizers
 
 
-def _gradients_at(x, thetas: np.ndarray, cfg: CLFConfig) -> np.ndarray:
+def _gradients_at(x, thetas: np.ndarray) -> np.ndarray:
     """Analytic dF/dx at the given angles (rows), sentinel rows dropped."""
     x1, x2, x3 = (float(c) for c in x)
     u = abs(x3)
@@ -118,7 +106,7 @@ def _gradients_at(x, thetas: np.ndarray, cfg: CLFConfig) -> np.ndarray:
         return _dedupe_rows(g)
     ct, st = np.cos(thetas), np.sin(thetas)
     d = x1 * ct + x2 * st + np.sqrt(u)
-    ok = np.abs(d) >= cfg.denom_floor
+    ok = np.abs(d) >= DENOM_FLOOR
     ct, st, d = ct[ok], st[ok], d[ok]
     g = np.empty((int(ok.sum()), 3))
     g[:, 0] = p1 - 2.0 * u**3 * ct / d**3
@@ -138,15 +126,15 @@ def _dedupe_rows(g: np.ndarray) -> np.ndarray:
     return g[keep]
 
 
-def disassembled_subgradients(x, cfg: CLFConfig = DEFAULT_CLF) -> np.ndarray:
+def disassembled_subgradients(x, theta_grid: int = THETA_GRID) -> np.ndarray:
     """dF/dx at every near-minimizer theta; empty when all angles degenerate."""
-    _, minimizers = clf_value(x, cfg)
+    _, minimizers = clf_value(x, theta_grid)
     if len(minimizers) == 0:
         return np.empty((0, 3))
-    return _gradients_at(x, minimizers, cfg)
+    return _gradients_at(x, minimizers)
 
 
-def analytic_subgradient(x, cfg: CLFConfig = DEFAULT_CLF) -> np.ndarray:
+def analytic_subgradient(x) -> np.ndarray:
     """The closed-form branch subgradient.
 
     Away from the x3 axis the minimizer is theta* = atan2(x2, x1) (it
@@ -154,11 +142,11 @@ def analytic_subgradient(x, cfg: CLFConfig = DEFAULT_CLF) -> np.ndarray:
     on the axis the branch falls back to theta = 0.
     """
     x1, x2, _x3 = (float(c) for c in x)
-    if x1 * x1 + x2 * x2 > cfg.denom_floor**2:
+    if x1 * x1 + x2 * x2 > DENOM_FLOOR**2:
         theta = float(np.arctan2(x2, x1))
     else:
         theta = 0.0
-    g = _gradients_at(x, np.array([theta]), cfg)
+    g = _gradients_at(x, np.array([theta]))
     if len(g) == 0:
         return np.zeros(3)
     return g[0]
@@ -189,19 +177,18 @@ def disk_feedback(w: tuple[float, float]) -> tuple[float, float]:
 
 
 def export_svf(
-    box_halfwidth: float = 2.0,
+    box_halfwidth: Fraction | float = 2.0,
     resolution: Fraction | float = Fraction(1, 8),
-    cfg: CLFConfig = DEFAULT_CLF,
-    max_net: int = 12,
-    range_pad: float = 2.0,
 ) -> SampledSVF:
     """Sampled SVF of the disassembled subdifferential over [-b, b]^3.
 
     `resolution` is the cell width.  Value nets are the subgradients at
-    the near-minimizer angles, evenly thinned to max_net entries; tau
-    combines the theta-refinement deviation with the neighbor-cell
-    estimate.  Cells whose angles all degenerate are excluded and
-    counted in the metadata.
+    the near-minimizer angles at the cell centers, evenly thinned to
+    MAX_NET entries; tau is the covering radius lost to thinning plus
+    the deviation of a doubled theta grid from the nets, both at cell
+    centers (the subdifferential jumps near the x3 axis, so no constant
+    bounds its variation inside a cell).  Cells whose angles all
+    degenerate are excluded and counted in the metadata.
     """
     from .rational import as_fraction
 
@@ -219,7 +206,7 @@ def export_svf(
     full_nets = []
     excluded = []
     for i, c in enumerate(centers):
-        g = disassembled_subgradients(c, cfg)
+        g = disassembled_subgradients(c)
         if len(g) == 0:
             excluded.append(i)
             full_nets.append(np.zeros((1, 3)))
@@ -229,48 +216,38 @@ def export_svf(
     mask[excluded] = False
 
     allv = np.concatenate([n for i, n in enumerate(full_nets) if mask[i]])
-    range_map = symmetric_range_box(allv, pad=range_pad)
+    range_map = symmetric_range_box(allv)
 
-    # tau declares the pointwise net quality: the covering radius lost to
-    # thinning, plus the deviation of the theta grid from a doubled one;
-    # the cell-center decision convention is conservative and recorded
-    # separately (the subdifferential jumps near the x3 axis, so no
-    # constant bounds its spatial variation there)
     nets = []
     tau_thin = 0.0
     for i, g in enumerate(full_nets):
-        kept, radius = _thin_net(g, max_net, range_map)
+        kept, radius = _thin_net(g, range_map)
         nets.append(kept)
         if mask[i]:
             tau_thin = max(tau_thin, radius)
-    svf = SampledSVF(grid, range_map, tuple(nets), 0.0, mask=mask)
-
-    tau_theta = _theta_refinement_tau(svf, centers, cfg)
-    tau = tau_thin + tau_theta
-    spatial = _directed_spatial_tau(svf, centers, cfg)
+    tau_theta = _theta_refinement_tau(nets, mask, centers, range_map)
     return SampledSVF(
         grid,
         range_map,
         tuple(nets),
-        tau,
+        tau_thin + tau_theta,
         meta={
             "excluded_cells": len(excluded),
             "tau_thin": tau_thin,
             "tau_theta": tau_theta,
-            "spatial_deviation": spatial,
-            "max_net": max_net,
-            "theta_grid": cfg.theta_grid,
+            "max_net": MAX_NET,
+            "theta_grid": THETA_GRID,
             "resolution": float(h),
         },
         mask=mask,
     )
 
 
-def _thin_net(g: np.ndarray, max_net: int, range_map) -> tuple[np.ndarray, float]:
+def _thin_net(g: np.ndarray, range_map) -> tuple[np.ndarray, float]:
     """Evenly thin a net, returning the normalized covering radius lost."""
-    if len(g) <= max_net:
+    if len(g) <= MAX_NET:
         return g, 0.0
-    idx = np.unique(np.linspace(0, len(g) - 1, max_net).round().astype(int))
+    idx = np.unique(np.linspace(0, len(g) - 1, MAX_NET).round().astype(int))
     kept = g[idx]
     dropped = np.delete(g, idx, axis=0)
     return kept, directed_deviation(
@@ -278,57 +255,18 @@ def _thin_net(g: np.ndarray, max_net: int, range_map) -> tuple[np.ndarray, float
     )
 
 
-def _directed_spatial_tau(svf: SampledSVF, centers: np.ndarray, cfg: CLFConfig) -> float:
-    """Directed deviation of center nets into off-center value sets.
-
-    The chain certificate needs every center-net point to stay close to
-    F(x) across its own cell, which is the one-sided deviation: the
-    other direction (F(x) reaching far from the net) is genuinely large
-    where the subdifferential jumps from a circle to a point near the
-    x3 axis, but never enters the certificate.
-    """
-    grid = svf.grid
-    w = np.array([float(c) for c in grid.widths()])
-    stride = max(grid.n_cells // 256, 1)
-    sampled = list(range(0, grid.n_cells, stride))
-    # bias toward cells with set-valued nets, where variation concentrates
-    sampled += [i for i in range(grid.n_cells) if svf.active(i) and len(svf.nets[i]) > 2][::4]
-    corners = np.array(
-        [[dx, dy, dz] for dx in (-0.5, 0.5) for dy in (-0.5, 0.5) for dz in (-0.5, 0.5)]
-    )
-    worst = 0.0
-    for i in sorted(set(sampled)):
-        if not svf.active(i):
-            continue
-        net_n = svf.range_map.normalize_array(svf.nets[i])
-        for off in corners[::2]:
-            x = centers[i] + off * w
-            g = disassembled_subgradients(x, cfg)
-            if len(g) == 0:
-                continue
-            g_n = svf.range_map.normalize_array(g)
-            worst = max(worst, directed_deviation(net_n, g_n))
-    return worst
-
-
-def _theta_refinement_tau(svf: SampledSVF, centers: np.ndarray, cfg: CLFConfig) -> float:
-    """Deviation of the declared nets from a doubled-theta-grid pass."""
-    fine_cfg = CLFConfig(
-        theta_grid=2 * cfg.theta_grid,
-        refine_levels=cfg.refine_levels,
-        denom_floor=cfg.denom_floor,
-        argmin_tol=cfg.argmin_tol,
-    )
+def _theta_refinement_tau(nets, mask: np.ndarray, centers: np.ndarray, range_map) -> float:
+    """Deviation of a doubled-theta-grid pass from the declared nets."""
     stride = max(len(centers) // 128, 1)
     worst = 0.0
     for i in range(0, len(centers), stride):
-        if not svf.active(i):
+        if not mask[i]:
             continue
-        fine = disassembled_subgradients(centers[i], fine_cfg)
+        fine = disassembled_subgradients(centers[i], 2 * THETA_GRID)
         if len(fine) == 0:
             continue
-        coarse_n = svf.range_map.normalize_array(svf.nets[i])
-        fine_n = svf.range_map.normalize_array(fine)
+        coarse_n = range_map.normalize_array(nets[i])
+        fine_n = range_map.normalize_array(fine)
         worst = max(worst, directed_deviation(fine_n, coarse_n))
     return worst
 
@@ -344,8 +282,6 @@ class SimConfig:
     T: float = 10.0
     x0: tuple[float, float, float] = (1.0, 1.0, 1.0)
     controller: str = "analytic"  # "analytic" | "selector"
-    working_halfwidth: float = 2.0
-    clf: CLFConfig = field(default_factory=CLFConfig)
 
     def __post_init__(self):
         if not all(
@@ -379,9 +315,9 @@ class SimResult:
             "dt_internal": self.config.dt_internal,
             "T": self.config.T,
             "x0": list(self.config.x0),
-            "denom_floor": self.config.clf.denom_floor,
-            "argmin_tol": self.config.clf.argmin_tol,
-            "theta_grid": self.config.clf.theta_grid,
+            "denom_floor": DENOM_FLOOR,
+            "argmin_tol": ARGMIN_TOL,
+            "theta_grid": THETA_GRID,
             "control_total_variation": self.control_variation,
             "witness_hits": self.witness_hits,
             "truncated": self.truncated,
@@ -391,7 +327,7 @@ class SimResult:
         }
 
 
-def simulate(cfg: SimConfig, chain: SelectorChain | None = None) -> SimResult:
+def simulate(config: SimConfig, chain: SelectorChain | None = None) -> SimResult:
     """Zero-order-hold closed loop on the nonholonomic integrator.
 
     At each sampling instant both controllers take a subgradient zeta
@@ -401,23 +337,23 @@ def simulate(cfg: SimConfig, chain: SelectorChain | None = None) -> SimResult:
     selector controller holds the previous control on Undefined answers
     (witness hits).  States escaping the working box truncate the run.
     """
-    if cfg.controller == "selector" and chain is None:
+    if config.controller == "selector" and chain is None:
         raise InputError("selector controller needs an extracted chain")
-    n_steps = round(cfg.T / cfg.dt_control)
-    substeps = round(cfg.dt_control / cfg.dt_internal)
+    n_steps = round(config.T / config.dt_control)
+    substeps = round(config.dt_control / config.dt_internal)
 
-    x = np.array(cfg.x0, dtype=float)
+    x = np.array(config.x0, dtype=float)
     times = [0.0]
     states = [x.copy()]
     controls = []
-    vs = [clf_value(x, cfg.clf)[0]]
+    vs = [clf_value(x)[0]]
     u = (0.0, 0.0)
     witness_hits = 0
     truncated = False
 
     for k in range(n_steps):
-        if cfg.controller == "analytic":
-            zeta = analytic_subgradient(x, cfg.clf)
+        if config.controller == "analytic":
+            zeta = analytic_subgradient(x)
             u = disk_feedback(control_law(zeta, x))
         else:
             res = eval_selector(chain, [float(c) for c in x])
@@ -428,13 +364,13 @@ def simulate(cfg: SimConfig, chain: SelectorChain | None = None) -> SimResult:
         controls.append(u)
         for _ in range(substeps):
             x1, x2, _ = x
-            x = x + cfg.dt_internal * np.array(
+            x = x + config.dt_internal * np.array(
                 [u[0], u[1], -x2 * u[0] + x1 * u[1]]
             )
-        times.append((k + 1) * cfg.dt_control)
+        times.append((k + 1) * config.dt_control)
         states.append(x.copy())
-        vs.append(clf_value(x, cfg.clf)[0])
-        if np.abs(x).max() > cfg.working_halfwidth:
+        vs.append(clf_value(x)[0])
+        if np.abs(x).max() > WORKING_HALFWIDTH:
             truncated = True
             break
 
@@ -449,7 +385,7 @@ def simulate(cfg: SimConfig, chain: SelectorChain | None = None) -> SimResult:
         control_variation=tv,
         witness_hits=witness_hits,
         truncated=truncated,
-        config=cfg,
+        config=config,
     )
 
 

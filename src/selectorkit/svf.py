@@ -101,8 +101,11 @@ def identity_range_map(beta: int) -> AffineRangeMap:
     return AffineRangeMap.of([0] * beta, [1] * beta)
 
 
-def symmetric_range_box(values: np.ndarray, pad: float = 2.0) -> AffineRangeMap:
-    """Range box [-pad*G_i, pad*G_i] around 0 per axis.
+RANGE_PAD = 2  # sampled range boxes reach twice the largest observed |value|
+
+
+def symmetric_range_box(values: np.ndarray) -> AffineRangeMap:
+    """Range box [-RANGE_PAD*G_i, RANGE_PAD*G_i] around 0 per axis.
 
     Symmetric and padded so that the normalized image of the real zero
     vector is the box center and every observed value stays within
@@ -111,7 +114,7 @@ def symmetric_range_box(values: np.ndarray, pad: float = 2.0) -> AffineRangeMap:
     """
     g = np.max(np.abs(values), axis=0)
     g = np.where(g == 0, 1.0, g)
-    half = [as_fraction(float(c)) * as_fraction(pad) for c in g]
+    half = [as_fraction(float(c)) * RANGE_PAD for c in g]
     return AffineRangeMap.of([-c for c in half], list(half))
 
 
@@ -339,7 +342,6 @@ def build_sampled_svf(
     sampler: Callable[[np.ndarray], Sequence[np.ndarray]],
     tau: float | None = None,
     range_map: AffineRangeMap | None = None,
-    range_pad: float = 2.0,
 ) -> SampledSVF:
     """Evaluate the sampler on all cell centers and assemble the SVF.
 
@@ -357,7 +359,7 @@ def build_sampled_svf(
             raise InhabitednessError(f"empty net at cell {grid.unflat(i)}")
     if range_map is None:
         allv = np.concatenate([n.reshape(-1, nets[0].shape[-1]) for n in nets])
-        range_map = symmetric_range_box(allv, pad=range_pad)
+        range_map = symmetric_range_box(allv)
     svf = SampledSVF(grid, range_map, tuple(nets), 0.0)
     if tau is None:
         tau = estimate_tau(svf)

@@ -9,11 +9,9 @@ import pytest
 ASSETS = Path(__file__).resolve().parent.parent / "assets"
 
 
-def run_cli(args, cwd, env_extra=None):
+def run_cli(args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "selectorkit.cli", *args],
         cwd=cwd,
@@ -154,33 +152,20 @@ def test_manifest_written_and_complete(tmp_path):
     assert str(ASSETS / "desk_svf.json") in manifest["inputs"]
     assert manifest["versions"]["selectorkit"]
     assert manifest["wall_time_s"] >= 0
+    assert "seed" not in manifest  # nothing in the package draws random numbers
 
 
-@pytest.mark.parametrize("threads", ["1", "3"])
-def test_extract_deterministic_across_threads(tmp_path, threads):
+def test_extract_artifacts_identical_across_runs(tmp_path):
     for tag in ("a", "b"):
         r = run_cli(
             ["--out", tag, "extract", str(ASSETS / "desk_svf.json"), "--n", "5"],
             tmp_path,
-            env_extra={"SELECTORKIT_THREADS": threads},
         )
         assert r.returncode == 0, r.stderr
     for name in ("chain.json", "selector_section.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (
             tmp_path / "b" / name
         ).read_bytes()
-
-
-def test_artifacts_identical_across_thread_counts(tmp_path):
-    for tag, threads in (("t1", "1"), ("t4", "4")):
-        run_cli(
-            ["--out", tag, "extract", str(ASSETS / "desk_svf.json"), "--n", "5"],
-            tmp_path,
-            env_extra={"SELECTORKIT_THREADS": threads},
-        )
-    assert (tmp_path / "t1" / "chain.json").read_bytes() == (
-        tmp_path / "t4" / "chain.json"
-    ).read_bytes()
 
 
 def test_package_reads_no_environment_variable():
@@ -204,6 +189,24 @@ def test_robot_export_svf(tmp_path):
     assert payload["tau"] > 0
 
 
+def test_robot_export_svf_keeps_box_exact(tmp_path):
+    # 2/3 as a float is not an integer multiple of 4/9
+    r = run_cli(
+        ["--out", "x", "robot", "export-svf", "--box", "2/3", "--res", "4/9"],
+        tmp_path,
+    )
+    assert r.returncode == 0, r.stderr
+    payload = json.loads((tmp_path / "x" / "robot_svf.json").read_text())
+    assert payload["grid_shape"] == [3, 3, 3]
+    assert payload["box_halfwidth"] == 2 / 3
+
+
+def test_help_exits_zero(tmp_path):
+    r = run_cli(["robot", "sim", "--help"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert "--controller" in r.stdout
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -214,8 +217,14 @@ def test_robot_export_svf(tmp_path):
         ["sim", "--controller", "analytic", "--dt", "-0.01"],
         ["sim", "--controller", "analytic", "--T", "-1"],
         ["sim", "--controller", "analytic", "--x0", "1,1"],
+        ["sim", "--controller", "analytic", "--x0", "1,1,nan"],
+        ["sim", "--controller", "analytic", "--n", "x"],
+        ["sim"],
     ],
-    ids=["res0", "res-neg", "box0", "dt0", "dt-neg", "T-neg", "x0-short"],
+    ids=[
+        "res0", "res-neg", "box0", "dt0", "dt-neg", "T-neg", "x0-short",
+        "x0-nan", "n-not-int", "controller-missing",
+    ],
 )
 def test_bad_robot_input_is_input_error(tmp_path, args):
     r = run_cli(["--out", "x", "robot", *args], tmp_path)

@@ -6,7 +6,6 @@ import pytest
 
 from selectorkit.errors import InputError, PrecisionError
 from selectorkit.robot import (
-    CLFConfig,
     SimConfig,
     analytic_subgradient,
     clf_value,
@@ -140,7 +139,6 @@ def test_disassembled_origin():
 def test_gradient_vs_central_differences():
     from selectorkit.robot import _gradients_at
 
-    cfg = CLFConfig()
     rng = np.random.default_rng(0)
 
     def f(x, t):
@@ -158,7 +156,7 @@ def test_gradient_vs_central_differences():
         d = x[0] * math.cos(t) + x[1] * math.sin(t) + math.sqrt(abs(x[2]))
         if abs(d) < 0.05 or abs(x[2]) < 0.05:
             continue
-        g = _gradients_at(x, np.array([t]), cfg)[0]
+        g = _gradients_at(x, np.array([t]))[0]
         h = 1e-6
         fd = np.array(
             [(f(x + h * e, t) - f(x - h * e, t)) / (2 * h) for e in np.eye(3)]
@@ -208,8 +206,8 @@ def test_disk_feedback_unit_length_and_zero():
 # SVF export
 
 
-def small_svf(**kw):
-    return export_svf(box_halfwidth=2.0, resolution=F_(4, 11), **kw)
+def small_svf():
+    return export_svf(box_halfwidth=2.0, resolution=F_(4, 11))
 
 
 def test_export_svf_accepted():
@@ -232,11 +230,33 @@ def test_export_degenerate_single_cell():
 
 
 def test_export_too_coarse_for_deep_extraction():
-    # a heavily thinned net cannot certify n = 6
-    svf = small_svf(max_net=4)
+    # at cell width 4/11 tau is about 0.0299, too coarse to certify n = 6
+    svf = small_svf()
     assert svf.tau > 2.0**-7
     with pytest.raises(PrecisionError):
         extract(svf, 6)
+
+
+def test_export_samples_only_what_tau_certifies(monkeypatch):
+    # the nets come from the 11^3 cell centers and the theta-refinement
+    # check from every tenth center on the doubled grid; nothing else is
+    # sampled, and tau keeps its value bit for bit
+    import selectorkit.robot as robot
+
+    calls = []
+    original = robot.disassembled_subgradients
+
+    def counted(x, theta_grid=robot.THETA_GRID):
+        calls.append(theta_grid)
+        return original(x, theta_grid)
+
+    monkeypatch.setattr(robot, "disassembled_subgradients", counted)
+    svf = small_svf()
+    assert len(calls) == 1465
+    assert calls.count(2 * robot.THETA_GRID) == 134
+    assert svf.tau == 0.029925013873333777
+    assert svf.meta["tau_thin"] == 0.014962506936666889
+    assert svf.meta["tau_theta"] == 0.014962506936666889
 
 
 def test_resolution_must_divide_box():

@@ -289,7 +289,7 @@ def test_filippov_two_steps_tau():
 
 def test_symmetric_range_box_centers_zero():
     vals = np.array([[3.0, -1.0], [1.0, 0.5]])
-    rm = symmetric_range_box(vals, pad=2.0)
+    rm = symmetric_range_box(vals)
     center = rm.normalize([0, 0])
     assert center == (F(1, 2), F(1, 2))
     for v in vals:
