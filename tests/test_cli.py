@@ -155,17 +155,46 @@ def test_manifest_written_and_complete(tmp_path):
     assert "seed" not in manifest  # nothing in the package draws random numbers
 
 
-def test_extract_artifacts_identical_across_runs(tmp_path):
-    for tag in ("a", "b"):
-        r = run_cli(
-            ["--out", tag, "extract", str(ASSETS / "desk_svf.json"), "--n", "5"],
-            tmp_path,
+def extract_concurrently(tags, cwd):
+    """Start one desk `extract --n 5` process per tag at once; wait for all."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "selectorkit.cli", "--out", tag,
+             "extract", str(ASSETS / "desk_svf.json"), "--n", "5"],
+            cwd=cwd,
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
         )
-        assert r.returncode == 0, r.stderr
+        for tag in tags
+    ]
+    for proc in procs:
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_extract_deterministic_across_threads(tmp_path, workers):
+    # two rounds, each of `workers` processes running at the same time
+    tags = [f"{rnd}{i}" for rnd in ("a", "b") for i in range(workers)]
+    extract_concurrently(tags[:workers], tmp_path)
+    extract_concurrently(tags[workers:], tmp_path)
     for name in ("chain.json", "selector_section.csv"):
-        assert (tmp_path / "a" / name).read_bytes() == (
-            tmp_path / "b" / name
-        ).read_bytes()
+        first = (tmp_path / tags[0] / name).read_bytes()
+        for tag in tags[1:]:
+            assert (tmp_path / tag / name).read_bytes() == first, (tag, name)
+
+
+def test_artifacts_identical_across_thread_counts(tmp_path):
+    # a lone run against runs made while three others share the machine
+    extract_concurrently(["t1"], tmp_path)
+    extract_concurrently([f"t4_{i}" for i in range(4)], tmp_path)
+    lone = (tmp_path / "t1" / "chain.json").read_bytes()
+    for i in range(4):
+        assert (tmp_path / f"t4_{i}" / "chain.json").read_bytes() == lone
 
 
 def test_package_reads_no_environment_variable():
