@@ -43,95 +43,163 @@ DENOM_FLOOR = 1e-6
 ARGMIN_TOL = 1e-4  # acceptance band is ARGMIN_TOL * (1 + V)
 MAX_NET = 12  # value-net entries kept per exported cell
 WORKING_HALFWIDTH = 2.0  # a simulated state leaving [-2, 2]^3 truncates the run
+BLOCK_ROWS = 512  # points per kernel pass; bounds the (points x angles) temporaries
+
+# The kernel below evaluates many points at once.  Every float operation
+# it applies to one point is the one a single-point evaluation applies,
+# so results do not depend on how points are batched.  The per-point
+# powers stay Python-float arithmetic (numpy's vectorized power rounds
+# differently from the C library's pow).
+
+
+def _blocks(points):
+    X = np.asarray(points, dtype=float).reshape(-1, 3)
+    return (X[lo : lo + BLOCK_ROWS] for lo in range(0, len(X), BLOCK_ROWS))
+
+
+def _marginal(X: np.ndarray):
+    """F(x, .) for each row x of X, as a function of (1, T) or (B, T) angles.
+
+    Angles where the denominator degenerates get the +inf sentinel;
+    rows with x3 = 0 ignore the denominator (the |x3|^3 term vanishes).
+    """
+    rows = X.tolist()
+    x1, x2 = X[:, 0:1], X[:, 1:2]
+    u = np.abs(X[:, 2:3])
+    root, flat = np.sqrt(u), u == 0.0
+    poly = np.array([a**4 + b**4 for a, b, _ in rows]).reshape(-1, 1)
+    cube = np.array([abs(c) ** 3 for _, _, c in rows]).reshape(-1, 1)
+
+    def F(thetas: np.ndarray) -> np.ndarray:
+        d = x1 * np.cos(thetas) + x2 * np.sin(thetas) + root
+        ok = np.abs(d) >= DENOM_FLOOR
+        vals = np.where(ok, poly + cube / np.where(ok, d, 1.0) ** 2, np.inf)
+        return np.where(flat, poly, vals)
+
+    return F
 
 
 def marginal_value(x: Sequence[float], theta: float) -> float:
     """F(x, theta); +inf sentinel when the denominator degenerates."""
-    return float(marginal_values(x, np.array([float(theta)]))[0])
+    F = _marginal(np.asarray(x, dtype=float).reshape(1, 3))
+    return float(F(np.array([float(theta)]))[0, 0])
 
 
-def marginal_values(x, thetas: np.ndarray) -> np.ndarray:
-    x1, x2, x3 = (float(c) for c in x)
-    u = abs(x3)
-    poly = x1**4 + x2**4
-    if u == 0.0:
-        # the |x3|^3 term vanishes identically
-        return np.full_like(thetas, poly, dtype=float)
-    d = x1 * np.cos(thetas) + x2 * np.sin(thetas) + np.sqrt(u)
-    out = np.full_like(thetas, np.inf, dtype=float)
-    ok = np.abs(d) >= DENOM_FLOOR
-    out[ok] = poly + u**3 / d[ok] ** 2
-    return out
+def _minimize(X: np.ndarray, theta_grid: int):
+    """V = min_theta F at each row of X, and the near-minimizer angles.
+
+    Returns (v, rows, angles): v holds one value per row (+inf where
+    every grid angle degenerates); each (rows[i], angles[i]) pair is a
+    near-minimizer, grouped by row and ascending in angle within a row.
+    The minimum is taken over the theta grid, then refined by
+    REFINE_LEVELS 9-point searches around the best angle.
+    """
+    thetas = np.linspace(0.0, 2.0 * np.pi, theta_grid, endpoint=False)
+    F = _marginal(X)
+    vals = F(thetas)  # (B, T)
+    finite = np.isfinite(vals)
+    live = finite.any(axis=1)
+    at = np.arange(len(X))
+    best = np.argmin(vals, axis=1)
+    v, theta_best = vals[at, best], thetas[best]
+    width = 2.0 * np.pi / theta_grid
+    for _ in range(REFINE_LEVELS):
+        local = theta_best[:, None] + np.linspace(-width, width, 9)
+        lv = F(local)
+        j = np.argmin(lv, axis=1)
+        lv_j = lv[at, j]
+        better = live & np.isfinite(lv_j) & (lv_j < v)
+        v = np.where(better, lv_j, v)
+        theta_best = np.where(better, local[at, j], theta_best)
+        width /= 4.0
+    near = finite & (vals <= (v + ARGMIN_TOL * (1.0 + v))[:, None])
+    # the refined minimizer may undercut every base-grid angle by more
+    # than the band; it is a genuine argmin member either way
+    theta_best = np.mod(theta_best, 2.0 * np.pi)
+    extra = live & ~(near & np.isclose(thetas, theta_best[:, None])).any(axis=1)
+    rows, cols = np.nonzero(near)
+    extra_rows = np.nonzero(extra)[0]
+    rows = np.concatenate([rows, extra_rows])
+    angles = np.concatenate([thetas[cols], theta_best[extra_rows]])
+    order = np.lexsort((angles, rows))
+    return v, rows[order], angles[order]
+
+
+def _gradients(X: np.ndarray, rows: np.ndarray, angles: np.ndarray):
+    """dF/dx at each (X[rows[i]], angles[i]) pair, deduplicated per row.
+
+    Pairs whose denominator degenerates are dropped.  Within a row a
+    gradient equal at 12 decimals to an earlier pair's is dropped, so
+    the first occurrence in the given order survives.  Returns the
+    surviving (rows, gradients) in the given order.
+    """
+    terms = np.array(
+        [(4.0 * a**3, 4.0 * b**3, abs(c) ** 3, abs(c) ** 2, abs(c) ** 2.5) for a, b, c in X.tolist()]
+    ).reshape(-1, 5)[rows]
+    x = X[rows]
+    u = np.abs(x[:, 2])
+    flat = u == 0.0
+    ct, st = np.cos(angles), np.sin(angles)
+    d = x[:, 0] * ct + x[:, 1] * st + np.sqrt(u)
+    keep = flat | (np.abs(d) >= DENOM_FLOOR)
+    rows, x, terms, flat = rows[keep], x[keep], terms[keep], flat[keep]
+    ct, st = ct[keep], st[keep]
+    d = np.where(flat, 1.0, d[keep])
+    p1, p2, cube, square, half = terms.T
+    d3 = d**3
+    g = np.empty((len(rows), 3))
+    g[:, 0] = np.where(flat, p1, p1 - 2.0 * cube * ct / d3)
+    g[:, 1] = np.where(flat, p2, p2 - 2.0 * cube * st / d3)
+    g[:, 2] = np.where(flat, 0.0, np.sign(x[:, 2]) * (3.0 * square / d**2 - half / d3))
+    if len(g) < 2:
+        return rows, g
+    # per-row dedupe: a stable sort on (row, rounded gradient) puts equal
+    # keys next to each other in their original order
+    key = np.round(g, 12)
+    order = np.lexsort((key[:, 2], key[:, 1], key[:, 0], rows))
+    k, r = key[order], rows[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (r[1:] != r[:-1]) | (k[1:] != k[:-1]).any(axis=1)
+    kept = np.sort(order[first])
+    return rows[kept], g[kept]
 
 
 def clf_value(x, theta_grid: int = THETA_GRID) -> tuple[float, np.ndarray]:
-    """V(x) = min_theta F(x, theta) and the near-minimizer grid angles."""
-    thetas = np.linspace(0.0, 2.0 * np.pi, theta_grid, endpoint=False)
-    if all(float(c) == 0.0 for c in x):
-        return 0.0, thetas
-    vals = marginal_values(x, thetas)
-    finite = np.isfinite(vals)
-    if not finite.any():
-        return np.inf, thetas[:0]
-    best_i = int(np.argmin(vals))
-    v_best = float(vals[best_i])
-    theta_best = float(thetas[best_i])
-    width = 2.0 * np.pi / theta_grid
-    for _ in range(REFINE_LEVELS):
-        local = theta_best + np.linspace(-width, width, 9)
-        lv = marginal_values(x, local)
-        j = int(np.argmin(lv))
-        if np.isfinite(lv[j]) and lv[j] < v_best:
-            v_best, theta_best = float(lv[j]), float(local[j])
-        width /= 4.0
-    band = ARGMIN_TOL * (1.0 + v_best)
-    minimizers = thetas[finite & (vals <= v_best + band)]
-    # the refined minimizer may undercut every base-grid angle by more
-    # than the band; it is a genuine argmin member either way
-    theta_best = float(np.mod(theta_best, 2.0 * np.pi))
-    if not np.any(np.isclose(minimizers, theta_best)):
-        minimizers = np.sort(np.append(minimizers, theta_best))
-    return v_best, minimizers
+    """V(x) = min_theta F(x, theta) and the near-minimizer angles."""
+    v, _, angles = _minimize(np.asarray(x, dtype=float).reshape(1, 3), theta_grid)
+    return float(v[0]), angles
+
+
+def clf_values(points) -> np.ndarray:
+    """V at each row of an (N, 3) array of points."""
+    return np.concatenate([_minimize(X, THETA_GRID)[0] for X in _blocks(points)])
 
 
 def _gradients_at(x, thetas: np.ndarray) -> np.ndarray:
     """Analytic dF/dx at the given angles (rows), sentinel rows dropped."""
-    x1, x2, x3 = (float(c) for c in x)
-    u = abs(x3)
-    s = np.sign(x3)
-    p1, p2 = 4.0 * x1**3, 4.0 * x2**3
-    if u == 0.0:
-        g = np.zeros((len(thetas), 3))
-        g[:, 0], g[:, 1] = p1, p2
-        return _dedupe_rows(g)
-    ct, st = np.cos(thetas), np.sin(thetas)
-    d = x1 * ct + x2 * st + np.sqrt(u)
-    ok = np.abs(d) >= DENOM_FLOOR
-    ct, st, d = ct[ok], st[ok], d[ok]
-    g = np.empty((int(ok.sum()), 3))
-    g[:, 0] = p1 - 2.0 * u**3 * ct / d**3
-    g[:, 1] = p2 - 2.0 * u**3 * st / d**3
-    g[:, 2] = s * (3.0 * u**2 / d**2 - u**2.5 / d**3)
-    return _dedupe_rows(g)
-
-
-def _dedupe_rows(g: np.ndarray) -> np.ndarray:
-    seen = set()
-    keep = []
-    for i, row in enumerate(g):
-        key = tuple(np.round(row, 12))
-        if key not in seen:
-            seen.add(key)
-            keep.append(i)
-    return g[keep]
+    thetas = np.asarray(thetas, dtype=float)
+    rows = np.zeros(len(thetas), dtype=np.intp)
+    return _gradients(np.asarray(x, dtype=float).reshape(1, 3), rows, thetas)[1]
 
 
 def disassembled_subgradients(x, theta_grid: int = THETA_GRID) -> np.ndarray:
     """dF/dx at every near-minimizer theta; empty when all angles degenerate."""
-    _, minimizers = clf_value(x, theta_grid)
-    if len(minimizers) == 0:
-        return np.empty((0, 3))
-    return _gradients_at(x, minimizers)
+    return subgradient_nets([x], theta_grid)[0]
+
+
+def subgradient_nets(points, theta_grid: int = THETA_GRID) -> list[np.ndarray]:
+    """`disassembled_subgradients` at each row of an (N, 3) array.
+
+    One batched pass per BLOCK_ROWS points; a point's net does not
+    depend on which other points share its block.
+    """
+    nets = []
+    for X in _blocks(points):
+        _, rows, angles = _minimize(X, theta_grid)
+        rows, g = _gradients(X, rows, angles)
+        ends = np.cumsum(np.bincount(rows, minlength=len(X))).tolist()
+        nets.extend(g[a:b] for a, b in zip([0] + ends[:-1], ends))
+    return nets
 
 
 def analytic_subgradient(x) -> np.ndarray:
@@ -188,7 +256,9 @@ def export_svf(
     the deviation of a doubled theta grid from the nets, both at cell
     centers (the subdifferential jumps near the x3 axis, so no constant
     bounds its variation inside a cell).  Cells whose angles all
-    degenerate are excluded and counted in the metadata.
+    degenerate are excluded and counted in the metadata.  All centers
+    go through `subgradient_nets` in one batched pass, and so do the
+    doubled-grid samples of the tau check.
     """
     from .rational import as_fraction
 
@@ -203,19 +273,11 @@ def export_svf(
     grid = GridSpec(BasicSet.closed_box([-b] * 3, [b] * 3), (n_axis,) * 3)
     centers = grid.centers_array()
 
-    full_nets = []
-    excluded = []
-    for i, c in enumerate(centers):
-        g = disassembled_subgradients(c)
-        if len(g) == 0:
-            excluded.append(i)
-            full_nets.append(np.zeros((1, 3)))
-            continue
-        full_nets.append(g)
-    mask = np.ones(len(centers), dtype=bool)
-    mask[excluded] = False
+    full_nets = subgradient_nets(centers)
+    mask = np.array([len(g) > 0 for g in full_nets], dtype=bool)
+    full_nets = [g if len(g) else np.zeros((1, 3)) for g in full_nets]
 
-    allv = np.concatenate([n for i, n in enumerate(full_nets) if mask[i]])
+    allv = np.concatenate([g for g, live in zip(full_nets, mask) if live])
     range_map = symmetric_range_box(allv)
 
     nets = []
@@ -232,7 +294,7 @@ def export_svf(
         tuple(nets),
         tau_thin + tau_theta,
         meta={
-            "excluded_cells": len(excluded),
+            "excluded_cells": int((~mask).sum()),
             "tau_thin": tau_thin,
             "tau_theta": tau_theta,
             "max_net": MAX_NET,
@@ -257,17 +319,13 @@ def _thin_net(g: np.ndarray, range_map) -> tuple[np.ndarray, float]:
 
 def _theta_refinement_tau(nets, mask: np.ndarray, centers: np.ndarray, range_map) -> float:
     """Deviation of a doubled-theta-grid pass from the declared nets."""
-    stride = max(len(centers) // 128, 1)
+    idx = np.arange(0, len(centers), max(len(centers) // 128, 1))
+    idx = idx[mask[idx]]
     worst = 0.0
-    for i in range(0, len(centers), stride):
-        if not mask[i]:
-            continue
-        fine = disassembled_subgradients(centers[i], 2 * THETA_GRID)
-        if len(fine) == 0:
-            continue
-        coarse_n = range_map.normalize_array(nets[i])
-        fine_n = range_map.normalize_array(fine)
-        worst = max(worst, directed_deviation(fine_n, coarse_n))
+    for i, fine in zip(idx, subgradient_nets(centers[idx], 2 * THETA_GRID)):
+        if len(fine):
+            coarse_n = range_map.normalize_array(nets[i])
+            worst = max(worst, directed_deviation(range_map.normalize_array(fine), coarse_n))
     return worst
 
 
@@ -336,6 +394,8 @@ def simulate(config: SimConfig, chain: SelectorChain | None = None) -> SimResult
     the minimizer of <zeta, f(x, u)> over the closed unit disk.  The
     selector controller holds the previous control on Undefined answers
     (witness hits).  States escaping the working box truncate the run.
+    The control never reads V, so V(x(t)) is computed after the loop,
+    in one batched call over the recorded states.
     """
     if config.controller == "selector" and chain is None:
         raise InputError("selector controller needs an extracted chain")
@@ -346,7 +406,6 @@ def simulate(config: SimConfig, chain: SelectorChain | None = None) -> SimResult
     times = [0.0]
     states = [x.copy()]
     controls = []
-    vs = [clf_value(x)[0]]
     u = (0.0, 0.0)
     witness_hits = 0
     truncated = False
@@ -369,7 +428,6 @@ def simulate(config: SimConfig, chain: SelectorChain | None = None) -> SimResult
             )
         times.append((k + 1) * config.dt_control)
         states.append(x.copy())
-        vs.append(clf_value(x)[0])
         if np.abs(x).max() > WORKING_HALFWIDTH:
             truncated = True
             break
@@ -377,11 +435,12 @@ def simulate(config: SimConfig, chain: SelectorChain | None = None) -> SimResult
     controls.append(u)
     arr_u = np.array(controls)
     tv = float(np.abs(np.diff(arr_u, axis=0)).sum())
+    states = np.array(states)
     return SimResult(
         times=np.array(times),
-        states=np.array(states),
+        states=states,
         controls=arr_u,
-        clf=np.array(vs),
+        clf=clf_values(states),
         control_variation=tv,
         witness_hits=witness_hits,
         truncated=truncated,

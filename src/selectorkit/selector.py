@@ -350,6 +350,10 @@ def _exact_step(chain: SelectorChain, F: CellwiseSVF, k: int, budget) -> ExactSt
 # grid engine
 
 
+_OFFSET_BLOCK = 32  # ball candidates tested per pass
+_GRID_TEMP_ELEMS = 8_000_000  # cells x candidates x net points per temporary
+
+
 def _grid_step(chain: SelectorChain, F: SampledSVF, k: int, budget) -> GridStep:
     beta = F.beta
     pitch = 2.0 ** -(k + 1)
@@ -380,36 +384,42 @@ def _grid_step(chain: SelectorChain, F: SampledSVF, k: int, budget) -> GridStep:
     padded_all = F.padded_nets
     m_max = padded_all.shape[1]
 
+    # walk the ball in lexicographic blocks and retire each cell at its
+    # first hit, which is its lowest-index admissible candidate
     active = np.nonzero(prev_ok)[0]
-    chunk_size = max(1, 8_000_000 // max(len(offsets) * m_max, 1))
-    for lo in range(0, len(active), chunk_size):
-        cells = active[lo : lo + chunk_size]
-        b = len(cells)
-        nets_pad = padded_all[cells]
+    chunk = max(1, _GRID_TEMP_ELEMS // (_OFFSET_BLOCK * m_max))
+    for lo in range(0, len(active), chunk):
+        cells = active[lo : lo + chunk]
+        nets_chunk = padded_all[cells]
         prev_chunk = prev_vals[cells]  # (b, beta)
         base = np.rint(prev_chunk / pitch).astype(np.int64)
-        digits = base[:, None, :] + offsets[None, :, :]  # (b, C, beta)
-        valid = ((digits >= 0) & (digits < n_axis)).all(axis=2)
-        coords = digits * pitch
-        d_prev2 = ((coords - prev_chunk[:, None, :]) ** 2).sum(axis=2)
-        # |c - n|^2 = |c|^2 + |n|^2 - 2 c.n via batched matmul, avoiding the
-        # (b, C, m, beta) broadcast temporary
-        cc = (coords**2).sum(axis=2)  # (b, C)
-        nn = (nets_pad**2).sum(axis=2)  # (b, m)
-        cross = coords @ nets_pad.transpose(0, 2, 1)  # (b, C, m)
-        d_net2 = (cc[:, :, None] + nn[:, None, :] - 2.0 * cross).min(axis=2)
-        ok = valid & (d_prev2 < gap2) & (d_net2 < accept2)
-        any_ok = ok.any(axis=1)
-        if not any_ok.all():
-            flat = int(cells[np.nonzero(~any_ok)[0][0]])
+        nn_chunk = (nets_chunk**2).sum(axis=2)  # (b, m)
+        todo = np.arange(len(cells))  # chunk rows still without a winner
+        for o_lo in range(0, len(offsets), _OFFSET_BLOCK):
+            if not len(todo):
+                break
+            prev, nets_pad = prev_chunk[todo], nets_chunk[todo]
+            digits = base[todo, None, :] + offsets[None, o_lo : o_lo + _OFFSET_BLOCK]
+            valid = ((digits >= 0) & (digits < n_axis)).all(axis=2)
+            coords = digits * pitch
+            d_prev2 = ((coords - prev[:, None, :]) ** 2).sum(axis=2)
+            # |c - n|^2 = |c|^2 + |n|^2 - 2 c.n via batched matmul, avoiding
+            # the (b, C, m, beta) broadcast temporary
+            cc = (coords**2).sum(axis=2)  # (b, C)
+            cross = coords @ nets_pad.transpose(0, 2, 1)  # (b, C, m)
+            d_net2 = (cc[:, :, None] + nn_chunk[todo][:, None, :] - 2.0 * cross).min(axis=2)
+            ok = valid & (d_prev2 < gap2) & (d_net2 < accept2)
+            hit = ok.any(axis=1)
+            first = np.argmax(ok[hit], axis=1)
+            winner[cells[todo[hit]]] = digits[hit, first] @ strides
+            todo = todo[~hit]
+        if len(todo):
+            flat = int(cells[todo[0]])
             raise CoverageError(
                 f"mesh guarantee fails at level {k} on cell {F.grid.unflat(flat)}: "
                 "sampled slack too coarse or value set unreachable",
                 region=F.grid.cell_box(F.grid.unflat(flat)),
             )
-        first = np.argmax(ok, axis=1)
-        win_digits = digits[np.arange(b), first]  # (b, beta)
-        winner[cells] = win_digits @ strides
 
     covered = int((winner >= 0).sum())
     cell_vol = Fraction(1)

@@ -119,3 +119,79 @@ def brute_force_selector(F, n):
         levels.append(assign)
         f_prev = assign
     return levels
+
+
+# ---------------------------------------------------------------------------
+# robot subdifferential, one point at a time
+
+
+def robot_subgradients(x, theta_grid: int):
+    """Scalar reference for the robot's CLF and disassembled subgradients.
+
+    Evaluates one point with small numpy arrays over its own angles and
+    deduplicates gradient rows through a set of rounded tuples, keeping
+    first occurrences.  Returns (V, near-minimizer angles, subgradients).
+    """
+    import numpy as np
+
+    from selectorkit.robot import ARGMIN_TOL, DENOM_FLOOR, REFINE_LEVELS
+
+    x1, x2, x3 = (float(c) for c in x)
+    u = abs(x3)
+
+    def marginal(thetas):
+        poly = x1**4 + x2**4
+        if u == 0.0:
+            return np.full_like(thetas, poly, dtype=float)
+        d = x1 * np.cos(thetas) + x2 * np.sin(thetas) + np.sqrt(u)
+        out = np.full_like(thetas, np.inf, dtype=float)
+        ok = np.abs(d) >= DENOM_FLOOR
+        out[ok] = poly + u**3 / d[ok] ** 2
+        return out
+
+    def gradients(thetas):
+        p1, p2 = 4.0 * x1**3, 4.0 * x2**3
+        if u == 0.0:
+            g = np.zeros((len(thetas), 3))
+            g[:, 0], g[:, 1] = p1, p2
+        else:
+            ct, st = np.cos(thetas), np.sin(thetas)
+            d = x1 * ct + x2 * st + np.sqrt(u)
+            ok = np.abs(d) >= DENOM_FLOOR
+            ct, st, d = ct[ok], st[ok], d[ok]
+            g = np.empty((int(ok.sum()), 3))
+            g[:, 0] = p1 - 2.0 * u**3 * ct / d**3
+            g[:, 1] = p2 - 2.0 * u**3 * st / d**3
+            g[:, 2] = np.sign(x3) * (3.0 * u**2 / d**2 - u**2.5 / d**3)
+        seen, keep = set(), []
+        for i, row in enumerate(g):
+            key = tuple(np.round(row, 12))
+            if key not in seen:
+                seen.add(key)
+                keep.append(i)
+        return g[keep]
+
+    thetas = np.linspace(0.0, 2.0 * np.pi, theta_grid, endpoint=False)
+    if x1 == 0.0 and x2 == 0.0 and x3 == 0.0:
+        return 0.0, thetas, gradients(thetas)
+    vals = marginal(thetas)
+    finite = np.isfinite(vals)
+    if not finite.any():
+        return np.inf, thetas[:0], np.empty((0, 3))
+    best_i = int(np.argmin(vals))
+    v_best = float(vals[best_i])
+    theta_best = float(thetas[best_i])
+    width = 2.0 * np.pi / theta_grid
+    for _ in range(REFINE_LEVELS):
+        local = theta_best + np.linspace(-width, width, 9)
+        lv = marginal(local)
+        j = int(np.argmin(lv))
+        if np.isfinite(lv[j]) and lv[j] < v_best:
+            v_best, theta_best = float(lv[j]), float(local[j])
+        width /= 4.0
+    band = ARGMIN_TOL * (1.0 + v_best)
+    minimizers = thetas[finite & (vals <= v_best + band)]
+    theta_best = float(np.mod(theta_best, 2.0 * np.pi))
+    if not np.any(np.isclose(minimizers, theta_best)):
+        minimizers = np.sort(np.append(minimizers, theta_best))
+    return v_best, minimizers, gradients(minimizers)

@@ -3,12 +3,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import robot_subgradients
 from selectorkit.errors import InputError, PrecisionError
 from selectorkit.robot import (
+    THETA_GRID,
     SimConfig,
     analytic_subgradient,
     clf_value,
+    clf_values,
     control_law,
     disassembled_subgradients,
     disk_feedback,
@@ -17,8 +22,11 @@ from selectorkit.robot import (
     marginal_value,
     sim_csv,
     simulate,
+    subgradient_nets,
 )
 from selectorkit.selector import eval_selector, extract
+from selectorkit.setalg import BasicSet
+from selectorkit.svf import GridSpec
 
 F_ = Fraction
 
@@ -187,6 +195,93 @@ def test_envelope_consistency():
 
 
 # ---------------------------------------------------------------------------
+# batched kernel against the one-point scalar reference
+
+
+def _assert_matches_reference(points, theta_grid):
+    nets = subgradient_nets(points, theta_grid)
+    assert len(nets) == len(points)
+    values = clf_values(points)
+    for x, net, v in zip(points, nets, values):
+        v_ref, minimizers, ref = robot_subgradients(x, theta_grid)
+        assert net.shape == ref.shape and net.tobytes() == ref.tobytes(), x
+        got_v, got_minimizers = clf_value(x, theta_grid)
+        assert np.float64(got_v).tobytes() == np.float64(v_ref).tobytes(), x
+        assert got_minimizers.tobytes() == minimizers.tobytes(), x
+        if theta_grid == THETA_GRID:
+            assert v.tobytes() == np.float64(v_ref).tobytes(), x
+
+
+def _centers(n_axis):
+    grid = GridSpec(BasicSet.closed_box([-2] * 3, [2] * 3), (n_axis,) * 3)
+    return grid.centers_array()
+
+
+@pytest.mark.parametrize("theta_grid", [THETA_GRID, 2 * THETA_GRID])
+@pytest.mark.parametrize("n_axis", [9, 11])
+def test_kernel_matches_reference_on_centers(n_axis, theta_grid):
+    _assert_matches_reference(_centers(n_axis), theta_grid)
+
+
+DEGENERATE = [
+    (0.0, 0.0, 0.0),
+    (-0.0, 0.0, -0.0),
+    (0.0, 0.0, 1.0),
+    (0.0, 0.0, -0.3),
+    (0.0, 0.0, 1e-11),
+    (1.0, 1.0, 0.0),
+    (-0.5, 1.5, 0.0),
+    (1e-4, 0.0, 0.0),
+    (0.5, 0.0, 0.25),  # d = 0 at theta = pi
+    (1.0, 0.5, 1e-9),  # rows equal at 12 decimals but not in their bits
+    (-0.3, 0.2, -1e-13),
+    (0.0, 0.0, 1e-13),  # every angle degenerates
+    (0.0, 0.0, -5e-13),
+]
+
+
+@pytest.mark.parametrize("theta_grid", [THETA_GRID, 2 * THETA_GRID])
+def test_kernel_matches_reference_on_degenerate_points(theta_grid):
+    _assert_matches_reference(np.array(DEGENERATE), theta_grid)
+    # on the x3 axis below |x3| = 1e-12 the denominator sqrt|x3| is under
+    # the floor at every angle: no subgradient, V = +inf
+    for x in [(0.0, 0.0, 1e-13), (0.0, 0.0, -5e-13)]:
+        assert len(disassembled_subgradients(x, theta_grid)) == 0
+        assert clf_value(x, theta_grid)[0] == math.inf
+
+
+def test_kernel_blocks_do_not_change_nets(monkeypatch):
+    import selectorkit.robot as robot
+
+    points = np.concatenate([_centers(9), np.array(DEGENERATE)])
+    whole = subgradient_nets(points)
+    monkeypatch.setattr(robot, "BLOCK_ROWS", 7)
+    for a, b in zip(whole, subgradient_nets(points)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+coordinate = st.one_of(
+    st.floats(-2.5, 2.5),
+    st.sampled_from([0.0, -0.0, 1e-13, -1e-13, 1e-9, -1e-7]),
+)
+
+
+@given(
+    st.lists(st.tuples(coordinate, coordinate, coordinate), min_size=1, max_size=12),
+    st.sampled_from([THETA_GRID, 2 * THETA_GRID]),
+)
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_reference_hypothesis(points, theta_grid):
+    _assert_matches_reference(np.array(points, dtype=float), theta_grid)
+
+
+def test_simulated_clf_matches_pointwise_values():
+    res = simulate(SimConfig(controller="analytic", T=1.0))
+    pointwise = np.array([robot_subgradients(x, THETA_GRID)[0] for x in res.states])
+    assert res.clf.tobytes() == pointwise.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # control law
 
 
@@ -243,17 +338,17 @@ def test_export_samples_only_what_tau_certifies(monkeypatch):
     # sampled, and tau keeps its value bit for bit
     import selectorkit.robot as robot
 
-    calls = []
-    original = robot.disassembled_subgradients
+    rows = []
+    original = robot.subgradient_nets
 
-    def counted(x, theta_grid=robot.THETA_GRID):
-        calls.append(theta_grid)
-        return original(x, theta_grid)
+    def counted(points, theta_grid=robot.THETA_GRID):
+        rows.extend([theta_grid] * len(points))
+        return original(points, theta_grid)
 
-    monkeypatch.setattr(robot, "disassembled_subgradients", counted)
+    monkeypatch.setattr(robot, "subgradient_nets", counted)
     svf = small_svf()
-    assert len(calls) == 1465
-    assert calls.count(2 * robot.THETA_GRID) == 134
+    assert len(rows) == 1465
+    assert rows.count(2 * robot.THETA_GRID) == 134
     assert svf.tau == 0.029925013873333777
     assert svf.meta["tau_thin"] == 0.014962506936666889
     assert svf.meta["tau_theta"] == 0.014962506936666889

@@ -372,6 +372,23 @@ def test_grid_engine_refuses_coarse_tau():
         extract(svf, 4)
 
 
+def test_grid_engine_names_lowest_uncovered_cell():
+    # cells 2 and 5 hold the value 1, out of reach of the level-2 ball
+    # around the anchor 0; the error names the lower of the two
+    grid = GridSpec(BasicSet.closed_box([0], [1]), (8,))
+
+    def sampler(centers):
+        return [np.array([[1.0 if i in (2, 5) else 0.25]]) for i in range(len(centers))]
+
+    from selectorkit.svf import identity_range_map
+
+    svf = build_sampled_svf(grid, sampler, tau=0.0, range_map=identity_range_map(1))
+    with pytest.raises(CoverageError) as err:
+        extract(svf, 3)
+    assert "level 2 on cell (2,)" in str(err.value)
+    assert err.value.region == grid.cell_box((2,))
+
+
 def test_grid_engine_dom_monotone_and_gap():
     f = desk_sampled(32)
     chain = extract(f, 5)
