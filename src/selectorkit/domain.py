@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .errors import AdjacencyError, WitnessError
@@ -28,6 +29,7 @@ from .setalg import (
     gbs_to_json,
     sequence_from_json,
     sequence_to_json,
+    union_with_owners,
 )
 
 BUDGET_RULES = ("geometric", "equal")
@@ -393,10 +395,13 @@ class PiecewiseConstantMap:
         return len(self.pieces[0][1]) if self.pieces else 0
 
     def value_at(self, point) -> tuple[Fraction, ...] | None:
-        for q, r in self.pieces:
-            if q.contains(point):
-                return r
-        return None
+        union, owner = self._located
+        k = union.locate(point)
+        return None if k is None else self.pieces[owner[k]][1]
+
+    @cached_property
+    def _located(self) -> tuple[GeneralizedBasicSet, tuple[int, ...]]:
+        return union_with_owners([q for q, _ in self.pieces])
 
     def validate(self) -> None:
         for i in range(len(self.pieces)):

@@ -30,6 +30,7 @@ import io
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -43,6 +44,7 @@ from .setalg import (
     SetSequence,
     gbs_from_json,
     gbs_to_json,
+    union_with_owners,
 )
 from .svf import (
     CellwiseSVF,
@@ -88,10 +90,13 @@ class ExactStep:
     certificate: StepCertificate
 
     def value_at(self, x) -> tuple[Fraction, ...] | None:
-        for q, r in self.pieces:
-            if q.contains(x):
-                return r
-        return None
+        union, owner = self._located
+        k = union.locate(x)
+        return None if k is None else self.pieces[owner[k]][1]
+
+    @cached_property
+    def _located(self) -> tuple[GeneralizedBasicSet, tuple[int, ...]]:
+        return union_with_owners([q for q, _ in self.pieces])
 
     def carrier(self, dim: int) -> GeneralizedBasicSet:
         return GeneralizedBasicSet.of(
@@ -155,6 +160,12 @@ class SelectorChain:
         if w < 0:
             return None
         return self.mesh_value(step.level, w)
+
+    @cached_property
+    def closed_domain(self) -> GeneralizedBasicSet:
+        """Closure of the working box; outside it the selector is undefined."""
+        box = self.svf.domain_box
+        return GeneralizedBasicSet(box.dim, (box.closure(),))
 
     def final_witness(self, eps) -> GeneralizedBasicSet:
         eps = as_fraction(eps)
@@ -511,8 +522,7 @@ def eval_selector(chain: SelectorChain, x, eps_dom=None) -> EvalResult:
     if eps_dom is None:
         eps_dom = chain.dom_budget
     x = [as_fraction(c) for c in x]
-    box = chain.svf.domain_box
-    if not box.closure().contains(x):
+    if not chain.closed_domain.contains(x):
         return EvalResult(None, EvalResult.OUTSIDE_DOMAIN)
     m = chain.final_witness(eps_dom)
     if m.contains(x):

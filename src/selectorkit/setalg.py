@@ -16,6 +16,7 @@ over (set index, part index).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -346,7 +347,51 @@ class GeneralizedBasicSet:
         return sum((p.measure() for p in self.parts), Fraction(0))
 
     def contains(self, point: Sequence) -> bool:
-        return any(p.contains(point) for p in self.parts)
+        return self.locate(point) is not None
+
+    def locate(self, point: Sequence) -> int | None:
+        """Index of the first part containing the point, or None.
+
+        Each coordinate is placed among its axis's sorted endpoint values
+        by exact bisection; the AND of the slot masks over the axes holds
+        the parts containing the point, and its lowest bit is the first.
+        """
+        if not self.parts:
+            return None
+        pt = _aspoint(point, self.dim)
+        hits = (1 << len(self.parts)) - 1
+        for c, (values, masks) in zip(pt, self._rank_index):
+            i = bisect_left(values, c)
+            hits &= masks[2 * i + 1 if i < len(values) and values[i] == c else 2 * i]
+            if not hits:
+                return None
+        return (hits & -hits).bit_length() - 1
+
+    @cached_property
+    def _rank_index(self) -> tuple[tuple[list[Fraction], list[int]], ...]:
+        """Per axis: the sorted distinct endpoints and a part mask per slot.
+
+        Slot 2i+1 is the endpoint v_i itself and slot 2i the open gap
+        below it.  A part covers the slots from 2*rank(lo)+1 (+1 if open)
+        to 2*rank(hi)+1 (-1 if open); an empty part covers none on some axis.
+        """
+        index = []
+        for j in range(self.dim):
+            values = sorted({c for p in self.parts for c in (p.lo[j], p.hi[j])})
+            rank = {v: i for i, v in enumerate(values)}
+            diff = [0] * (2 * len(values) + 2)
+            for k, p in enumerate(self.parts):
+                first = 2 * rank[p.lo[j]] + (1 if p.closed_lo[j] else 2)
+                last = 2 * rank[p.hi[j]] + (1 if p.closed_hi[j] else 0)
+                if first <= last:
+                    diff[first] ^= 1 << k
+                    diff[last + 1] ^= 1 << k
+            masks, acc = [], 0
+            for d in diff[:-1]:
+                acc ^= d
+                masks.append(acc)
+            index.append((values, masks))
+        return tuple(index)
 
     @cached_property
     def gamma(self) -> tuple[BasicSet, ...]:
@@ -421,6 +466,20 @@ class GeneralizedBasicSet:
 
 
 GBS = GeneralizedBasicSet
+
+
+def union_with_owners(
+    sets: Sequence[GeneralizedBasicSet],
+) -> tuple[GeneralizedBasicSet, tuple[int, ...]]:
+    """The parts of all sets, in order, as one union, and the set owning each part.
+
+    The first part containing a point lies in the first set containing
+    it, so `owner[union.locate(x)]` is that set's index.
+    """
+    union = GeneralizedBasicSet(
+        sets[0].dim if sets else 1, tuple(p for q in sets for p in q.parts)
+    )
+    return union, tuple(i for i, q in enumerate(sets) for _ in q.parts)
 
 
 # ---------------------------------------------------------------------------

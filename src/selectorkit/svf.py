@@ -17,6 +17,7 @@ coordinates and normalizes at the boundary.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -142,10 +143,11 @@ class CellwiseSVF:
         return self.range_map.beta
 
     def cell_index_at(self, x) -> int | None:
-        for i, (cell, _) in enumerate(self.cells):
-            if cell.contains(x):
-                return i
-        return None
+        return self._cell_union.locate(x)
+
+    @cached_property
+    def _cell_union(self) -> GeneralizedBasicSet:
+        return GeneralizedBasicSet(self.alpha, tuple(cell for cell, _ in self.cells))
 
     def value_set(self, x) -> GeneralizedBasicSet:
         i = self.cell_index_at(x)
@@ -241,17 +243,23 @@ class GridSpec:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
+    @cached_property
+    def planes(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Per axis, the shape[j] + 1 cell boundaries from box.lo to box.hi."""
+        w = self.widths()
+        return tuple(
+            tuple(self.box.lo[j] + w[j] * i for i in range(self.shape[j] + 1))
+            for j in range(self.dim)
+        )
+
     def cell_of_point(self, x) -> tuple[int, ...] | None:
         idx = []
-        w = self.widths()
-        for j in range(self.dim):
+        for j, planes in enumerate(self.planes):
             c = as_fraction(x[j])
-            if c < self.box.lo[j] or c > self.box.hi[j]:
+            if c < planes[0] or c > planes[-1]:
                 return None
-            i = int((c - self.box.lo[j]) / w[j])
-            if i == self.shape[j]:
-                i -= 1
-            idx.append(i)
+            # cells are [plane_i, plane_i+1); the top plane closes the last cell
+            idx.append(min(bisect_right(planes, c), self.shape[j]) - 1)
         return tuple(idx)
 
     def flat(self, idx: tuple[int, ...]) -> int:
@@ -275,12 +283,7 @@ class GridSpec:
         return BasicSet.box(lo, hi, [True] * self.dim, closed_hi)
 
     def grid_planes(self) -> list[tuple[int, Fraction]]:
-        w = self.widths()
-        out = []
-        for j in range(self.dim):
-            for i in range(self.shape[j] + 1):
-                out.append((j, self.box.lo[j] + w[j] * i))
-        return out
+        return [(j, v) for j, planes in enumerate(self.planes) for v in planes]
 
 
 @dataclass(frozen=True)
@@ -319,8 +322,16 @@ class SampledSVF:
         return self.nets[flat_idx]
 
     @cached_property
+    def _normalized_stack(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every net normalized in one call, stacked; each cell's first row and length."""
+        lens = np.array([len(n) for n in self.nets])
+        stack = np.concatenate([n.reshape(-1, self.beta) for n in self.nets])
+        return self.range_map.normalize_array(stack), np.cumsum(lens) - lens, lens
+
+    @cached_property
     def normalized_nets(self) -> list[np.ndarray]:
-        return [self.range_map.normalize_array(n) for n in self.nets]
+        stack, starts, lens = self._normalized_stack
+        return [stack[s : s + m] for s, m in zip(starts, lens)]
 
     @cached_property
     def padded_nets(self) -> np.ndarray:
@@ -329,12 +340,9 @@ class SampledSVF:
         Short nets are padded with their first point, which leaves every
         nearest-point distance unchanged.
         """
-        nets = self.normalized_nets
-        padded = np.empty((len(nets), max(len(n) for n in nets), self.beta))
-        for flat, net in enumerate(nets):
-            padded[flat, : len(net)] = net
-            padded[flat, len(net) :] = net[0]
-        return padded
+        stack, starts, lens = self._normalized_stack
+        cols = np.arange(lens.max())
+        return stack[starts[:, None] + np.where(cols < lens[:, None], cols, 0)]
 
 
 def build_sampled_svf(

@@ -75,6 +75,22 @@ def seq_boxes(seq):
     return [(p.lo, p.hi) for it in seq.items for p in it.parts]
 
 
+def first_part_containing(parts, x):
+    """Index of the first box holding point x, or None, by a linear scan.
+
+    Reads only the corners and closure flags of each part and compares
+    them with x literally, so empty parts hold no point.
+    """
+    for k, p in enumerate(parts):
+        if all(
+            (p.lo[j] < c or (p.lo[j] == c and p.closed_lo[j]))
+            and (c < p.hi[j] or (c == p.hi[j] and p.closed_hi[j]))
+            for j, c in enumerate(x)
+        ):
+            return k
+    return None
+
+
 def brute_force_selector(F, n):
     """Literal mesh-sweep extraction on a cellwise SVF with cell-aligned pieces.
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from selectorkit.domain import PiecewiseConstantMap, RepresentableDomain
 from selectorkit.errors import CoverageError, InputError, PrecisionError
 from selectorkit.selector import (
     EvalResult,
@@ -28,7 +29,7 @@ from selectorkit.svf import (
     svf_distance,
 )
 
-from oracles import brute_force_selector
+from oracles import brute_force_selector, first_part_containing
 
 F_ = Fraction
 
@@ -312,6 +313,35 @@ def test_eval_outside_domain():
     res = eval_selector(chain, [F_(3, 2)])
     assert not res.defined
     assert res.reason == EvalResult.OUTSIDE_DOMAIN
+
+
+def _probe_points(boxes):
+    """Every endpoint of 1-D boxes, the midpoints between them and two outside values."""
+    ends = sorted({c for b in boxes for c in (b.lo[0], b.hi[0])})
+    mids = [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+    return [[x] for x in ends + mids + [ends[0] - 1, ends[-1] + 1]]
+
+
+@pytest.mark.parametrize(
+    "svf_fn",
+    [desk_svf, three_cell_svf, four_cell_svf, offmesh_beta2_svf, beta3_svf],
+)
+def test_point_location_matches_linear_scan(svf_fn):
+    f = svf_fn()
+    cells = [c for c, _ in f.cells]
+    for x in _probe_points(cells):
+        assert f.cell_index_at(x) == first_part_containing(cells, x)
+    dom = RepresentableDomain.from_cells(cells, f.domain_box)
+    for step in extract(f, 4).steps:
+        pcm = PiecewiseConstantMap(step.pieces, dom)
+        parts = [p for q, _ in step.pieces for p in q.parts]
+        for x in _probe_points(parts):
+            owners = [
+                r for q, r in step.pieces if first_part_containing(q.parts, x) is not None
+            ]
+            want = owners[0] if owners else None
+            assert step.value_at(x) == want
+            assert pcm.value_at(x) == want
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from selectorkit.setalg import (
     BasicSet,
     GeneralizedBasicSet,
+    SetAlgebraError,
     SetSequence,
     basic_set_from_json,
     basic_set_to_json,
@@ -26,7 +27,7 @@ from selectorkit.setalg import (
 
 from selectorkit.rational import as_fraction
 
-from oracles import seq_boxes, union_measure
+from oracles import first_part_containing, seq_boxes, union_measure
 
 F = Fraction
 
@@ -198,6 +199,68 @@ def test_intersects_agrees_with_intersect_hypothesis(pair):
     assert meets == _meets_pointwise(a, b)
     if not meets:
         assert a.subtract(b) == ([] if a.is_empty else [a])
+
+
+# ---------------------------------------------------------------------------
+# hypothesis property: point location against a linear scan
+
+
+@st.composite
+def located_unions(draw):
+    """A union of 0-8 parts in dimension 1-3, empty parts kept, and points.
+
+    Corners lie on the half-integer grid; widths of -1/2 and 0 give empty
+    and degenerate axes (faces), singletons are drawn outright, and the
+    closure flags are mixed.  Coordinates come from the quarter grid
+    (every endpoint, the midpoints between them and values outside every
+    part) and from small arbitrary fractions.
+    """
+    dim = draw(st.integers(1, 3))
+    flags = st.tuples(*[st.booleans()] * dim)
+    parts = []
+    for _ in range(draw(st.integers(0, 8))):
+        lo = tuple(draw(st.sampled_from(GRID)) for _ in range(dim))
+        if draw(st.integers(0, 4)) == 0:
+            parts.append(BasicSet.singleton(lo))
+            continue
+        hi = tuple(a + F(draw(st.integers(-1, 3)), 2) for a in lo)
+        parts.append(BasicSet(dim, lo, hi, draw(flags), draw(flags)))
+    coord = st.one_of(
+        st.sampled_from([F(k, 4) for k in range(-4, 17)]),
+        st.fractions(min_value=-1, max_value=5, max_denominator=7),
+    )
+    point = st.tuples(*[coord] * dim)
+    return GeneralizedBasicSet(dim, tuple(parts)), draw(st.lists(point, min_size=1, max_size=8))
+
+
+@given(located_unions())
+@settings(max_examples=500, deadline=None)
+def test_locate_matches_linear_scan_hypothesis(case):
+    g, points = case
+    kept = GeneralizedBasicSet.of(g.parts, dim=g.dim)
+    for x in points:
+        want = first_part_containing(g.parts, x)
+        assert g.locate(x) == want
+        assert g.contains(x) == (want is not None)
+        assert kept.contains(x) == (want is not None)
+
+
+def test_locate_first_of_overlapping_parts():
+    g = gbs(iv(0, 1), iv(F(1, 2), 2), BasicSet.singleton([F(1, 2)]))
+    assert [g.locate([F(k, 4)]) for k in range(-1, 10)] == [
+        None, 0, 0, 0, 0, 0, 1, 1, 1, 1, None
+    ]
+    assert gbs(iv(0, 1, False, False), BasicSet.singleton([F(0)])).locate([0]) == 1
+    assert gbs().locate([0]) is None
+
+
+def test_locate_rejects_point_of_wrong_dimension():
+    g = gbs(BasicSet.closed_box([0, 0], [1, 1]))
+    for x in ([F(1, 2)], [F(1, 2)] * 3):
+        with pytest.raises(SetAlgebraError):
+            g.locate(x)
+        with pytest.raises(SetAlgebraError):
+            g.contains(x)
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,50 @@ def test_sampled_sublevel_refuses_coarse_grid():
         sublevel_domains(svf, [[F(1, 2)]], F(1, 1000))
 
 
+def test_cell_of_point_on_and_beside_every_plane():
+    """Bisection over the planes agrees with floor((c - lo) / w), top plane clamped."""
+    grid = GridSpec(BasicSet.closed_box([-2, 0], [2, F(1, 3)]), (9, 4))
+    w = grid.widths()
+    tiny = F(1, 2**40)
+
+    def reference(x):
+        idx = []
+        for j, c in enumerate(x):
+            if c < grid.box.lo[j] or c > grid.box.hi[j]:
+                return None
+            idx.append(min(int((c - grid.box.lo[j]) / w[j]), grid.shape[j] - 1))
+        return tuple(idx)
+
+    center = grid.center((4, 1))
+    for j, v in grid.grid_planes():
+        for c in (v - tiny, v, v + tiny):
+            x = list(center)
+            x[j] = c
+            assert grid.cell_of_point(x) == reference(x)
+    assert grid.cell_of_point([2, F(1, 3)]) == (8, 3)
+    assert grid.cell_of_point([-2 - tiny, 0]) is None
+
+
+def test_normalized_nets_match_per_cell_normalization():
+    grid = GridSpec(BasicSet.closed_box([0], [1]), (5,))
+
+    def sampler(centers):
+        return [
+            np.array([[c[0] + k, -c[0] - 2 * k] for k in range(1 + i % 3)]) * (i + 1)
+            for i, c in enumerate(centers)
+        ]
+
+    svf = build_sampled_svf(grid, sampler, tau=0.0)
+    want = [svf.range_map.normalize_array(n) for n in svf.nets]
+    for got, ref in zip(svf.normalized_nets, want):
+        assert np.array_equal(got, ref)
+    padded = svf.padded_nets
+    assert padded.shape == (5, 3, 2)
+    for i, ref in enumerate(want):
+        assert np.array_equal(padded[i, : len(ref)], ref)
+        assert (padded[i, len(ref) :] == ref[0]).all()
+
+
 def test_grid_plane_witness_budget():
     grid = GridSpec(BasicSet.closed_box([0, 0], [1, 1]), (4, 4))
     for eps in (F(1, 4), F(1, 64)):
