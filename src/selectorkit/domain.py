@@ -23,6 +23,7 @@ from .rational import as_fraction
 from .setalg import (
     BasicSet,
     GeneralizedBasicSet,
+    SetAlgebraError,
     SetSequence,
     countable_reduction,
     dist_point_set,
@@ -85,20 +86,21 @@ def make_witness(
 ) -> GeneralizedBasicSet:
     """Build a witness M(eps) for the endpoint set of x, in one attempt.
 
-    Open slabs around each merged endpoint group, budgeted per
+    The carrier is x itself, a GeneralizedBasicSet, or a SetSequence's
+    union.  Open slabs around each merged endpoint group, budgeted per
     `budget_rule`, clipped to a slight inflation of the ambient box.
     Each failed clause raises WitnessError: a vanishing slab margin or a
-    measure over eps (clause 1), no positive well-containment margin
-    (clause 2), or coverage-region points outside both the witness and
-    the carrier (clause 3, non-representable input).
+    measure over eps (clause 1), or, from `decide_clauses`, no positive
+    well-containment margin (clause 2) or coverage-region points outside
+    both the witness and the carrier (clause 3, non-representable input).
     """
     eps = as_fraction(eps)
     if eps <= 0:
         raise WitnessError("witness budget must be positive")
     if budget_rule not in BUDGET_RULES:
         raise WitnessError(f"unknown budget rule {budget_rule!r}")
-    gamma = x.gamma() if isinstance(x, SetSequence) else x.gamma
     carrier = x.as_gbs() if isinstance(x, SetSequence) else x
+    gamma = carrier.gamma
     dim = ambient.dim
     if not gamma:
         return GeneralizedBasicSet.empty(dim)
@@ -128,10 +130,10 @@ def make_witness(
     witness = GeneralizedBasicSet.of([p.intersect(clip) for p in parts], dim=dim)
     if witness.measure() > eps:
         raise WitnessError("witness exceeds its measure budget")
-    region = _coverage_region(ambient, carrier, coverage)
-    if well_containment_margin(gamma, witness) is None:
+    cert = decide_clauses(carrier, ambient, witness, eps, coverage)
+    if cert.margin is None:
         raise WitnessError("could not realize a positive well-containment margin")
-    if not _covers_complement(region, witness, carrier):
+    if not cert.covers_complement:
         raise WitnessError(
             "ambient minus witness is not inside the carrier "
             "(non-representable input)"
@@ -139,28 +141,31 @@ def make_witness(
     return witness
 
 
-def _coverage_region(
-    ambient: BasicSet, carrier: GeneralizedBasicSet, coverage: str
-) -> GeneralizedBasicSet:
-    """Clause-3 reference region: the ambient box, or the carrier closure.
+def decide_clauses(
+    carrier: GeneralizedBasicSet,
+    ambient: BasicSet,
+    m: GeneralizedBasicSet,
+    eps: Fraction,
+    coverage: str,
+) -> "DomainCertificate":
+    """Clause 2 (a well-containment margin) and clause 3 for witness m.
 
-    Sublevel-set members C_i are proper subsets of the working box; the
-    theorem only ever needs their union representable, so individual
-    members verify against their own closure.
+    Clause 3 asks the coverage region minus m to lie inside the carrier.
+    Sublevel-set members C_i are proper subsets of the working box and
+    the theorem only needs their union representable, so with coverage
+    "closure" the region is the carrier closure, not the ambient box.
     """
     if coverage == "ambient":
-        return GeneralizedBasicSet.of([ambient], dim=ambient.dim)
-    if coverage == "closure":
-        return GeneralizedBasicSet.of(
+        region = GeneralizedBasicSet.of([ambient], dim=ambient.dim)
+    elif coverage == "closure":
+        region = GeneralizedBasicSet.of(
             [p.closure() for p in carrier.parts], dim=carrier.dim
         )
-    raise WitnessError(f"unknown coverage mode {coverage!r}")
-
-
-def _covers_complement(
-    region: GeneralizedBasicSet, m: GeneralizedBasicSet, carrier: GeneralizedBasicSet
-) -> bool:
-    return region.subtract(m).subtract(carrier).is_empty
+    else:
+        raise WitnessError(f"unknown coverage mode {coverage!r}")
+    margin = well_containment_margin(carrier.gamma, m)
+    covers = region.subtract(m).subtract(carrier).is_empty
+    return DomainCertificate(eps, m.measure(), margin, covers, coverage)
 
 
 def well_containment_margin(
@@ -220,13 +225,8 @@ def disjointify_witness(m: GeneralizedBasicSet) -> GeneralizedBasicSet:
     """Countable reduction of a witness into disjoint basic sets."""
     if m.is_empty:
         return m
-    seq = SetSequence.of(
-        [GeneralizedBasicSet.of([p], dim=m.dim) for p in m.parts], "rowmajor"
-    )
-    reduced = countable_reduction(seq)
-    return GeneralizedBasicSet.of(
-        [p for it in reduced.items for p in it.parts], dim=m.dim
-    )
+    reduced = countable_reduction(SetSequence.of(m.parts, "rowmajor"))
+    return GeneralizedBasicSet.of(reduced.union_parts(), dim=m.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +303,9 @@ class RepresentableDomain:
         budget_rule: str = "geometric",
         coverage: str = "ambient",
     ) -> "RepresentableDomain":
-        seq = SetSequence.of(
-            [GeneralizedBasicSet.of([c], dim=ambient.dim) for c in cells], "rowmajor"
-        )
+        if any(c.dim != ambient.dim for c in cells):
+            raise SetAlgebraError("part dimension mismatch")
+        seq = SetSequence.of(cells, "rowmajor")
         return RepresentableDomain.from_carrier(seq, ambient, budget_rule, coverage)
 
     @property
@@ -320,11 +320,9 @@ class RepresentableDomain:
 
     def verify(self, eps) -> DomainCertificate:
         eps = as_fraction(eps)
-        m = self.witness(eps)
-        margin = well_containment_margin(list(self.carrier.gamma()), m)
-        region = _coverage_region(self.ambient, self.carrier_gbs(), self.coverage)
-        covers = _covers_complement(region, m, self.carrier_gbs())
-        return DomainCertificate(eps, m.measure(), margin, covers, self.coverage)
+        return decide_clauses(
+            self.carrier_gbs(), self.ambient, self.witness(eps), eps, self.coverage
+        )
 
 
 def reduce_domain(dom: RepresentableDomain) -> RepresentableDomain:
@@ -360,10 +358,7 @@ def termwise_intersect_domains(
         a.intersect(b) for a, b in zip(d1.carrier.items, d2.carrier.items)
     )
     carrier = SetSequence(items, d1.carrier.pairing)
-    tilde = GeneralizedBasicSet.of(
-        [p for it in items for p in it.parts], dim=d1.ambient.dim
-    )
-    if not d1.carrier_gbs().subtract(tilde).is_empty:
+    if not d1.carrier_gbs().subtract(carrier.as_gbs()).is_empty:
         raise WitnessError("term-wise intersection precondition X1 <= X~ fails")
     return _joint_witness_domain(carrier, d1, d2)
 
@@ -592,7 +587,7 @@ def check_weak_finite_adjacency(
     offending cell.  delta defaults to half the thinnest side of the
     1/16 witness, or 1/8 when that witness has no non-degenerate side.
     """
-    parts = [p for it in dom.carrier.items for p in it.parts]
+    parts = dom.carrier.union_parts()
     dim = dom.dim
     if delta is None:
         thick = _thinnest_side(dom.witness(Fraction(1, 16)))

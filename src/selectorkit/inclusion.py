@@ -54,10 +54,9 @@ class DIProblem:
 
     def __post_init__(self):
         self.x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
-        delta = float(np.linalg.norm(self.x0 - np.atleast_1d(self.g(0.0))))
-        if delta > self.beta_tube + 1e-12:
+        if self.delta > self.beta_tube + 1e-12:
             raise InputError(
-                f"initial offset {delta:.4g} exceeds the tube radius "
+                f"initial offset {self.delta:.4g} exceeds the tube radius "
                 f"{self.beta_tube:.4g}"
             )
 
@@ -92,7 +91,7 @@ def _grid(T: float, h: float) -> np.ndarray:
 
 
 def _cumtrapz(y: np.ndarray, h: float) -> np.ndarray:
-    out = np.zeros_like(y) if y.ndim == 1 else np.zeros_like(y)
+    out = np.zeros_like(y)
     inc = 0.5 * h * (y[1:] + y[:-1])
     out[1:] = np.cumsum(inc, axis=0)
     return out
@@ -252,43 +251,67 @@ def singleton_field_problem(x0=1.0, T=2.0, beta_tube=4.0) -> DIProblem:
 def problem_from_json(obj: dict) -> tuple[DIProblem, dict]:
     """Build a problem from a JSON spec; returns (problem, solver kwargs)."""
     solver = {
-        "grid_step": float(obj.get("grid_step", 0.01)),
-        "max_iter": int(obj.get("max_iter", 50)),
-        "tol": float(obj.get("tol", 1e-6)),
+        "grid_step": _field(obj, "grid_step", float, 0.01),
+        "max_iter": _field(obj, "max_iter", int, 50),
+        "tol": _field(obj, "tol", float, 1e-6),
     }
     if "svf_file" in obj:
         import json as _json
 
         from .svf import cellwise_svf_from_json
 
-        with open(obj["svf_file"]) as fh:
-            svf = cellwise_svf_from_json(_json.load(fh))
+        path = obj["svf_file"]
+        try:
+            with open(path) as fh:
+                svf_obj = _json.load(fh)
+        except OSError as e:
+            raise InputError(f"cannot read svf_file {path!r}: {e.strerror}") from e
+        except _json.JSONDecodeError as e:
+            raise InputError(f"malformed JSON in svf_file {path!r}: {e.msg}") from e
         prob = problem_from_cellwise_svf(
-            svf,
-            x0=obj["x0"],
-            T=float(obj.get("T", 1.0)),
-            beta_tube=float(obj.get("beta_tube", 1e9)),
+            cellwise_svf_from_json(svf_obj),
+            x0=_field(obj, "x0", _vector),
+            T=_field(obj, "T", float, 1.0),
+            beta_tube=_field(obj, "beta_tube", float, 1e9),
             obj=obj,
         )
         return prob, solver
     name = obj.get("field", "linear_tube")
     if name == "linear_tube":
         prob = linear_tube_problem(
-            x0=float(np.atleast_1d(obj.get("x0", 1.2))[0]),
-            p0=float(obj.get("p0", 0.1)),
-            T=float(obj.get("T", 2.0)),
-            beta_tube=float(obj.get("beta_tube", 4.0)),
-            net_points=int(obj.get("net_points", 3)),
+            x0=float(_field(obj, "x0", _vector, 1.2)[0]),
+            p0=_field(obj, "p0", float, 0.1),
+            T=_field(obj, "T", float, 2.0),
+            beta_tube=_field(obj, "beta_tube", float, 4.0),
+            net_points=_field(obj, "net_points", int, 3),
         )
     elif name == "singleton":
         prob = singleton_field_problem(
-            x0=float(np.atleast_1d(obj.get("x0", 1.0))[0]),
-            T=float(obj.get("T", 2.0)),
-            beta_tube=float(obj.get("beta_tube", 4.0)),
+            x0=float(_field(obj, "x0", _vector, 1.0)[0]),
+            T=_field(obj, "T", float, 2.0),
+            beta_tube=_field(obj, "beta_tube", float, 4.0),
         )
     else:
         raise InputError(f"unknown built-in field {name!r}")
     return prob, solver
+
+
+_REQUIRED = object()
+
+
+def _vector(value) -> np.ndarray:
+    return np.atleast_1d(np.asarray(value, dtype=float))
+
+
+def _field(obj: dict, key: str, convert, default=_REQUIRED):
+    """obj[key] (or the default) through convert; InputError if missing or malformed."""
+    if key not in obj and default is _REQUIRED:
+        raise InputError(f"problem field {key!r} is missing")
+    value = obj.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as e:
+        raise InputError(f"problem field {key!r} is malformed: {value!r}") from e
 
 
 def problem_from_cellwise_svf(svf, x0, T, beta_tube, obj=None) -> DIProblem:
@@ -314,8 +337,8 @@ def problem_from_cellwise_svf(svf, x0, T, beta_tube, obj=None) -> DIProblem:
         return np.array(pts)
 
     obj = obj or {}
-    kappa_const = float(obj.get("kappa", 1.0))
-    p_const = float(obj.get("p", 0.0))
+    kappa_const = _field(obj, "kappa", float, 1.0)
+    p_const = _field(obj, "p", float, 0.0)
     return DIProblem(
         field_net=net,
         x0=x0,

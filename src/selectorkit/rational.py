@@ -13,6 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
+from .errors import InputError
+
 RationalLike = Union[int, float, str, Fraction, dict]
 
 
@@ -55,12 +57,19 @@ def rational_to_json(q: Fraction) -> int | dict:
 
 
 def rational_from_json(obj: object) -> Fraction:
+    """Decode the wire format; InputError when obj is not a rational."""
     if isinstance(obj, dict):
-        if "exp2" in obj:
-            return Fraction(int(obj["num"]), 2 ** int(obj["exp2"]))
-        if "den" in obj:
-            return Fraction(int(obj["num"]), int(obj["den"]))
-        raise ValueError(f"malformed rational object {obj!r}")
+        try:
+            if "exp2" in obj:
+                return Fraction(int(obj["num"]), 2 ** int(obj["exp2"]))
+            if "den" in obj:
+                return Fraction(int(obj["num"]), int(obj["den"]))
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+            raise InputError(f"malformed rational object {obj!r}") from e
+        raise InputError(f"malformed rational object {obj!r}")
     if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return as_fraction(obj)
-    raise ValueError(f"malformed rational value {obj!r}")
+        try:
+            return as_fraction(obj)
+        except ValueError as e:  # NaN or an infinity
+            raise InputError(f"malformed rational value {obj!r}") from e
+    raise InputError(f"malformed rational value {obj!r}")

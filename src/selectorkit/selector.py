@@ -41,7 +41,6 @@ from .rational import as_fraction, rational_from_json, rational_to_json
 from .setalg import (
     BasicSet,
     GeneralizedBasicSet,
-    SetSequence,
     gbs_from_json,
     gbs_to_json,
     union_with_owners,
@@ -176,11 +175,7 @@ class SelectorChain:
             m = grid_plane_witness(self.svf.grid, eps)
         else:
             carrier = self.steps[-1].carrier(self.svf.domain_box.dim)
-            seq = SetSequence.of(
-                [GeneralizedBasicSet.of([p], dim=carrier.dim) for p in carrier.parts],
-                "rowmajor",
-            )
-            m = make_witness(seq, self.svf.domain_box, eps, coverage="closure")
+            m = make_witness(carrier, self.svf.domain_box, eps, coverage="closure")
         self._witness_cache[key] = m
         return m
 
@@ -712,33 +707,36 @@ def chain_from_json(obj: dict) -> SelectorChain:
     if svf_obj.get("kind") != "cellwise":
         raise InputError("only cellwise chains round-trip through JSON")
     svf = cellwise_svf_from_json(svf_obj)
-    chain = SelectorChain(
-        svf,
-        int(obj["n"]),
-        rational_from_json(obj["dom_budget"]),
-        tuple(rational_from_json(c) for c in obj["f1"]),
-        [],
-        "exact",
-    )
-    for s in obj["steps"]:
-        pieces = tuple(
-            (
-                gbs_from_json(p["set"]),
-                tuple(rational_from_json(c) for c in p["value"]),
+    try:
+        chain = SelectorChain(
+            svf,
+            int(obj["n"]),
+            rational_from_json(obj["dom_budget"]),
+            tuple(rational_from_json(c) for c in obj["f1"]),
+            [],
+            "exact",
+        )
+        for s in obj["steps"]:
+            pieces = tuple(
+                (
+                    gbs_from_json(p["set"]),
+                    tuple(rational_from_json(c) for c in p["value"]),
+                )
+                for p in s["pieces"]
             )
-            for p in s["pieces"]
-        )
-        cert = StepCertificate(
-            level=int(s["level"]),
-            mesh_pitch=rational_from_json(s["mesh_pitch"]),
-            error_bound=rational_from_json(s["error_bound"]),
-            slack=float(s["slack"]),
-            step_gap=rational_from_json(s["step_gap"]),
-            witness_budget=rational_from_json(s["witness_budget"]),
-            n_pieces=int(s["n_pieces"]),
-            dom_measure=rational_from_json(s["dom_measure"]),
-        )
-        chain.steps.append(ExactStep(int(s["level"]), pieces, cert))
+            cert = StepCertificate(
+                level=int(s["level"]),
+                mesh_pitch=rational_from_json(s["mesh_pitch"]),
+                error_bound=rational_from_json(s["error_bound"]),
+                slack=float(s["slack"]),
+                step_gap=rational_from_json(s["step_gap"]),
+                witness_budget=rational_from_json(s["witness_budget"]),
+                n_pieces=int(s["n_pieces"]),
+                dom_measure=rational_from_json(s["dom_measure"]),
+            )
+            chain.steps.append(ExactStep(int(s["level"]), pieces, cert))
+    except KeyError as e:
+        raise InputError(f"chain is missing the field {e}") from e
     return chain
 
 

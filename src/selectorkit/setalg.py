@@ -497,34 +497,20 @@ def set_difference(a: BasicSet, bs: GeneralizedBasicSet) -> GeneralizedBasicSet:
 
 
 def dist_point_set(x: Sequence, s: GeneralizedBasicSet | BasicSet) -> float:
-    """Euclidean infimum distance; +inf to the empty set.
-
-    The infimum over a box ignores closure flags, but membership is
-    honored first so interior points return exactly 0.
-    """
-    parts = s.parts if isinstance(s, GeneralizedBasicSet) else (s,)
-    parts = [p for p in parts if not p.is_empty]
-    if not parts:
-        return math.inf
-    dim = parts[0].dim
-    pt = _aspoint(x, dim)
-    best: Fraction | None = None
-    for p in parts:
-        if p.contains(pt):
-            return 0.0
-        d2 = p.dist2_point(pt)
-        if best is None or d2 < best:
-            best = d2
-    return math.sqrt(best)
+    """Euclidean infimum distance to the closure; +inf to the empty set."""
+    if isinstance(s, BasicSet):
+        s = GeneralizedBasicSet(s.dim, (s,))
+    d2 = dist2_point_set(x, s)
+    return math.inf if d2 is None else math.sqrt(d2)
 
 
 def dist2_point_set(x: Sequence, s: GeneralizedBasicSet) -> Fraction | None:
-    """Exact squared distance to the closure; None for the empty set."""
-    if s.is_empty:
+    """Exact squared distance to the closure, skipping empty parts; None if all are."""
+    parts = [p for p in s.parts if not p.is_empty]
+    if not parts:
         return None
-    dim = s.parts[0].dim
-    pt = _aspoint(x, dim)
-    return min(p.dist2_point(pt) for p in s.parts)
+    pt = _aspoint(x, s.dim)
+    return min(p.dist2_point(pt) for p in parts)
 
 
 # ---------------------------------------------------------------------------
@@ -581,20 +567,27 @@ class SetSequence:
             raise SetAlgebraError("empty sequence has no dimension")
         return self.items[0].dim
 
+    @cached_property
+    def _union(self) -> GeneralizedBasicSet:
+        """The parts of all items, in order, as one union, built once."""
+        return GeneralizedBasicSet(
+            self.dim, tuple(p for it in self.items for p in it.parts)
+        )
+
     def union_parts(self) -> list[BasicSet]:
-        return [p for it in self.items for p in it.parts]
+        return list(self._union.parts) if self.items else []
 
     def as_gbs(self) -> GeneralizedBasicSet:
-        return GeneralizedBasicSet(self.dim, tuple(self.union_parts()))
+        return self._union
 
     def measure(self) -> Fraction:
         return sum((it.measure() for it in self.items), Fraction(0))
 
     def contains(self, point: Sequence) -> bool:
-        return any(it.contains(point) for it in self.items)
+        return bool(self.items) and self._union.contains(point)
 
     def gamma(self) -> tuple[BasicSet, ...]:
-        return self.as_gbs().gamma
+        return self._union.gamma
 
     def flat_order(self) -> list[tuple[int, int]]:
         """Used (set, part) index pairs in subtraction order."""

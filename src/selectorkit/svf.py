@@ -17,6 +17,8 @@ coordinates and normalizes at the boundary.
 
 from __future__ import annotations
 
+import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,7 +39,7 @@ from .setalg import (
     gbs_from_json,
     gbs_to_json,
 )
-from .domain import RepresentableDomain, RepresentabilityWitness
+from .domain import RepresentableDomain, RepresentabilityWitness, make_witness
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +438,10 @@ def svf_distance(F: RepresentableSVF, r: Sequence, x: Sequence) -> float:
     idx = F.grid.cell_of_point(x)
     if idx is None:
         raise DomainPointError(f"point {x!r} outside the working box")
-    net = F.net_raw(F.grid.flat(idx))
+    flat = F.grid.flat(idx)
+    if not F.active(flat):
+        raise DomainPointError(f"point {x!r} lies in an excluded cell")
+    net = F.net_raw(flat)
     rv = np.array([float(as_fraction(c)) for c in r])
     return float(np.linalg.norm(net - rv, axis=-1).min())
 
@@ -478,89 +483,52 @@ def sublevel_domains(
         raise InputError("delta must be positive")
     centers = tuple(tuple(as_fraction(c) for c in r) for r in centers)
     if F.kind == "cellwise":
-        return _sublevel_cellwise(F, centers, delta, strict)
-    return _sublevel_sampled(F, centers, delta, strict)
+        slack, thr = 0.0, delta * delta
+        distances = lambda r: [dist2_point_set(r, values) for _, values in F.cells]
+        cell_box = lambda i: F.cells[i][0]
+        witness = lambda seq, eps: make_witness(
+            seq, F.domain_box, eps, coverage="closure"
+        )
+    else:
+        # tau lives in normalized units; bound its original-space size by the
+        # widest range axis (conservative for anisotropic maps)
+        slack = F.tau * float(max(F.range_map.widths()))
+        if slack >= float(delta):
+            raise PrecisionError(
+                f"sampled slack {slack:.3g} cannot resolve delta={float(delta):.3g}"
+            )
+        thr = float(delta) + slack
+        distances = lambda r: _net_distances(F, r)
+        cell_box = lambda i: F.grid.cell_box(F.grid.unflat(i))
+        witness = lambda seq, eps: grid_plane_witness(F.grid, eps)
 
-
-def _sublevel_cellwise(F: CellwiseSVF, centers, delta: Fraction, strict: bool):
-    d2 = delta * delta
-    accepted = []
-    for r in centers:
-        idxs = []
-        for i, (cell, values) in enumerate(F.cells):
-            dist2 = dist2_point_set(r, values)
-            ok = dist2 < d2 if strict else dist2 <= d2
-            if ok:
-                idxs.append(i)
-        accepted.append(tuple(idxs))
-    domains = tuple(
-        _cells_to_domain(F, idxs) for idxs in accepted
-    )
-    union_idx = tuple(sorted({i for idxs in accepted for i in idxs}))
-    union_dom = _cells_to_domain(F, union_idx)
-    return SublevelFamily(
-        centers, delta, 0.0, domains, tuple(accepted), union_dom
-    )
-
-
-def _cells_to_domain(F: CellwiseSVF, idxs) -> RepresentableDomain:
-    cells = [F.cells[i][0] for i in idxs]
-    seq = SetSequence.of(
-        [GeneralizedBasicSet.of([c], dim=F.alpha) for c in cells], "rowmajor"
-    ) if cells else SetSequence((GeneralizedBasicSet.empty(F.alpha),), "rowmajor")
-    if not cells:
+    def domain(idxs) -> RepresentableDomain:
+        if idxs:
+            seq = SetSequence.of([cell_box(i) for i in idxs], "rowmajor")
+            gen = lambda eps: witness(seq, eps)
+        else:
+            seq = SetSequence((GeneralizedBasicSet.empty(F.alpha),), "rowmajor")
+            gen = lambda eps: GeneralizedBasicSet.empty(F.alpha)
         return RepresentableDomain(
-            seq,
-            F.domain_box,
-            RepresentabilityWitness(lambda eps: GeneralizedBasicSet.empty(F.alpha)),
-            coverage="closure",
+            seq, F.domain_box, RepresentabilityWitness(gen), coverage="closure"
         )
-    return RepresentableDomain.from_carrier(seq, F.domain_box, coverage="closure")
 
-
-def _sublevel_sampled(F: SampledSVF, centers, delta: Fraction, strict: bool):
-    # tau lives in normalized units; bound its original-space size by the
-    # widest range axis (conservative for anisotropic maps)
-    slack = F.tau * float(max(F.range_map.widths()))
-    if slack >= float(delta):
-        raise PrecisionError(
-            f"sampled slack {slack:.3g} cannot resolve delta={float(delta):.3g}"
-        )
-    thr = float(delta) + slack
-    accepted: list[tuple[int, ...]] = []
-    for r in centers:
-        rv = np.array([float(c) for c in r])
-        idxs = []
-        for flat in range(F.grid.n_cells):
-            d = float(np.linalg.norm(F.nets[flat] - rv, axis=-1).min())
-            ok = d < thr if strict else d <= thr
-            if ok:
-                idxs.append(flat)
-        accepted.append(tuple(idxs))
-    domains = tuple(_grid_cells_to_domain(F, idxs) for idxs in accepted)
+    below = operator.lt if strict else operator.le
+    accepted = tuple(
+        tuple(i for i, d in enumerate(distances(r)) if below(d, thr)) for r in centers
+    )
     union_idx = tuple(sorted({i for idxs in accepted for i in idxs}))
-    union_dom = _grid_cells_to_domain(F, union_idx)
-    return SublevelFamily(
-        centers, delta, slack, domains, tuple(accepted), union_dom
-    )
+    domains = tuple(domain(idxs) for idxs in accepted)
+    return SublevelFamily(centers, delta, slack, domains, accepted, domain(union_idx))
 
 
-def _grid_cells_to_domain(F: SampledSVF, idxs) -> RepresentableDomain:
-    grid = F.grid
-    cells = [grid.cell_box(grid.unflat(i)) for i in idxs]
-    seq = (
-        SetSequence.of(
-            [GeneralizedBasicSet.of([c], dim=grid.dim) for c in cells], "rowmajor"
-        )
-        if cells
-        else SetSequence((GeneralizedBasicSet.empty(grid.dim),), "rowmajor")
-    )
-    witness = RepresentabilityWitness(lambda eps: grid_plane_witness(grid, eps))
-    if not cells:
-        witness = RepresentabilityWitness(
-            lambda eps: GeneralizedBasicSet.empty(grid.dim)
-        )
-    return RepresentableDomain(seq, grid.box, witness, coverage="closure")
+def _net_distances(F: SampledSVF, r) -> list[float]:
+    """Per cell, the distance from r to the nearest net point; +inf if excluded."""
+    rv = np.array([float(c) for c in r])
+    return [
+        float(np.linalg.norm(net - rv, axis=-1).min()) if F.active(i) else math.inf
+        for i, net in enumerate(F.nets)
+    ]
 
 
 def grid_plane_witness(grid: GridSpec, eps) -> GeneralizedBasicSet:
@@ -687,15 +655,18 @@ def cellwise_svf_to_json(F: CellwiseSVF) -> dict:
 
 
 def cellwise_svf_from_json(obj: dict) -> CellwiseSVF:
-    dim = int(obj.get("dim", 1))
-    domain_box = basic_set_from_json(obj["domain"], dim)
-    rng = obj["range"]
-    range_map = AffineRangeMap.of(
-        [rational_from_json(c) for c in rng["lo"]],
-        [rational_from_json(c) for c in rng["hi"]],
-    )
-    cells = [
-        (basic_set_from_json(c["cell"], dim), gbs_from_json(c["values"]))
-        for c in obj["cells"]
-    ]
+    try:
+        dim = int(obj.get("dim", 1))
+        domain_box = basic_set_from_json(obj["domain"], dim)
+        rng = obj["range"]
+        range_map = AffineRangeMap.of(
+            [rational_from_json(c) for c in rng["lo"]],
+            [rational_from_json(c) for c in rng["hi"]],
+        )
+        cells = [
+            (basic_set_from_json(c["cell"], dim), gbs_from_json(c["values"]))
+            for c in obj["cells"]
+        ]
+    except KeyError as e:
+        raise InputError(f"cellwise SVF is missing the field {e}") from e
     return build_cellwise_svf(domain_box, cells, range_map)

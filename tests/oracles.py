@@ -138,6 +138,89 @@ def brute_force_selector(F, n):
 
 
 # ---------------------------------------------------------------------------
+# sublevel families, one cell at a time
+
+
+def sublevel_reference(F, centers, delta, strict):
+    """Sublevel family of an SVF by a literal loop over centers and cells.
+
+    Cellwise: the exact squared distance from r to each closed value
+    part, read from its corners, against delta**2.  Sampled: the nearest
+    net point of each active cell against delta plus the tau slack.
+    Each domain is a row-major sequence of one-box items; its witness is
+    `make_witness` (cellwise) or the grid-plane witness (sampled), and
+    an empty family gets an empty witness.  Returns (cell indices,
+    slack, domains, union domain).
+    """
+    import numpy as np
+
+    from selectorkit.domain import RepresentableDomain, RepresentabilityWitness
+    from selectorkit.setalg import GeneralizedBasicSet, SetSequence
+    from selectorkit.svf import grid_plane_witness
+
+    delta = Fraction(delta)
+    dim = F.domain_box.dim
+
+    def passes(d, thr):
+        return d < thr or (not strict and d == thr)
+
+    slack = 0.0
+    if F.kind == "sampled":
+        widths = [h - l for l, h in zip(F.range_map.lo, F.range_map.hi)]
+        slack = F.tau * float(max(widths))
+    cell_indices = []
+    for r in centers:
+        r = [Fraction(c) for c in r]
+        idxs = []
+        if F.kind == "cellwise":
+            for i, (_, values) in enumerate(F.cells):
+                d2 = min(
+                    sum(max(lo - c, c - hi, 0) ** 2 for c, lo, hi in zip(r, p.lo, p.hi))
+                    for p in values.parts
+                )
+                if passes(d2, delta * delta):
+                    idxs.append(i)
+        else:
+            rv = np.array([float(c) for c in r])
+            for i in range(F.grid.n_cells):
+                if F.mask is not None and not F.mask[i]:
+                    continue
+                d = float(np.linalg.norm(F.nets[i] - rv, axis=-1).min())
+                if passes(d, float(delta) + slack):
+                    idxs.append(i)
+        cell_indices.append(tuple(idxs))
+
+    def domain(idxs):
+        if not idxs:
+            empty = GeneralizedBasicSet.empty(dim)
+            return RepresentableDomain(
+                SetSequence((empty,), "rowmajor"),
+                F.domain_box,
+                RepresentabilityWitness(lambda eps: empty),
+                coverage="closure",
+            )
+        if F.kind == "cellwise":
+            boxes = [F.cells[i][0] for i in idxs]
+        else:
+            boxes = [F.grid.cell_box(F.grid.unflat(i)) for i in idxs]
+        seq = SetSequence(
+            tuple(GeneralizedBasicSet.of([b], dim=dim) for b in boxes), "rowmajor"
+        )
+        if F.kind == "cellwise":
+            return RepresentableDomain.from_carrier(seq, F.domain_box, coverage="closure")
+        witness = RepresentabilityWitness(lambda eps: grid_plane_witness(F.grid, eps))
+        return RepresentableDomain(seq, F.domain_box, witness, coverage="closure")
+
+    union = tuple(sorted({i for idxs in cell_indices for i in idxs}))
+    return (
+        tuple(cell_indices),
+        slack,
+        [domain(idxs) for idxs in cell_indices],
+        domain(union),
+    )
+
+
+# ---------------------------------------------------------------------------
 # robot subdifferential, one point at a time
 
 

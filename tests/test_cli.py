@@ -260,3 +260,61 @@ def test_bad_robot_input_is_input_error(tmp_path, args):
     assert r.returncode == 3, r.stderr
     assert any(line.startswith("input error:") for line in r.stderr.splitlines())
     assert "Traceback" not in r.stderr
+
+
+def _desk_chain_missing_level() -> dict:
+    from selectorkit.selector import chain_to_json, extract
+    from selectorkit.svf import cellwise_svf_from_json
+
+    svf = cellwise_svf_from_json(json.loads((ASSETS / "desk_svf.json").read_text()))
+    chain = chain_to_json(extract(svf, 2))
+    del chain["steps"][0]["level"]
+    return chain
+
+
+def _desk_svf_with(edit) -> dict:
+    svf = json.loads((ASSETS / "desk_svf.json").read_text())
+    edit(svf)
+    return svf
+
+
+def _example1_with_corner(corner) -> dict:
+    sets = json.loads((ASSETS / "example1.json").read_text())
+    sets["items"][0]["parts"][0]["lo"] = [corner]
+    return sets
+
+
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        (["extract"], lambda: _desk_svf_with(lambda s: s.pop("cells"))),
+        (
+            ["extract"],
+            lambda: _desk_svf_with(
+                lambda s: s["cells"][0]["cell"].update(hi=[{"num": 1}])
+            ),
+        ),
+        (
+            ["extract"],
+            lambda: _desk_svf_with(
+                lambda s: s["cells"][0]["cell"].update(hi=[float("nan")])
+            ),
+        ),
+        (["reduce"], lambda: _example1_with_corner("x")),
+        (["eval", "--at", "0.3"], _desk_chain_missing_level),
+        (["solve-di"], lambda: {"svf_file": "absent_svf.json", "x0": [0.5]}),
+        (["solve-di"], lambda: {"field": "linear_tube", "x0": "abc"}),
+    ],
+    ids=[
+        "svf-no-cells", "svf-bad-rational", "svf-nan-corner", "sets-bad-corner",
+        "chain-no-level", "problem-svf-file-missing", "problem-x0-not-number",
+    ],
+)
+def test_malformed_input_file_is_input_error(tmp_path, command, content):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content()))
+    r = run_cli(["--out", "x", command[0], str(path), *command[1:]], tmp_path)
+    assert r.returncode == 3, r.stderr
+    lines = r.stderr.splitlines()
+    assert sum(line.startswith("input error:") for line in lines) == 1, r.stderr
+    assert "Traceback" not in r.stderr

@@ -25,6 +25,7 @@ from selectorkit.domain import (
 from selectorkit.setalg import (
     BasicSet,
     GeneralizedBasicSet,
+    SetAlgebraError,
     SetSequence,
 )
 
@@ -80,6 +81,14 @@ def test_witness_equal_budget_reproduces_three_point_cover():
         (F(19, 20), F(21, 20)),
     ]
     assert m.measure() == F(3, 10)
+
+
+def test_from_cells_rejects_cell_of_other_dimension():
+    ambient = BasicSet.closed_box([0, 0], [1, 1])
+    square, segment = BasicSet.closed_box([0, 0], [1, 1]), BasicSet.closed_box([0], [1])
+    for cells in ([segment], [square, segment]):
+        with pytest.raises(SetAlgebraError):
+            RepresentableDomain.from_cells(cells, ambient)
 
 
 def test_witness_empty_gamma():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from selectorkit.domain import PiecewiseConstantMap, RepresentableDomain
+from selectorkit.domain import PiecewiseConstantMap, RepresentableDomain, make_witness
 from selectorkit.errors import CoverageError, InputError, PrecisionError
 from selectorkit.selector import (
     EvalResult,
@@ -20,7 +20,7 @@ from selectorkit.selector import (
     piecewise_constant_finish,
     selector_csv,
 )
-from selectorkit.setalg import BasicSet, GeneralizedBasicSet
+from selectorkit.setalg import BasicSet, GeneralizedBasicSet, SetSequence
 from selectorkit.svf import (
     AffineRangeMap,
     GridSpec,
@@ -342,6 +342,23 @@ def test_point_location_matches_linear_scan(svf_fn):
             want = owners[0] if owners else None
             assert step.value_at(x) == want
             assert pcm.value_at(x) == want
+
+
+@pytest.mark.parametrize(
+    "svf_fn",
+    [desk_svf, three_cell_svf, four_cell_svf, offmesh_beta2_svf, beta3_svf],
+)
+def test_exact_final_witness_is_make_witness_of_per_part_sequence(svf_fn):
+    f = svf_fn()
+    chain = extract(f, 4)
+    dim = f.domain_box.dim
+    parts = [p for q, _ in chain.steps[-1].pieces for p in q.parts]
+    seq = SetSequence(
+        tuple(GeneralizedBasicSet.of([p], dim=dim) for p in parts), "rowmajor"
+    )
+    for eps in (chain.dom_budget, F_(1, 7), F_(1, 100)):
+        want = make_witness(seq, f.domain_box, eps, coverage="closure")
+        assert chain.final_witness(eps) == want
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,40 @@ def test_locate_matches_linear_scan_hypothesis(case):
         assert kept.contains(x) == (want is not None)
 
 
+@st.composite
+def sequences_with_points(draw):
+    """A located union cut into 1-4 consecutive items; items may hold no part."""
+    g, points = draw(located_unions())
+    cuts = sorted(draw(st.lists(st.integers(0, len(g.parts)), max_size=3)))
+    bounds = [0, *cuts, len(g.parts)]
+    items = tuple(
+        GeneralizedBasicSet(g.dim, g.parts[a:b]) for a, b in zip(bounds, bounds[1:])
+    )
+    return SetSequence(items, draw(st.sampled_from(["cantor", "rowmajor"]))), points
+
+
+@given(sequences_with_points())
+@settings(max_examples=300, deadline=None)
+def test_sequence_contains_is_any_item_membership_hypothesis(case):
+    xs, points = case
+    for x in points:
+        want = any(first_part_containing(it.parts, x) is not None for it in xs.items)
+        assert xs.contains(x) == want
+    assert xs.union_parts() == [p for it in xs.items for p in it.parts]
+    assert xs.as_gbs() is xs.as_gbs()
+    assert xs.gamma() == GeneralizedBasicSet(xs.dim, tuple(xs.union_parts())).gamma
+
+
+def test_sequence_without_items():
+    xs = SetSequence(())
+    assert not xs.contains([F(0)])
+    assert xs.union_parts() == []
+    with pytest.raises(SetAlgebraError):
+        xs.as_gbs()
+    with pytest.raises(SetAlgebraError):
+        xs.gamma()
+
+
 def test_locate_first_of_overlapping_parts():
     g = gbs(iv(0, 1), iv(F(1, 2), 2), BasicSet.singleton([F(1, 2)]))
     assert [g.locate([F(k, 4)]) for k in range(-1, 10)] == [

@@ -15,6 +15,7 @@ from selectorkit.setalg import BasicSet, GeneralizedBasicSet
 from selectorkit.svf import (
     AffineRangeMap,
     GridSpec,
+    SampledSVF,
     build_cellwise_svf,
     build_sampled_svf,
     cellwise_svf_from_json,
@@ -25,6 +26,8 @@ from selectorkit.svf import (
     svf_distance,
     symmetric_range_box,
 )
+
+from oracles import sublevel_reference
 
 F = Fraction
 
@@ -216,6 +219,87 @@ def test_sampled_sublevel_refuses_coarse_grid():
     svf = build_sampled_svf(grid, sampler)
     with pytest.raises(PrecisionError):
         sublevel_domains(svf, [[F(1, 2)]], F(1, 1000))
+
+
+def _two_cell_masked_svf():
+    """Cell 0 holds {1/2}; cell 1 is excluded and keeps a zero placeholder net."""
+    grid = GridSpec(BasicSet.closed_box([0], [1]), (2,))
+    nets = (np.array([[0.5]]), np.zeros((1, 1)))
+    return SampledSVF(
+        grid, AffineRangeMap.of([-1], [1]), nets, 0.0, mask=np.array([True, False])
+    )
+
+
+def test_sampled_excluded_cell_has_no_distance_and_joins_no_sublevel_set():
+    svf = _two_cell_masked_svf()
+    assert svf_distance(svf, [0], [F(1, 4)]) == 0.5
+    with pytest.raises(DomainPointError, match="excluded cell"):
+        svf_distance(svf, [0], [F(3, 4)])
+    fam = sublevel_domains(svf, [[0], [F(1, 2)]], F(1, 4))
+    assert fam.cell_indices == ((), (0,))
+    assert not fam.union_domain.contains([F(3, 4)])
+
+
+def _cellwise_2d():
+    """3x3 cells of [0,1]^2, mixing singleton and interval value sets."""
+    grid = GridSpec(BasicSet.closed_box([0, 0], [1, 1]), (3, 3))
+    cells = []
+    for flat in range(grid.n_cells):
+        i, j = grid.unflat(flat)
+        values = [BasicSet.singleton([F(i + j, 8)])]
+        if (i + j) % 2:
+            values.append(BasicSet.closed_box([F(j, 4)], [F(j + 1, 4)]))
+        cells.append((grid.cell_box((i, j)), GeneralizedBasicSet.of(values, dim=1)))
+    svf = build_cellwise_svf(grid.box, cells)
+    return svf, [[0], [F(1, 4)], [F(1, 2)], [F(3, 2)]], F(1, 8)
+
+
+def _sampled_1d():
+    """Dyadic centers as nets with tau 0, so delta = 3/16 ties exactly."""
+    grid = GridSpec(BasicSet.closed_box([0], [1]), (8,))
+    svf = build_sampled_svf(
+        grid, lambda cs: [np.array([[c[0]]]) for c in cs], tau=0.0,
+        range_map=AffineRangeMap.of([0], [1]),
+    )
+    return svf, [[F(1, 2)], [F(1, 16)], [F(3)]], F(3, 16)
+
+
+def _sampled_2d():
+    """A 4x4 grid with estimated tau, two-point nets and one excluded cell."""
+    grid = GridSpec(BasicSet.closed_box([0, 0], [1, 1]), (4, 4))
+
+    def sampler(cs):
+        return [np.array([[c[0], c[1]], [c[1], -c[0]]]) for c in cs]
+
+    svf = build_sampled_svf(grid, sampler)
+    mask = np.ones(grid.n_cells, dtype=bool)
+    mask[5] = False
+    svf = SampledSVF(grid, svf.range_map, svf.nets, svf.tau, mask=mask)
+    centers = [[F(1, 2), F(1, 2)], [F(5, 8), F(-3, 8)], [F(1, 8), F(1, 8)], [9, 9]]
+    return svf, centers, F(3, 16)
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["closed", "strict"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: (desk_svf(), [[0], [F(1, 4)], [F(1, 2)], [F(-5)]], F(1, 4)),
+        _cellwise_2d,
+        _sampled_1d,
+        _sampled_2d,
+        lambda: (_two_cell_masked_svf(), [[0], [F(1, 2)]], F(1, 4)),
+    ],
+    ids=["desk", "cellwise-2d", "sampled-1d", "sampled-2d-mask", "sampled-2cell-mask"],
+)
+def test_sublevel_family_matches_per_cell_reference(make, strict):
+    svf, centers, delta = make()
+    fam = sublevel_domains(svf, centers, delta, strict=strict)
+    indices, slack, domains, union = sublevel_reference(svf, centers, delta, strict)
+    assert fam.cell_indices == indices
+    assert fam.slack == slack
+    for got, want in zip((*fam.domains, fam.union_domain), (*domains, union)):
+        assert got.carrier == want.carrier
+        assert repr(got.verify(F(1, 10))) == repr(want.verify(F(1, 10)))
 
 
 def test_cell_of_point_on_and_beside_every_plane():
