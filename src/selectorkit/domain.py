@@ -94,6 +94,21 @@ def make_witness(
     well-containment margin (clause 2) or coverage-region points outside
     both the witness and the carrier (clause 3, non-representable input).
     """
+    return _witness_and_certificate(x, ambient, eps, budget_rule, coverage)[0]
+
+
+def _witness_and_certificate(
+    x: SetSequence | GeneralizedBasicSet,
+    ambient: BasicSet,
+    eps,
+    budget_rule: str,
+    coverage: str,
+) -> tuple[GeneralizedBasicSet, DomainCertificate | None]:
+    """make_witness's witness and the certificate that admitted it.
+
+    The certificate is None for a carrier without endpoints, whose empty
+    witness is returned undecided.
+    """
     eps = as_fraction(eps)
     if eps <= 0:
         raise WitnessError("witness budget must be positive")
@@ -103,7 +118,7 @@ def make_witness(
     gamma = carrier.gamma
     dim = ambient.dim
     if not gamma:
-        return GeneralizedBasicSet.empty(dim)
+        return GeneralizedBasicSet.empty(dim), None
 
     groups = _face_groups(gamma)
     budgets = _budgets(eps, len(groups), budget_rule)
@@ -138,7 +153,7 @@ def make_witness(
             "ambient minus witness is not inside the carrier "
             "(non-representable input)"
         )
-    return witness
+    return witness, cert
 
 
 def decide_clauses(
@@ -211,13 +226,13 @@ def _thinnest_side(m: GeneralizedBasicSet) -> Fraction | None:
 
 
 def _contained_with_margin(faces, m, ess, r) -> bool:
+    """Whether each face grown by r meets no essential face of m and lies in m."""
     for f in faces:
         box = f.inflate(r)
+        if ess.meeting(box):
+            return False
         if not GeneralizedBasicSet.of([box], dim=box.dim).subtract(m).is_empty:
             return False
-        for e in ess:
-            if box.intersects(e):
-                return False
     return True
 
 
@@ -260,6 +275,41 @@ class RepresentabilityWitness:
     def distance(self, point, eps) -> float:
         return dist_point_set(point, self(eps))
 
+    def certificate(self, carrier, ambient, eps, coverage) -> DomainCertificate | None:
+        """The certificate already decided for M(eps) on these inputs; None here."""
+        return None
+
+
+class CarrierWitness(RepresentabilityWitness):
+    """make_witness for one carrier, keeping the certificate of each M(eps).
+
+    make_witness admits a witness only after deciding clauses 2 and 3 for
+    it, so a verify on the same carrier, ambient box and coverage reads
+    that certificate instead of deciding them again.
+    """
+
+    def __init__(
+        self, carrier: SetSequence, ambient: BasicSet, budget_rule: str, coverage: str
+    ):
+        super().__init__(self._generate)
+        self._carrier, self._ambient = carrier, ambient
+        self._budget_rule, self._coverage = budget_rule, coverage
+        self._decided: dict[Fraction, DomainCertificate | None] = {}
+
+    def _generate(self, eps: Fraction) -> GeneralizedBasicSet:
+        m, self._decided[eps] = _witness_and_certificate(
+            self._carrier, self._ambient, eps, self._budget_rule, self._coverage
+        )
+        return m
+
+    def certificate(self, carrier, ambient, eps, coverage) -> DomainCertificate | None:
+        """The certificate M(eps) was admitted with, when decided on these inputs."""
+        if (carrier, ambient, coverage) != (
+            self._carrier.as_gbs(), self._ambient, self._coverage
+        ):
+            return None
+        return self._decided.get(eps)
+
 
 @dataclass(frozen=True)
 class DomainCertificate:
@@ -291,10 +341,8 @@ class RepresentableDomain:
         budget_rule: str = "geometric",
         coverage: str = "ambient",
     ) -> "RepresentableDomain":
-        gen = lambda eps: make_witness(carrier, ambient, eps, budget_rule, coverage)
-        return RepresentableDomain(
-            carrier, ambient, RepresentabilityWitness(gen), budget_rule, coverage
-        )
+        witness = CarrierWitness(carrier, ambient, budget_rule, coverage)
+        return RepresentableDomain(carrier, ambient, witness, budget_rule, coverage)
 
     @staticmethod
     def from_cells(
@@ -319,10 +367,13 @@ class RepresentableDomain:
         return self.carrier.contains(point)
 
     def verify(self, eps) -> DomainCertificate:
+        """Clauses 2 and 3 for M(eps), decided once per carrier and witness."""
         eps = as_fraction(eps)
-        return decide_clauses(
-            self.carrier_gbs(), self.ambient, self.witness(eps), eps, self.coverage
-        )
+        carrier, m = self.carrier_gbs(), self.witness(eps)
+        cert = self.witness.certificate(carrier, self.ambient, eps, self.coverage)
+        if cert is None:
+            cert = decide_clauses(carrier, self.ambient, m, eps, self.coverage)
+        return cert
 
 
 def reduce_domain(dom: RepresentableDomain) -> RepresentableDomain:

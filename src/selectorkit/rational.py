@@ -73,3 +73,11 @@ def rational_from_json(obj: object) -> Fraction:
         except ValueError as e:  # NaN or an infinity
             raise InputError(f"malformed rational value {obj!r}") from e
     raise InputError(f"malformed rational value {obj!r}")
+
+
+def int_from_json(obj: object, field: str) -> int:
+    """An integer field, read as int() reads it; InputError otherwise."""
+    try:
+        return int(obj)
+    except (TypeError, ValueError) as e:
+        raise InputError(f"field {field!r} is not an integer: {obj!r}") from e

@@ -37,7 +37,7 @@ import numpy as np
 
 from .domain import make_witness
 from .errors import CoverageError, InputError, PrecisionError
-from .rational import as_fraction, rational_from_json, rational_to_json
+from .rational import as_fraction, int_from_json, rational_from_json, rational_to_json
 from .setalg import (
     BasicSet,
     GeneralizedBasicSet,
@@ -710,7 +710,7 @@ def chain_from_json(obj: dict) -> SelectorChain:
     try:
         chain = SelectorChain(
             svf,
-            int(obj["n"]),
+            int_from_json(obj["n"], "n"),
             rational_from_json(obj["dom_budget"]),
             tuple(rational_from_json(c) for c in obj["f1"]),
             [],
@@ -725,18 +725,20 @@ def chain_from_json(obj: dict) -> SelectorChain:
                 for p in s["pieces"]
             )
             cert = StepCertificate(
-                level=int(s["level"]),
+                level=int_from_json(s["level"], "level"),
                 mesh_pitch=rational_from_json(s["mesh_pitch"]),
                 error_bound=rational_from_json(s["error_bound"]),
-                slack=float(s["slack"]),
+                slack=float(rational_from_json(s["slack"])),
                 step_gap=rational_from_json(s["step_gap"]),
                 witness_budget=rational_from_json(s["witness_budget"]),
-                n_pieces=int(s["n_pieces"]),
+                n_pieces=int_from_json(s["n_pieces"], "n_pieces"),
                 dom_measure=rational_from_json(s["dom_measure"]),
             )
-            chain.steps.append(ExactStep(int(s["level"]), pieces, cert))
+            chain.steps.append(ExactStep(cert.level, pieces, cert))
     except KeyError as e:
         raise InputError(f"chain is missing the field {e}") from e
+    except TypeError as e:
+        raise InputError(f"chain has a field of the wrong type: {e}") from e
     return chain
 
 

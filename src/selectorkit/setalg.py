@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InputError
-from .rational import as_fraction, rational_from_json, rational_to_json
+from .rational import as_fraction, int_from_json, rational_from_json, rational_to_json
 
 MAX_DIM = 3
 
@@ -297,6 +297,18 @@ def _meet_axis(
     return lo, clo, hi, chi
 
 
+def _slot(values: list[Fraction], c: Fraction, shift: int = 0) -> int:
+    """Slot of c among sorted distinct values: 2i+1 at v_i, 2i in the gap below.
+
+    At an endpoint value, shift 1 (-1) moves to the gap above (below):
+    the first (last) slot that an open lower (upper) end covers.
+    """
+    i = bisect_left(values, c)
+    if i < len(values) and values[i] == c:
+        return 2 * i + 1 + shift
+    return 2 * i
+
+
 def _check_dims(a, b) -> None:
     if a.dim != b.dim:
         raise SetAlgebraError(f"dimension mismatch {a.dim} != {b.dim}")
@@ -352,45 +364,73 @@ class GeneralizedBasicSet:
     def locate(self, point: Sequence) -> int | None:
         """Index of the first part containing the point, or None.
 
-        Each coordinate is placed among its axis's sorted endpoint values
-        by exact bisection; the AND of the slot masks over the axes holds
-        the parts containing the point, and its lowest bit is the first.
+        Each coordinate is placed in its slot among the axis's sorted
+        endpoint values by exact bisection.  The parts holding the point
+        start at or before that slot and end at or after it on every
+        axis; the lowest bit of that mask is the first of them.
         """
         if not self.parts:
             return None
         pt = _aspoint(point, self.dim)
         hits = (1 << len(self.parts)) - 1
-        for c, (values, masks) in zip(pt, self._rank_index):
-            i = bisect_left(values, c)
-            hits &= masks[2 * i + 1 if i < len(values) and values[i] == c else 2 * i]
+        for c, (values, starts, ends) in zip(pt, self._rank_index):
+            s = _slot(values, c)
+            hits &= starts[s] & ends[s]
             if not hits:
                 return None
         return (hits & -hits).bit_length() - 1
 
+    def meeting(self, box: BasicSet) -> list[int]:
+        """Indices, in part order, of the parts that intersect the box.
+
+        On each axis a non-empty box covers the slots from the one holding
+        its first point to the one holding its last; a part meets it there
+        when it starts at or before the box's last slot and ends at or
+        after its first.
+        """
+        _check_dims(self, box)
+        if not self.parts or box.is_empty:
+            return []
+        hits = (1 << len(self.parts)) - 1
+        for j, (values, starts, ends) in enumerate(self._rank_index):
+            first = _slot(values, box.lo[j], 0 if box.closed_lo[j] else 1)
+            last = _slot(values, box.hi[j], 0 if box.closed_hi[j] else -1)
+            hits &= starts[last] & ends[first]
+            if not hits:
+                return []
+        out = []
+        while hits:
+            low = hits & -hits
+            out.append(low.bit_length() - 1)
+            hits ^= low
+        return out
+
     @cached_property
-    def _rank_index(self) -> tuple[tuple[list[Fraction], list[int]], ...]:
-        """Per axis: the sorted distinct endpoints and a part mask per slot.
+    def _rank_index(self) -> tuple[tuple[list[Fraction], list[int], list[int]], ...]:
+        """Per axis: the sorted distinct endpoints and two cumulative part masks.
 
         Slot 2i+1 is the endpoint v_i itself and slot 2i the open gap
         below it.  A part covers the slots from 2*rank(lo)+1 (+1 if open)
-        to 2*rank(hi)+1 (-1 if open); an empty part covers none on some axis.
+        to 2*rank(hi)+1 (-1 if open); an empty part covers none on some
+        axis and enters no mask there.  starts[s] holds the parts whose
+        first slot is at most s, ends[s] those whose last slot is at least s.
         """
         index = []
         for j in range(self.dim):
             values = sorted({c for p in self.parts for c in (p.lo[j], p.hi[j])})
             rank = {v: i for i, v in enumerate(values)}
-            diff = [0] * (2 * len(values) + 2)
+            starts = [0] * (2 * len(values) + 1)
+            ends = [0] * (2 * len(values) + 1)
             for k, p in enumerate(self.parts):
                 first = 2 * rank[p.lo[j]] + (1 if p.closed_lo[j] else 2)
                 last = 2 * rank[p.hi[j]] + (1 if p.closed_hi[j] else 0)
                 if first <= last:
-                    diff[first] ^= 1 << k
-                    diff[last + 1] ^= 1 << k
-            masks, acc = [], 0
-            for d in diff[:-1]:
-                acc ^= d
-                masks.append(acc)
-            index.append((values, masks))
+                    starts[first] |= 1 << k
+                    ends[last] |= 1 << k
+            for s in range(1, len(starts)):
+                starts[s] |= starts[s - 1]
+                ends[-1 - s] |= ends[-s]
+            index.append((values, starts, ends))
         return tuple(index)
 
     @cached_property
@@ -410,33 +450,33 @@ class GeneralizedBasicSet:
         return any(f.contains(point) for f in self.gamma)
 
     @cached_property
-    def essential_gamma(self) -> tuple[BasicSet, ...]:
+    def essential_gamma(self) -> "GeneralizedBasicSet":
         """Part boundaries minus the open interiors of all parts.
 
         This is the boundary that matters for well-containment checks:
         a face buried inside another part's interior does not separate
         anything.
         """
-        interiors = [p.interior_open() for p in self.parts]
-        interiors = [p for p in interiors if not p.is_empty]
-        out: list[BasicSet] = []
-        for f in self.gamma:
-            rem = [f]
-            for q in interiors:
-                rem = [piece for r in rem for piece in r.subtract(q)]
-                if not rem:
-                    break
-            out.extend(rem)
-        return tuple(out)
+        interiors = GeneralizedBasicSet.of(
+            [p.interior_open() for p in self.parts], dim=self.dim
+        )
+        return GeneralizedBasicSet(self.dim, self.gamma).subtract(interiors)
 
     def subtract(self, other: "GeneralizedBasicSet | BasicSet") -> "GeneralizedBasicSet":
-        parts = list(self.parts)
-        subtrahends = other.parts if isinstance(other, GeneralizedBasicSet) else (other,)
-        for b in subtrahends:
-            parts = [piece for p in parts for piece in p.subtract(b)]
-            if not parts:
-                break
-        return GeneralizedBasicSet(self.dim, tuple(parts))
+        """Each part cut, in order, by the parts of other that meet it."""
+        if isinstance(other, BasicSet):
+            pieces = [piece for p in self.parts for piece in p.subtract(other)]
+            return GeneralizedBasicSet(self.dim, tuple(pieces))
+        if not other.parts:
+            return self
+        out: list[BasicSet] = []
+        for p in self.parts:
+            # an empty part meets nothing, and any difference drops it
+            pieces = [] if p.is_empty else [p]
+            for k in other.meeting(p):
+                pieces = [piece for q in pieces for piece in q.subtract(other.parts[k])]
+            out.extend(pieces)
+        return GeneralizedBasicSet(self.dim, tuple(out))
 
     def intersect(self, other: "GeneralizedBasicSet | BasicSet") -> "GeneralizedBasicSet":
         others = other.parts if isinstance(other, GeneralizedBasicSet) else (other,)
@@ -646,18 +686,22 @@ def basic_set_to_json(b: BasicSet) -> dict:
 
 
 def basic_set_from_json(obj: dict, dim: int) -> BasicSet:
+    if not isinstance(obj, dict):
+        raise SetAlgebraError(f"a basic set is not an object: {obj!r}")
     if obj.get("kind") == "empty":
         return BasicSet.empty(dim)
-    try:
-        lo = [rational_from_json(c) for c in obj["lo"]]
-        hi = [rational_from_json(c) for c in obj["hi"]]
-    except KeyError as e:
-        raise SetAlgebraError(f"missing corner field {e}") from e
     closed_lo = obj.get("closed_lo", [False] * dim)
     closed_hi = obj.get("closed_hi", [False] * dim)
     if obj.get("kind") == "singleton":
         closed_lo = closed_hi = [True] * dim
-    b = BasicSet.box(lo, hi, closed_lo, closed_hi)
+    try:
+        lo = [rational_from_json(c) for c in obj["lo"]]
+        hi = [rational_from_json(c) for c in obj["hi"]]
+        b = BasicSet.box(lo, hi, closed_lo, closed_hi)
+    except KeyError as e:
+        raise SetAlgebraError(f"missing corner field {e}") from e
+    except TypeError as e:
+        raise SetAlgebraError(f"a basic set field has the wrong type: {e}") from e
     if b.dim != dim:
         raise SetAlgebraError(f"part dimension {b.dim} != declared {dim}")
     return b
@@ -668,7 +712,9 @@ def gbs_to_json(s: GeneralizedBasicSet) -> dict:
 
 
 def gbs_from_json(obj: dict) -> GeneralizedBasicSet:
-    dim = int(obj["dim"])
+    if not isinstance(obj, dict):
+        raise SetAlgebraError(f"a generalized set is not an object: {obj!r}")
+    dim = int_from_json(obj["dim"], "dim")
     parts = [basic_set_from_json(p, dim) for p in obj.get("parts", [])]
     return GeneralizedBasicSet.of(parts, dim=dim)
 
@@ -682,10 +728,13 @@ def sequence_to_json(xs: SetSequence) -> dict:
 
 
 def sequence_from_json(obj: dict) -> SetSequence:
-    dim = int(obj.get("dim", 1))
+    dim = int_from_json(obj.get("dim", 1), "dim")
     items = []
-    for it in obj.get("items", []):
-        if "dim" not in it:
-            it = dict(it, dim=dim)
-        items.append(gbs_from_json(it))
+    try:
+        for it in obj.get("items", []):
+            if isinstance(it, dict) and "dim" not in it:
+                it = dict(it, dim=dim)
+            items.append(gbs_from_json(it))
+    except TypeError as e:
+        raise SetAlgebraError(f"a set sequence field has the wrong type: {e}") from e
     return SetSequence(tuple(items), obj.get("pairing", "cantor"))

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainPointError, InhabitednessError, InputError, PrecisionError
-from .rational import as_fraction, rational_from_json, rational_to_json
+from .rational import as_fraction, int_from_json, rational_from_json, rational_to_json
 from .setalg import (
     BasicSet,
     GeneralizedBasicSet,
@@ -39,7 +39,7 @@ from .setalg import (
     gbs_from_json,
     gbs_to_json,
 )
-from .domain import RepresentableDomain, RepresentabilityWitness, make_witness
+from .domain import CarrierWitness, RepresentableDomain, RepresentabilityWitness
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +486,7 @@ def sublevel_domains(
         slack, thr = 0.0, delta * delta
         distances = lambda r: [dist2_point_set(r, values) for _, values in F.cells]
         cell_box = lambda i: F.cells[i][0]
-        witness = lambda seq, eps: make_witness(
-            seq, F.domain_box, eps, coverage="closure"
-        )
+        witness = lambda seq: CarrierWitness(seq, F.domain_box, "geometric", "closure")
     else:
         # tau lives in normalized units; bound its original-space size by the
         # widest range axis (conservative for anisotropic maps)
@@ -500,18 +498,18 @@ def sublevel_domains(
         thr = float(delta) + slack
         distances = lambda r: _net_distances(F, r)
         cell_box = lambda i: F.grid.cell_box(F.grid.unflat(i))
-        witness = lambda seq, eps: grid_plane_witness(F.grid, eps)
+        witness = lambda seq: RepresentabilityWitness(
+            lambda eps: grid_plane_witness(F.grid, eps)
+        )
 
     def domain(idxs) -> RepresentableDomain:
         if idxs:
             seq = SetSequence.of([cell_box(i) for i in idxs], "rowmajor")
-            gen = lambda eps: witness(seq, eps)
+            w = witness(seq)
         else:
             seq = SetSequence((GeneralizedBasicSet.empty(F.alpha),), "rowmajor")
-            gen = lambda eps: GeneralizedBasicSet.empty(F.alpha)
-        return RepresentableDomain(
-            seq, F.domain_box, RepresentabilityWitness(gen), coverage="closure"
-        )
+            w = RepresentabilityWitness(lambda eps: GeneralizedBasicSet.empty(F.alpha))
+        return RepresentableDomain(seq, F.domain_box, w, coverage="closure")
 
     below = operator.lt if strict else operator.le
     accepted = tuple(
@@ -656,7 +654,7 @@ def cellwise_svf_to_json(F: CellwiseSVF) -> dict:
 
 def cellwise_svf_from_json(obj: dict) -> CellwiseSVF:
     try:
-        dim = int(obj.get("dim", 1))
+        dim = int_from_json(obj.get("dim", 1), "dim")
         domain_box = basic_set_from_json(obj["domain"], dim)
         rng = obj["range"]
         range_map = AffineRangeMap.of(
@@ -669,4 +667,6 @@ def cellwise_svf_from_json(obj: dict) -> CellwiseSVF:
         ]
     except KeyError as e:
         raise InputError(f"cellwise SVF is missing the field {e}") from e
+    except TypeError as e:
+        raise InputError(f"cellwise SVF has a field of the wrong type: {e}") from e
     return build_cellwise_svf(domain_box, cells, range_map)

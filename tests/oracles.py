@@ -91,6 +91,21 @@ def first_part_containing(parts, x):
     return None
 
 
+def parts_meeting(parts, box):
+    """Indices of the parts that intersect box, by a linear scan."""
+    return [i for i, p in enumerate(parts) if p.intersects(box)]
+
+
+def subtract_reference(parts, subtrahends):
+    """Sequential difference: every piece cut by each subtrahend in turn."""
+    parts = list(parts)
+    for b in subtrahends:
+        parts = [piece for p in parts for piece in p.subtract(b)]
+        if not parts:
+            break
+    return parts
+
+
 def brute_force_selector(F, n):
     """Literal mesh-sweep extraction on a cellwise SVF with cell-aligned pieces.
 

@@ -262,13 +262,13 @@ def test_bad_robot_input_is_input_error(tmp_path, args):
     assert "Traceback" not in r.stderr
 
 
-def _desk_chain_missing_level() -> dict:
+def _desk_chain_with(edit) -> dict:
     from selectorkit.selector import chain_to_json, extract
     from selectorkit.svf import cellwise_svf_from_json
 
     svf = cellwise_svf_from_json(json.loads((ASSETS / "desk_svf.json").read_text()))
     chain = chain_to_json(extract(svf, 2))
-    del chain["steps"][0]["level"]
+    edit(chain)
     return chain
 
 
@@ -278,9 +278,9 @@ def _desk_svf_with(edit) -> dict:
     return svf
 
 
-def _example1_with_corner(corner) -> dict:
+def _example1_with_lo(lo) -> dict:
     sets = json.loads((ASSETS / "example1.json").read_text())
-    sets["items"][0]["parts"][0]["lo"] = [corner]
+    sets["items"][0]["parts"][0]["lo"] = lo
     return sets
 
 
@@ -300,14 +300,23 @@ def _example1_with_corner(corner) -> dict:
                 lambda s: s["cells"][0]["cell"].update(hi=[float("nan")])
             ),
         ),
-        (["reduce"], lambda: _example1_with_corner("x")),
-        (["eval", "--at", "0.3"], _desk_chain_missing_level),
+        (["extract"], lambda: _desk_svf_with(lambda s: s.update(dim="x"))),
+        (["extract"], lambda: _desk_svf_with(lambda s: s.update(cells=3))),
+        (["reduce"], lambda: _example1_with_lo(["x"])),
+        (["reduce"], lambda: _example1_with_lo(3)),
+        (
+            ["eval", "--at", "0.3"],
+            lambda: _desk_chain_with(lambda c: c["steps"][0].pop("level")),
+        ),
+        (["eval", "--at", "0.3"], lambda: _desk_chain_with(lambda c: c.update(n="x"))),
         (["solve-di"], lambda: {"svf_file": "absent_svf.json", "x0": [0.5]}),
         (["solve-di"], lambda: {"field": "linear_tube", "x0": "abc"}),
     ],
     ids=[
-        "svf-no-cells", "svf-bad-rational", "svf-nan-corner", "sets-bad-corner",
-        "chain-no-level", "problem-svf-file-missing", "problem-x0-not-number",
+        "svf-no-cells", "svf-bad-rational", "svf-nan-corner", "svf-dim-not-int",
+        "svf-cells-not-list", "sets-bad-corner", "sets-lo-not-list",
+        "chain-no-level", "chain-n-not-int", "problem-svf-file-missing",
+        "problem-x0-not-number",
     ],
 )
 def test_malformed_input_file_is_input_error(tmp_path, command, content):

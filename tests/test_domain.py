@@ -11,6 +11,7 @@ from selectorkit.domain import (
     RepresentableDomain,
     check_weak_finite_adjacency,
     continuous_extension,
+    decide_clauses,
     disjointify_witness,
     domain_from_json,
     domain_to_json,
@@ -157,6 +158,48 @@ def test_witness_margin_failure_makes_one_margin_search(monkeypatch):
     with pytest.raises(WitnessError, match="positive well-containment margin"):
         make_witness(carrier, BasicSet.closed_box([0], [1]), F(1, 10))
     assert len(calls) == 1
+
+
+def test_verify_decides_each_domains_clauses_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return well_containment_margin(*args, **kwargs)
+
+    monkeypatch.setattr("selectorkit.domain.well_containment_margin", counted)
+    eps = F(1, 10)
+
+    def fresh(dom):
+        m = dom.witness(eps)
+        return decide_clauses(dom.carrier_gbs(), dom.ambient, m, eps, dom.coverage)
+
+    # from_cells: witness(eps) decides once, verify reads that certificate
+    dom = square_domain()
+    dom.witness(eps)
+    cert = dom.verify(eps)
+    assert len(calls) == 1
+    # a reduction that cuts no part leaves an equal carrier: same certificate
+    red = reduce_domain(dom)
+    assert red.carrier_gbs() == dom.carrier_gbs()
+    assert red.verify(eps) == cert and len(calls) == 1
+    assert cert == fresh(dom) == fresh(red)
+    # a reduction that cuts parts decides for its own carrier
+    cells = [
+        BasicSet.interval(0, F(3, 4), True, True),
+        BasicSet.interval(F(1, 4), 1, True, True),
+    ]
+    overlap = RepresentableDomain.from_cells(cells, BasicSet.closed_box([0], [1]))
+    overlap.verify(eps)
+    red = reduce_domain(overlap)
+    assert red.carrier_gbs() != overlap.carrier_gbs()
+    n = len(calls)
+    got = red.verify(eps)
+    assert len(calls) == n + 1
+    assert got == fresh(red)
+    # an intersection has its own carrier and a union witness
+    inter = intersect_domains(unit_interval_domain(), unit_interval_domain(F(1, 4)))
+    assert inter.verify(eps) == fresh(inter)
 
 
 SIXTEENTHS = [F(k, 16) for k in range(17)]

@@ -27,7 +27,13 @@ from selectorkit.setalg import (
 
 from selectorkit.rational import as_fraction
 
-from oracles import first_part_containing, seq_boxes, union_measure
+from oracles import (
+    first_part_containing,
+    parts_meeting,
+    seq_boxes,
+    subtract_reference,
+    union_measure,
+)
 
 F = Fraction
 
@@ -205,6 +211,29 @@ def test_intersects_agrees_with_intersect_hypothesis(pair):
 # hypothesis property: point location against a linear scan
 
 
+# the quarter grid holds every endpoint, the midpoints between them and
+# values outside every part
+COORD = st.one_of(
+    st.sampled_from([F(k, 4) for k in range(-4, 17)]),
+    st.fractions(min_value=-1, max_value=5, max_denominator=7),
+)
+
+
+@st.composite
+def grid_parts(draw, dim):
+    """0-8 parts on the half-integer grid, empty and degenerate ones kept."""
+    flags = st.tuples(*[st.booleans()] * dim)
+    parts = []
+    for _ in range(draw(st.integers(0, 8))):
+        lo = tuple(draw(st.sampled_from(GRID)) for _ in range(dim))
+        if draw(st.integers(0, 4)) == 0:
+            parts.append(BasicSet.singleton(lo))
+            continue
+        hi = tuple(a + F(draw(st.integers(-1, 3)), 2) for a in lo)
+        parts.append(BasicSet(dim, lo, hi, draw(flags), draw(flags)))
+    return tuple(parts)
+
+
 @st.composite
 def located_unions(draw):
     """A union of 0-8 parts in dimension 1-3, empty parts kept, and points.
@@ -216,21 +245,9 @@ def located_unions(draw):
     part) and from small arbitrary fractions.
     """
     dim = draw(st.integers(1, 3))
-    flags = st.tuples(*[st.booleans()] * dim)
-    parts = []
-    for _ in range(draw(st.integers(0, 8))):
-        lo = tuple(draw(st.sampled_from(GRID)) for _ in range(dim))
-        if draw(st.integers(0, 4)) == 0:
-            parts.append(BasicSet.singleton(lo))
-            continue
-        hi = tuple(a + F(draw(st.integers(-1, 3)), 2) for a in lo)
-        parts.append(BasicSet(dim, lo, hi, draw(flags), draw(flags)))
-    coord = st.one_of(
-        st.sampled_from([F(k, 4) for k in range(-4, 17)]),
-        st.fractions(min_value=-1, max_value=5, max_denominator=7),
-    )
-    point = st.tuples(*[coord] * dim)
-    return GeneralizedBasicSet(dim, tuple(parts)), draw(st.lists(point, min_size=1, max_size=8))
+    point = st.tuples(*[COORD] * dim)
+    parts = draw(grid_parts(dim))
+    return GeneralizedBasicSet(dim, parts), draw(st.lists(point, min_size=1, max_size=8))
 
 
 @given(located_unions())
@@ -243,6 +260,43 @@ def test_locate_matches_linear_scan_hypothesis(case):
         assert g.locate(x) == want
         assert g.contains(x) == (want is not None)
         assert kept.contains(x) == (want is not None)
+
+
+@st.composite
+def unions_with_boxes(draw):
+    """A union as in located_unions and 1-6 query boxes of any closure.
+
+    Query corners come from the same coordinates as the points; a width
+    of 0 gives a degenerate axis (a point or a face when both ends are
+    closed, empty otherwise) and a negative width an empty box.
+    """
+    dim = draw(st.integers(1, 3))
+    flags = st.tuples(*[st.booleans()] * dim)
+    width = st.one_of(st.sampled_from([F(k, 4) for k in range(-1, 9)]), COORD)
+    boxes = []
+    for _ in range(draw(st.integers(1, 6))):
+        lo = tuple(draw(COORD) for _ in range(dim))
+        hi = tuple(a + draw(width) for a in lo)
+        boxes.append(BasicSet(dim, lo, hi, draw(flags), draw(flags)))
+    return GeneralizedBasicSet(dim, draw(grid_parts(dim))), boxes
+
+
+@given(unions_with_boxes())
+@settings(max_examples=300, deadline=None)
+def test_meeting_matches_linear_scan_hypothesis(case):
+    g, boxes = case
+    for box in boxes:
+        assert g.meeting(box) == parts_meeting(g.parts, box)
+
+
+@given(
+    st.integers(1, 3).flatmap(lambda d: st.tuples(st.just(d), grid_parts(d), grid_parts(d)))
+)
+@settings(max_examples=300, deadline=None)
+def test_subtract_matches_sequential_reference_hypothesis(case):
+    dim, a, b = case
+    got = GeneralizedBasicSet(dim, a).subtract(GeneralizedBasicSet(dim, b))
+    assert got.parts == tuple(subtract_reference(a, b))
 
 
 @st.composite

@@ -11,6 +11,7 @@ from selectorkit.errors import (
     InputError,
     PrecisionError,
 )
+from selectorkit.domain import decide_clauses, well_containment_margin
 from selectorkit.setalg import BasicSet, GeneralizedBasicSet
 from selectorkit.svf import (
     AffineRangeMap,
@@ -158,6 +159,22 @@ def test_sublevel_all_empty():
     fam = sublevel_domains(f, [[F(-5)], [F(5)]], F(1, 8))
     assert all(ix == () for ix in fam.cell_indices)
     assert fam.union_domain.witness(F(1, 10)).is_empty
+
+
+def test_cellwise_sublevel_verify_reads_the_witness_certificate(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return well_containment_margin(*args, **kwargs)
+
+    monkeypatch.setattr("selectorkit.domain.well_containment_margin", counted)
+    dom = sublevel_domains(desk_svf(), [[F(1, 4)], [F(3, 4)]], F(1, 8)).union_domain
+    eps = F(1, 12)
+    m = dom.witness(eps)
+    cert = dom.verify(eps)
+    assert not m.is_empty and len(calls) == 1
+    assert cert == decide_clauses(dom.carrier_gbs(), dom.ambient, m, eps, "closure")
 
 
 def test_sublevel_domains_pass_def6():
