@@ -191,12 +191,13 @@ def well_containment_margin(
 ) -> Fraction | None:
     """First verified r = r0 / 2**k, k < max_halvings.
 
-    r verifies when (faces + B_r) lies inside M \\ Gamma_M, with Gamma_M
-    taken as the essential boundary of M.  r0 defaults to a quarter of
-    the thinnest side of M's parts, over their non-degenerate axes.
-    Returns None when no such r verifies, and also when r0 is not given
-    and every part of M is degenerate: no inflated box fits inside a
-    measure-zero M.  Without faces, returns r0 (1/4 if not given).
+    r verifies when each face grown by r lies inside M and misses ess(M),
+    every part face minus all open interiors (`_separating_faces`).  r0
+    defaults to a quarter of the thinnest side of M's parts, over their
+    non-degenerate axes.  Returns None when no such r verifies, and also
+    when r0 is not given and every part of M is degenerate: no inflated
+    box fits inside a measure-zero M.  Without faces, returns r0 (1/4 if
+    not given).
     """
     faces = [f for f in faces if not f.is_empty]
     if not faces:
@@ -208,10 +209,10 @@ def well_containment_margin(
         if thick is None:
             return None
         r0 = thick / 4
-    ess = m.essential_gamma
+    separating = _separating_faces(m)
     r = as_fraction(r0)
     for _ in range(max_halvings):
-        if _contained_with_margin(faces, m, ess, r):
+        if _contained_with_margin(faces, m, separating, r):
             return r
         r /= 2
     return None
@@ -225,11 +226,28 @@ def _thinnest_side(m: GeneralizedBasicSet) -> Fraction | None:
     return min(sides) if sides else None
 
 
-def _contained_with_margin(faces, m, ess, r) -> bool:
-    """Whether each face grown by r meets no essential face of m and lies in m."""
+def _separating_faces(m: GeneralizedBasicSet) -> GeneralizedBasicSet:
+    """Faces of m meeting a part that is not an open box, minus all interiors.
+
+    A box inside m meets ess(M) exactly when it meets this subset.  A
+    point of the box in ess(M) lies on a face F and in a part P, and in
+    no open interior, so P is not an open box; F meets P and is kept.
+    P's own faces would not do: a segment glued between two open
+    squares has only its end points as faces.
+    """
+    shut = GeneralizedBasicSet(m.dim, tuple(p for p in m.parts if p.kind != "open-box"))
+    if shut.is_empty:
+        return shut
+    interiors = GeneralizedBasicSet.of([p.interior_open() for p in m.parts], dim=m.dim)
+    faces = tuple(f for f in m.gamma if shut.meeting(f))
+    return GeneralizedBasicSet(m.dim, faces).subtract(interiors)
+
+
+def _contained_with_margin(faces, m, separating, r) -> bool:
+    """Whether each face grown by r lies in m and meets no separating face."""
     for f in faces:
         box = f.inflate(r)
-        if ess.meeting(box):
+        if separating.meeting(box):
             return False
         if not GeneralizedBasicSet.of([box], dim=box.dim).subtract(m).is_empty:
             return False

@@ -446,22 +446,6 @@ class GeneralizedBasicSet:
                     out.append(f)
         return tuple(out)
 
-    def gamma_contains(self, point: Sequence) -> bool:
-        return any(f.contains(point) for f in self.gamma)
-
-    @cached_property
-    def essential_gamma(self) -> "GeneralizedBasicSet":
-        """Part boundaries minus the open interiors of all parts.
-
-        This is the boundary that matters for well-containment checks:
-        a face buried inside another part's interior does not separate
-        anything.
-        """
-        interiors = GeneralizedBasicSet.of(
-            [p.interior_open() for p in self.parts], dim=self.dim
-        )
-        return GeneralizedBasicSet(self.dim, self.gamma).subtract(interiors)
-
     def subtract(self, other: "GeneralizedBasicSet | BasicSet") -> "GeneralizedBasicSet":
         """Each part cut, in order, by the parts of other that meet it."""
         if isinstance(other, BasicSet):

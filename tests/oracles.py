@@ -106,6 +106,35 @@ def subtract_reference(parts, subtrahends):
     return parts
 
 
+def essential_gamma_reference(m):
+    """Every part face of m minus the open interiors of all its parts.
+
+    The essential boundary ess(M) as first defined: each face of
+    `m.gamma` cut by every interior in turn, whatever the part kinds.
+    """
+    return subtract_reference(m.gamma, [p.interior_open() for p in m.parts])
+
+
+def margin_reference(faces, m, max_halvings):
+    """well_containment_margin decided against essential_gamma_reference."""
+    from selectorkit.domain import _contained_with_margin, _thinnest_side
+    from selectorkit.setalg import GeneralizedBasicSet
+
+    faces = [f for f in faces if not f.is_empty]
+    if not faces:
+        return Fraction(1, 4)
+    thick = None if m.is_empty else _thinnest_side(m)
+    if thick is None:
+        return None
+    ess = GeneralizedBasicSet(m.dim, tuple(essential_gamma_reference(m)))
+    r = thick / 4
+    for _ in range(max_halvings):
+        if _contained_with_margin(faces, m, ess, r):
+            return r
+        r /= 2
+    return None
+
+
 def brute_force_selector(F, n):
     """Literal mesh-sweep extraction on a cellwise SVF with cell-aligned pieces.
 

@@ -21,6 +21,7 @@ from selectorkit.domain import (
     termwise_intersect_domains,
     well_containment_margin,
     WitnessError,
+    _separating_faces,
     _thinnest_side,
 )
 from selectorkit.setalg import (
@@ -29,6 +30,9 @@ from selectorkit.setalg import (
     SetAlgebraError,
     SetSequence,
 )
+from selectorkit.svf import GridSpec, grid_plane_witness
+
+from oracles import margin_reference
 
 F = Fraction
 
@@ -538,6 +542,118 @@ def test_margin_halves_explicit_r0(dim, k):
     assert well_containment_margin([face], m, r0=r0) == r0 / 2**k
     assert well_containment_margin([face], m, r0=r0, max_halvings=k + 1) == r0 / 2**k
     assert well_containment_margin([face], m, r0=r0, max_halvings=k) is None
+
+
+QUARTERS = [F(k, 4) for k in range(-2, 7)]
+
+
+@st.composite
+def witnesses_with_faces(draw):
+    """A witness glued from grid cells, and 1-2 closed faces, in dim 1-3.
+
+    Each cell of a grid over [0,1]^d (cut at quarters, at most 8 cells)
+    is dropped, kept as an open box or kept with mixed closure flags.
+    Up to two extra parts overlap them: a seam between cells (a
+    degenerate part) or a box on the quarter grid, open or with mixed
+    flags.  Each face is a cell center, a seam, a seam's center or a
+    closed box on the quarter grid, which may lie outside M.
+    """
+    dim = draw(st.integers(1, 3))
+
+    def mixed(b):
+        # a degenerate axis stays closed, so the part is not empty
+        ends = [
+            tuple(draw(st.booleans()) or l == h for l, h in zip(b.lo, b.hi))
+            for _ in range(2)
+        ]
+        return BasicSet(dim, b.lo, b.hi, *ends)
+
+    def quarter_box():
+        lo = [draw(st.sampled_from(QUARTERS)) for _ in range(dim)]
+        return BasicSet.closed_box(lo, [a + F(draw(st.integers(0, 4)), 4) for a in lo])
+
+    def center(b):
+        return BasicSet.singleton([(l + h) / 2 for l, h in zip(b.lo, b.hi)])
+
+    cut_sets = st.sets(st.sampled_from(QUARTERS[3:6]), max_size=4 - dim)
+    axes = [[F(0), *sorted(draw(cut_sets)), F(1)] for _ in range(dim)]
+    cells = [BasicSet.closed_box([a], [b]) for a, b in zip(axes[0], axes[0][1:])]
+    for cuts in axes[1:]:
+        cells = [
+            BasicSet.closed_box([*c.lo, a], [*c.hi, b])
+            for c in cells
+            for a, b in zip(cuts, cuts[1:])
+        ]
+    cell_faces = [f for c in cells for f in c.faces()]
+    seams = [
+        f for f in cell_faces if any(l == h and 0 < l < 1 for l, h in zip(f.lo, f.hi))
+    ] or cell_faces
+    parts = []
+    for c in cells:
+        kind = draw(st.sampled_from(["drop", "open", "open", "open", "mixed"]))
+        if kind != "drop":
+            parts.append(c.interior_open() if kind == "open" else mixed(c))
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            parts.append(mixed(draw(st.sampled_from(seams))))
+        else:
+            b = quarter_box()
+            parts.append(draw(st.sampled_from([b.interior_open(), mixed(b)])))
+    faces = []
+    for _ in range(draw(st.integers(1, 2))):
+        f = draw(st.sampled_from(seams))
+        c = draw(st.sampled_from(cells))
+        faces.append(
+            draw(st.sampled_from([center(c), center(f), center(f), f, quarter_box()]))
+        )
+    return GeneralizedBasicSet.of(parts, dim=dim), faces
+
+
+@given(witnesses_with_faces())
+@settings(max_examples=200, deadline=None)
+def test_margin_matches_essential_gamma_reference_hypothesis(case):
+    m, faces = case
+    want = margin_reference(faces, m, 3)
+    assert well_containment_margin(faces, m, max_halvings=3) == want
+
+
+def test_built_witnesses_are_all_open():
+    # the margin search of every witness the package builds meets no face
+    eps = F(1, 10)
+    rng = random.Random(3)
+    tilings = [_random_tiling_domain(rng, dim) for dim in (1, 2, 3)]
+    witnesses = [d.witness(eps) for d in [square_domain(), *tilings]]
+    grid = GridSpec(BasicSet.closed_box([0, 0], [1, 1]), (3, 4))
+    witnesses.append(grid_plane_witness(grid, eps))
+    witnesses.append(intersect_domains(tilings[1], square_domain()).witness(eps))
+    for m in witnesses:
+        assert m.parts and all(p.kind == "open-box" for p in m.parts)
+        assert _separating_faces(m).is_empty
+
+
+def test_margin_with_shut_parts_matches_reference():
+    # one closed part across an open slab: its faces on the slab's sides
+    # stay in S, and the face on the slab's axis clears them at r0 = 1/32
+    slab = BasicSet.open_box([F(-1, 8), F(-1, 8)], [F(1, 8), F(9, 8)])
+    shut = BasicSet.closed_box([F(-1, 8), F(1, 2)], [F(1, 8), F(5, 8)])
+    m = GeneralizedBasicSet.of([slab, shut], dim=2)
+    face = BasicSet.closed_box([0, 0], [0, 1])
+    assert not _separating_faces(m).is_empty
+    assert well_containment_margin([face], m) == margin_reference([face], m, 40)
+    assert well_containment_margin([face], m) == F(1, 32)
+    # a segment glued between two open squares: the squares' shared face,
+    # not the segment's end points, keeps the margin undecided
+    m = GeneralizedBasicSet.of(
+        [
+            BasicSet.open_box([0, 0], [1, 1]),
+            BasicSet.open_box([0, -1], [1, 0]),
+            BasicSet.closed_box([0, 0], [1, 0]),
+        ],
+        dim=2,
+    )
+    face = BasicSet.singleton([F(1, 2), 0])
+    assert well_containment_margin([face], m) is None
+    assert margin_reference([face], m, 40) is None
 
 
 # ---------------------------------------------------------------------------
