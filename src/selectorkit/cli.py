@@ -38,13 +38,16 @@ def _point_arg(text: str) -> list[Fraction]:
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except FileNotFoundError as e:
         raise InputError(f"input file not found: {path}") from e
     except json.JSONDecodeError as e:
         raise InputError(
             f"malformed JSON in {path} at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from e
+    if not isinstance(obj, dict):
+        raise InputError(f"{path} must hold a JSON object, not {type(obj).__name__}")
+    return obj
 
 
 def _digest(path: str) -> str:

@@ -644,10 +644,11 @@ class AdjacencyReport:
     offending_cell: BasicSet | None = None
 
 
+ADJACENCY_CELLS_PER_AXIS = 12  # probe boxes per axis, at most
+
+
 def check_weak_finite_adjacency(
-    dom: RepresentableDomain,
-    delta: Fraction | None = None,
-    max_cells_per_axis: int = 12,
+    dom: RepresentableDomain, delta: Fraction | None = None
 ) -> AdjacencyReport:
     """Probe a delta-cover of the ambient box.
 
@@ -667,7 +668,7 @@ def check_weak_finite_adjacency(
     steps = []
     for j in range(dim):
         extent = dom.ambient.hi[j] - dom.ambient.lo[j]
-        n = min(max_cells_per_axis, max(1, int(extent / delta)))
+        n = min(ADJACENCY_CELLS_PER_AXIS, max(1, int(extent / delta)))
         steps.append((extent / n, n))
 
     def rec(j, lo_acc):

@@ -30,20 +30,19 @@ import io
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .domain import make_witness
+from .domain import PiecewiseConstantMap, RepresentabilityWitness, RepresentableDomain
 from .errors import CoverageError, InputError, PrecisionError
 from .rational import as_fraction, int_from_json, rational_from_json, rational_to_json
 from .setalg import (
     BasicSet,
+    _aspoint,
     GeneralizedBasicSet,
     gbs_from_json,
     gbs_to_json,
-    union_with_owners,
 )
 from .svf import (
     CellwiseSVF,
@@ -52,7 +51,7 @@ from .svf import (
     SampledSVF,
     cellwise_svf_from_json,
     cellwise_svf_to_json,
-    grid_plane_witness,
+    grid_witness,
 )
 
 
@@ -62,6 +61,18 @@ from .svf import (
 
 def mesh_pitch(k: int) -> Fraction:
     return Fraction(1, 2 ** (k + 1))
+
+
+def mesh_value(level: int, flat: int, beta: int) -> tuple[Fraction, ...]:
+    """The level's mesh node with row-major flat index `flat`."""
+    pitch = mesh_pitch(level)
+    n = 2 ** (level + 1) + 1
+    digits = []
+    for _ in range(beta):
+        digits.append(flat % n)
+        flat //= n
+    digits.reverse()
+    return tuple(pitch * d for d in digits)
 
 
 # ---------------------------------------------------------------------------
@@ -81,26 +92,27 @@ class StepCertificate:
 
 
 @dataclass(frozen=True)
-class ExactStep:
-    """Approximant as disjoint generalized sets with mesh values."""
+class ExactStep(PiecewiseConstantMap):
+    """Approximant f_k: disjoint generalized sets with mesh values.
+
+    Its domain is the row-major sequence of its pieces' parts, and that
+    domain's witness is the step's M(eps).
+    """
 
     level: int
-    pieces: tuple[tuple[GeneralizedBasicSet, tuple[Fraction, ...]], ...]
     certificate: StepCertificate
 
-    def value_at(self, x) -> tuple[Fraction, ...] | None:
-        union, owner = self._located
-        k = union.locate(x)
-        return None if k is None else self.pieces[owner[k]][1]
+    @staticmethod
+    def from_pieces(
+        pieces, box: BasicSet, level: int, certificate: StepCertificate
+    ) -> "ExactStep":
+        parts = [p for q, _ in pieces for p in q.parts]
+        domain = RepresentableDomain.from_cells(parts, box, coverage="closure")
+        return ExactStep(pieces, domain, level, certificate)
 
-    @cached_property
-    def _located(self) -> tuple[GeneralizedBasicSet, tuple[int, ...]]:
-        return union_with_owners([q for q, _ in self.pieces])
-
-    def carrier(self, dim: int) -> GeneralizedBasicSet:
-        return GeneralizedBasicSet.of(
-            [p for q, _ in self.pieces for p in q.parts], dim=dim
-        )
+    @property
+    def witness(self) -> RepresentabilityWitness:
+        return self.domain.witness
 
 
 @dataclass(frozen=True)
@@ -108,16 +120,32 @@ class GridStep:
     """Approximant on the sampled SVF's cell grid.
 
     winner[i] is the flat mesh index of the value on grid cell i, or -1
-    where the approximant is undefined.
+    where the approximant is undefined.  Every union of grid cells has
+    its endpoints on the grid planes, so the grid-plane witness serves
+    each step.
     """
 
     level: int
     winner: np.ndarray = field(repr=False)
     grid: GridSpec
+    beta: int
+    witness: RepresentabilityWitness = field(repr=False, compare=False)
     certificate: StepCertificate
 
+    def value_at(self, x) -> tuple[Fraction, ...] | None:
+        idx = self.grid.cell_of_point(x)
+        if idx is None:
+            return None
+        w = int(self.winner[self.grid.flat(idx)])
+        return None if w < 0 else mesh_value(self.level, w, self.beta)
 
-@dataclass
+    @property
+    def pieces(self) -> tuple[tuple[GeneralizedBasicSet, tuple[Fraction, ...]], ...]:
+        """Same-valued cell runs merged into boxes, built on each access."""
+        return _grid_pieces(self)
+
+
+@dataclass(frozen=True)
 class SelectorChain:
     """The extracted sequence f_1..f_n with per-step certificates."""
 
@@ -125,9 +153,11 @@ class SelectorChain:
     n: int
     dom_budget: Fraction
     f1_value: tuple[Fraction, ...]
-    steps: list  # ExactStep | GridStep, levels 2..n
-    engine: str  # "exact" | "grid"
-    _witness_cache: dict = field(default_factory=dict, repr=False)
+    steps: tuple  # ExactStep | GridStep, levels 2..n
+
+    @property
+    def engine(self) -> str:
+        return "exact" if self.svf.kind == "cellwise" else "grid"
 
     @property
     def beta(self) -> int:
@@ -138,53 +168,8 @@ class SelectorChain:
         cert = self.steps[-1].certificate
         return float(cert.error_bound) + cert.slack
 
-    def mesh_value(self, level: int, flat: int) -> tuple[Fraction, ...]:
-        pitch = mesh_pitch(level)
-        n = 2 ** (level + 1) + 1
-        digits = []
-        for _ in range(self.beta):
-            digits.append(flat % n)
-            flat //= n
-        digits.reverse()
-        return tuple(pitch * d for d in digits)
-
-    def value_at_normalized(self, x, level: int | None = None):
-        step = self.steps[-1] if level is None else self.steps[level - 2]
-        if isinstance(step, ExactStep):
-            return step.value_at(x)
-        idx = step.grid.cell_of_point(x)
-        if idx is None:
-            return None
-        w = int(step.winner[step.grid.flat(idx)])
-        if w < 0:
-            return None
-        return self.mesh_value(step.level, w)
-
-    @cached_property
-    def closed_domain(self) -> GeneralizedBasicSet:
-        """Closure of the working box; outside it the selector is undefined."""
-        box = self.svf.domain_box
-        return GeneralizedBasicSet(box.dim, (box.closure(),))
-
     def final_witness(self, eps) -> GeneralizedBasicSet:
-        eps = as_fraction(eps)
-        key = (eps, len(self.steps))
-        if key in self._witness_cache:
-            return self._witness_cache[key]
-        if self.engine == "grid":
-            m = grid_plane_witness(self.svf.grid, eps)
-        else:
-            carrier = self.steps[-1].carrier(self.svf.domain_box.dim)
-            m = make_witness(carrier, self.svf.domain_box, eps, coverage="closure")
-        self._witness_cache[key] = m
-        return m
-
-    def export_pieces(self, level: int | None = None):
-        """Pieces of one step as (GeneralizedBasicSet, normalized value)."""
-        step = self.steps[-1] if level is None else self.steps[level - 2]
-        if isinstance(step, ExactStep):
-            return list(step.pieces)
-        return _grid_pieces(self, step)
+        return self.steps[-1].witness(eps)
 
 
 @dataclass(frozen=True)
@@ -223,35 +208,17 @@ def extract(
             f"sampled slack tau={F.tau:.4g} exceeds 2**-(n+1)={2.0**-(n+1):.4g}; "
             "refine the sampling grid"
         )
-    f1 = F.range_map.normalize([0] * F.beta)
-    engine = "exact" if F.kind == "cellwise" else "grid"
-    chain = SelectorChain(F, n, dom_budget, f1, [], engine)
+    build = extraction_step if F.kind == "cellwise" else _grid_step
+    steps, prev = [], None
     for k in range(2, n + 1):
-        budget = dom_budget * Fraction(1, 2 ** (n - k + 1))
-        if chain.engine == "exact":
-            step = _exact_step(chain, F, k, budget)
-        else:
-            step = _grid_step(chain, F, k, budget)
-        chain.steps.append(step)
-    return chain
+        prev = build(prev, F, k, dom_budget * Fraction(1, 2 ** (n - k + 1)))
+        steps.append(prev)
+    return SelectorChain(F, n, dom_budget, _f1_value(F), tuple(steps))
 
 
-def extraction_step(f_prev, F: CellwiseSVF, k: int, budget=None) -> "ExactStep":
-    """One exact-engine step from an explicit previous approximant.
-
-    `f_prev` is an ExactStep, or None to start from the constant f_1.
-    Exposed for the desk examples and the brute-force oracle
-    comparison; `extract` drives the same code.
-    """
-    if k < 2:
-        raise InputError("extraction level must be at least 2")
-    chain = SelectorChain(
-        F, k, Fraction(1, 16), F.range_map.normalize([0] * F.beta), [], "exact"
-    )
-    if isinstance(f_prev, ExactStep):
-        chain.steps = [f_prev]
-    budget = as_fraction(budget) if budget is not None else Fraction(1, 2 ** (k + 2))
-    return _exact_step(chain, F, k, budget)
+def _f1_value(F: RepresentableSVF) -> tuple[Fraction, ...]:
+    """The initial approximant: the real zero vector, normalized."""
+    return F.range_map.normalize([0] * F.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -280,21 +247,29 @@ def _ball_offsets(beta: int) -> list[tuple[int, ...]]:
 # exact engine
 
 
-def _prev_pieces_exact(chain: SelectorChain, F: CellwiseSVF):
-    if chain.steps:
-        return list(chain.steps[-1].pieces)
-    whole = GeneralizedBasicSet.of([c for c, _ in F.cells], dim=F.alpha)
-    return [(whole, chain.f1_value)]
+def extraction_step(
+    f_prev: ExactStep | None, F: CellwiseSVF, k: int, budget=None
+) -> ExactStep:
+    """Exact-engine step k from the previous approximant.
 
-
-def _exact_step(chain: SelectorChain, F: CellwiseSVF, k: int, budget) -> ExactStep:
+    `f_prev` is the step at level k - 1, or None to start from the
+    constant f_1.  `budget` is the step's witness budget, 2**-(k+2)
+    unless given.
+    """
+    if k < 2:
+        raise InputError("extraction level must be at least 2")
+    budget = as_fraction(budget) if budget is not None else Fraction(1, 2 ** (k + 2))
+    if f_prev is None:
+        whole = GeneralizedBasicSet.of([c for c, _ in F.cells], dim=F.alpha)
+        prev = [(whole, _f1_value(F))]
+    else:
+        prev = f_prev.pieces
     pitch = mesh_pitch(k)
     top = 2 ** (k + 1)  # largest mesh digit
     eps_k = Fraction(1, 2**k)
     gap_k = Fraction(1, 2 ** (k - 1))
     e2 = eps_k * eps_k
     g2 = gap_k * gap_k
-    prev = _prev_pieces_exact(chain, F)
     offsets = _ball_offsets(F.beta)
 
     # winner per atom (cell x previous piece, pairwise disjoint): the
@@ -345,11 +320,11 @@ def _exact_step(chain: SelectorChain, F: CellwiseSVF, k: int, budget) -> ExactSt
         error_bound=eps_k,
         slack=0.0,
         step_gap=gap_k,
-        witness_budget=as_fraction(budget),
+        witness_budget=budget,
         n_pieces=len(pieces),
         dom_measure=dom_measure,
     )
-    return ExactStep(level=k, pieces=pieces, certificate=cert)
+    return ExactStep.from_pieces(pieces, F.domain_box, k, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +335,7 @@ _OFFSET_BLOCK = 32  # ball candidates tested per pass
 _GRID_TEMP_ELEMS = 8_000_000  # cells x candidates x net points per temporary
 
 
-def _grid_step(chain: SelectorChain, F: SampledSVF, k: int, budget) -> GridStep:
+def _grid_step(prev_step: GridStep | None, F: SampledSVF, k: int, budget) -> GridStep:
     beta = F.beta
     pitch = 2.0 ** -(k + 1)
     n_axis = 2 ** (k + 1) + 1
@@ -368,13 +343,11 @@ def _grid_step(chain: SelectorChain, F: SampledSVF, k: int, budget) -> GridStep:
     gap = 2.0 ** -(k - 1)
     n_cells = F.grid.n_cells
 
-    if chain.steps:
-        prev_vals = _winner_coords(chain.steps[-1], beta)
-        prev_ok = chain.steps[-1].winner >= 0
+    if prev_step is not None:
+        prev_vals = _winner_coords(prev_step)
+        prev_ok = prev_step.winner >= 0
     else:
-        prev_vals = np.tile(
-            np.array([float(c) for c in chain.f1_value]), (n_cells, 1)
-        )
+        prev_vals = np.tile(np.array([float(c) for c in _f1_value(F)]), (n_cells, 1))
         prev_ok = np.ones(n_cells, dtype=bool)
     if F.mask is not None:
         prev_ok = prev_ok & F.mask
@@ -441,7 +414,14 @@ def _grid_step(chain: SelectorChain, F: SampledSVF, k: int, budget) -> GridStep:
         n_pieces=len(np.unique(winner[winner >= 0])),
         dom_measure=cell_vol * covered,
     )
-    return GridStep(level=k, winner=winner, grid=F.grid, certificate=cert)
+    return GridStep(
+        level=k,
+        winner=winner,
+        grid=F.grid,
+        beta=beta,
+        witness=grid_witness(F.grid),
+        certificate=cert,
+    )
 
 
 def _coords_from_flat(flat_idx: np.ndarray, n_axis: int, beta: int) -> np.ndarray:
@@ -453,16 +433,16 @@ def _coords_from_flat(flat_idx: np.ndarray, n_axis: int, beta: int) -> np.ndarra
     return out
 
 
-def _winner_coords(step: GridStep, beta: int) -> np.ndarray:
+def _winner_coords(step: GridStep) -> np.ndarray:
     n_axis = 2 ** (step.level + 1) + 1
     pitch = 2.0 ** -(step.level + 1)
     w = step.winner
-    coords = _coords_from_flat(np.maximum(w, 0), n_axis, beta) * pitch
+    coords = _coords_from_flat(np.maximum(w, 0), n_axis, step.beta) * pitch
     coords[w < 0] = np.nan
     return coords
 
 
-def _grid_pieces(chain: SelectorChain, step: GridStep):
+def _grid_pieces(step: GridStep):
     """Merge same-valued cell runs along the last axis into boxes."""
     grid = step.grid
     shape = grid.shape
@@ -494,15 +474,13 @@ def _grid_pieces(chain: SelectorChain, step: GridStep):
                         BasicSet.box(lo, hi, [True] * grid.dim, closed_hi)
                     )
                 run_start, run_val = i, val
-    out = []
-    for val in sorted(pieces):
-        out.append(
-            (
-                GeneralizedBasicSet.of(pieces[val], dim=grid.dim),
-                chain.mesh_value(step.level, val),
-            )
+    return tuple(
+        (
+            GeneralizedBasicSet.of(pieces[val], dim=grid.dim),
+            mesh_value(step.level, val, step.beta),
         )
-    return out
+        for val in sorted(pieces)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -512,17 +490,20 @@ def _grid_pieces(chain: SelectorChain, step: GridStep):
 def eval_selector(chain: SelectorChain, x, eps_dom=None) -> EvalResult:
     """Evaluate the final approximant at x, denormalized to the range.
 
-    Undefined inside the witness M(eps_dom) or outside the domain.
+    Undefined outside the closed working box, then inside the final
+    step's witness M(eps_dom), then wherever that step has no value.
     """
-    if eps_dom is None:
-        eps_dom = chain.dom_budget
-    x = [as_fraction(c) for c in x]
-    if not chain.closed_domain.contains(x):
+    eps_dom = chain.dom_budget if eps_dom is None else as_fraction(eps_dom)
+    if eps_dom <= 0:
+        raise InputError("witness budget must be positive")
+    box = chain.svf.domain_box
+    x = _aspoint(x, box.dim)
+    if not all(lo <= c <= hi for c, lo, hi in zip(x, box.lo, box.hi)):
         return EvalResult(None, EvalResult.OUTSIDE_DOMAIN)
-    m = chain.final_witness(eps_dom)
-    if m.contains(x):
+    step = chain.steps[-1]
+    if step.witness(eps_dom).contains(x):
         return EvalResult(None, EvalResult.INSIDE_WITNESS)
-    r = chain.value_at_normalized(x)
+    r = step.value_at(x)
     if r is None:
         return EvalResult(None, EvalResult.OUTSIDE_DOMAIN)
     return EvalResult(chain.svf.range_map.denormalize(r))
@@ -562,17 +543,15 @@ def cauchy_defect(chain: SelectorChain, k: int, m: int) -> CauchyDefect:
     sm = chain.steps[m - 2]
     bad = Fraction(0)
     if chain.engine == "exact":
-        dim = chain.svf.domain_box.dim
         for qk, vk in sk.pieces:
             for qm, vm in sm.pieces:
                 d2 = sum((a - b) * (a - b) for a, b in zip(vk, vm))
                 if d2 >= thr2:
                     bad += qk.intersect(qm).measure()
-        lost = sk.carrier(dim).subtract(sm.carrier(dim)).measure()
-        bad += lost
+        bad += sk.domain.carrier_gbs().subtract(sm.domain.carrier_gbs()).measure()
     else:
-        ck = _winner_coords(sk, chain.beta)
-        cm = _winner_coords(sm, chain.beta)
+        ck = _winner_coords(sk)
+        cm = _winner_coords(sm)
         both = (sk.winner >= 0) & (sm.winner >= 0)
         d2 = ((ck - cm) ** 2).sum(axis=1)
         viol = both & (d2 >= float(thr2))
@@ -660,7 +639,7 @@ def chain_to_json(chain: SelectorChain) -> dict:
                 "set": gbs_to_json(q),
                 "value": [rational_to_json(c) for c in r],
             }
-            for q, r in chain.export_pieces(step.level)
+            for q, r in step.pieces
         ]
         steps.append(
             {
@@ -704,18 +683,14 @@ def chain_to_json(chain: SelectorChain) -> dict:
 def chain_from_json(obj: dict) -> SelectorChain:
     """Rebuild a chain for evaluation purposes (exact engine only)."""
     svf_obj = obj.get("svf", {})
+    if not isinstance(svf_obj, dict):
+        raise InputError("chain field 'svf' must be an object")
     if svf_obj.get("kind") != "cellwise":
         raise InputError("only cellwise chains round-trip through JSON")
     svf = cellwise_svf_from_json(svf_obj)
     try:
-        chain = SelectorChain(
-            svf,
-            int_from_json(obj["n"], "n"),
-            rational_from_json(obj["dom_budget"]),
-            tuple(rational_from_json(c) for c in obj["f1"]),
-            [],
-            "exact",
-        )
+        n = int_from_json(obj["n"], "n")
+        steps = []
         for s in obj["steps"]:
             pieces = tuple(
                 (
@@ -734,12 +709,23 @@ def chain_from_json(obj: dict) -> SelectorChain:
                 n_pieces=int_from_json(s["n_pieces"], "n_pieces"),
                 dom_measure=rational_from_json(s["dom_measure"]),
             )
-            chain.steps.append(ExactStep(cert.level, pieces, cert))
+            steps.append(ExactStep.from_pieces(pieces, svf.domain_box, cert.level, cert))
+        levels = [step.level for step in steps]
+        if n < 2 or levels != list(range(2, n + 1)):
+            raise InputError(
+                f"chain field 'steps' must hold levels 2..n = {n} in order, not {levels}"
+            )
+        return SelectorChain(
+            svf,
+            n,
+            rational_from_json(obj["dom_budget"]),
+            tuple(rational_from_json(c) for c in obj["f1"]),
+            tuple(steps),
+        )
     except KeyError as e:
         raise InputError(f"chain is missing the field {e}") from e
     except TypeError as e:
         raise InputError(f"chain has a field of the wrong type: {e}") from e
-    return chain
 
 
 def selector_csv(chain: SelectorChain, points: Sequence[Sequence]) -> str:

@@ -39,7 +39,7 @@ from .setalg import (
     gbs_from_json,
     gbs_to_json,
 )
-from .domain import CarrierWitness, RepresentableDomain, RepresentabilityWitness
+from .domain import RepresentableDomain, RepresentabilityWitness
 
 
 # ---------------------------------------------------------------------------
@@ -403,24 +403,6 @@ def directed_deviation(a: np.ndarray, b: np.ndarray) -> float:
 RepresentableSVF = CellwiseSVF | SampledSVF
 
 
-def build_svf(*, domain_box=None, cells=None, range_map=None,
-              grid=None, sampler=None, tau=None) -> RepresentableSVF:
-    """Validated construction of either SVF tier.
-
-    Give `domain_box` + `cells` for the exact cellwise form, or
-    `grid` + `sampler` (optional declared `tau`) for the sampled form.
-    """
-    if cells is not None:
-        if domain_box is None:
-            raise InputError("cellwise construction needs the working box")
-        return build_cellwise_svf(domain_box, cells, range_map)
-    if sampler is not None:
-        if grid is None:
-            raise InputError("sampled construction needs a grid")
-        return build_sampled_svf(grid, sampler, tau=tau, range_map=range_map)
-    raise InputError("provide cells or a sampler")
-
-
 # ---------------------------------------------------------------------------
 # distance
 
@@ -486,7 +468,9 @@ def sublevel_domains(
         slack, thr = 0.0, delta * delta
         distances = lambda r: [dist2_point_set(r, values) for _, values in F.cells]
         cell_box = lambda i: F.cells[i][0]
-        witness = lambda seq: CarrierWitness(seq, F.domain_box, "geometric", "closure")
+        domain_of = lambda seq: RepresentableDomain.from_carrier(
+            seq, F.domain_box, coverage="closure"
+        )
     else:
         # tau lives in normalized units; bound its original-space size by the
         # widest range axis (conservative for anisotropic maps)
@@ -498,17 +482,15 @@ def sublevel_domains(
         thr = float(delta) + slack
         distances = lambda r: _net_distances(F, r)
         cell_box = lambda i: F.grid.cell_box(F.grid.unflat(i))
-        witness = lambda seq: RepresentabilityWitness(
-            lambda eps: grid_plane_witness(F.grid, eps)
+        domain_of = lambda seq: RepresentableDomain(
+            seq, F.domain_box, grid_witness(F.grid), coverage="closure"
         )
 
     def domain(idxs) -> RepresentableDomain:
         if idxs:
-            seq = SetSequence.of([cell_box(i) for i in idxs], "rowmajor")
-            w = witness(seq)
-        else:
-            seq = SetSequence((GeneralizedBasicSet.empty(F.alpha),), "rowmajor")
-            w = RepresentabilityWitness(lambda eps: GeneralizedBasicSet.empty(F.alpha))
+            return domain_of(SetSequence.of([cell_box(i) for i in idxs], "rowmajor"))
+        seq = SetSequence((GeneralizedBasicSet.empty(F.alpha),), "rowmajor")
+        w = RepresentabilityWitness(lambda eps: GeneralizedBasicSet.empty(F.alpha))
         return RepresentableDomain(seq, F.domain_box, w, coverage="closure")
 
     below = operator.lt if strict else operator.le
@@ -527,6 +509,11 @@ def _net_distances(F: SampledSVF, r) -> list[float]:
         float(np.linalg.norm(net - rv, axis=-1).min()) if F.active(i) else math.inf
         for i, net in enumerate(F.nets)
     ]
+
+
+def grid_witness(grid: GridSpec) -> RepresentabilityWitness:
+    """The grid-plane witness, which serves every union of the grid's cells."""
+    return RepresentabilityWitness(lambda eps: grid_plane_witness(grid, eps))
 
 
 def grid_plane_witness(grid: GridSpec, eps) -> GeneralizedBasicSet:
@@ -653,6 +640,8 @@ def cellwise_svf_to_json(F: CellwiseSVF) -> dict:
 
 
 def cellwise_svf_from_json(obj: dict) -> CellwiseSVF:
+    if not isinstance(obj, dict):
+        raise InputError("a cellwise SVF must be a JSON object")
     try:
         dim = int_from_json(obj.get("dim", 1), "dim")
         domain_box = basic_set_from_json(obj["domain"], dim)

@@ -265,6 +265,55 @@ def sublevel_reference(F, centers, delta, strict):
 
 
 # ---------------------------------------------------------------------------
+# selector evaluation, engine by engine
+
+
+def eval_selector_reference(chain, x, eps_dom=None):
+    """Selector evaluation with the engine dispatch written out.
+
+    Three answers in order: outside the closed working box, inside the
+    witness M(eps_dom), then the final step's value, or outside_domain
+    where it has none.  The exact engine's witness is `make_witness` of
+    the final step's parts (coverage "closure") and its value the first
+    piece holding x by a linear scan; the grid engine's witness is
+    `grid_plane_witness` and its value the mesh node its cell won.
+    """
+    from selectorkit.domain import make_witness
+    from selectorkit.selector import EvalResult
+    from selectorkit.setalg import GeneralizedBasicSet
+    from selectorkit.svf import grid_plane_witness
+
+    F = chain.svf
+    box = F.domain_box
+    eps = Fraction(chain.dom_budget if eps_dom is None else eps_dom)
+    x = [Fraction(c) for c in x]
+    if first_part_containing([box.closure()], x) is None:
+        return EvalResult(None, EvalResult.OUTSIDE_DOMAIN)
+    step = chain.steps[-1]
+    if F.kind == "cellwise":
+        carrier = GeneralizedBasicSet.of(
+            [p for q, _ in step.pieces for p in q.parts], dim=box.dim
+        )
+        m = make_witness(carrier, box, eps, coverage="closure")
+        owners = [r for q, r in step.pieces if first_part_containing(q.parts, x) is not None]
+        r = owners[0] if owners else None
+    else:
+        m = grid_plane_witness(F.grid, eps)
+        idx = F.grid.cell_of_point(x)
+        w = -1 if idx is None else int(step.winner[F.grid.flat(idx)])
+        r = None
+        if w >= 0:
+            n_axis = 2 ** (step.level + 1) + 1
+            digits = [(w // n_axis ** (F.beta - 1 - j)) % n_axis for j in range(F.beta)]
+            r = tuple(Fraction(d, 2 ** (step.level + 1)) for d in digits)
+    if first_part_containing(m.parts, x) is not None:
+        return EvalResult(None, EvalResult.INSIDE_WITNESS)
+    if r is None:
+        return EvalResult(None, EvalResult.OUTSIDE_DOMAIN)
+    return EvalResult(F.range_map.denormalize(r))
+
+
+# ---------------------------------------------------------------------------
 # robot subdifferential, one point at a time
 
 

@@ -270,7 +270,7 @@ def test_criterion_desk_extraction():
                 # step gaps along the whole chain
                 prev = None
                 for level in range(2, n + 1):
-                    v = chain.value_at_normalized([x], level)
+                    v = chain.steps[level - 2].value_at([x])
                     if prev is not None:
                         gap = abs(float(v[0]) - float(prev[0]))
                         assert gap < 2.0 ** -(level - 1)
@@ -278,7 +278,7 @@ def test_criterion_desk_extraction():
             assert sup < 2.0**-n, f"n={n}: sup {sup}"
             # dom monotone
             for a, b in zip(chain.steps, chain.steps[1:]):
-                assert b.carrier(1).subtract(a.carrier(1)).is_empty
+                assert b.domain.carrier_gbs().subtract(a.domain.carrier_gbs()).is_empty
             # brute-force oracle: identical piece structure for n <= 4
             if n <= 4:
                 oracle = brute_force_selector(f, n)

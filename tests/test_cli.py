@@ -309,14 +309,26 @@ def _example1_with_lo(lo) -> dict:
             lambda: _desk_chain_with(lambda c: c["steps"][0].pop("level")),
         ),
         (["eval", "--at", "0.3"], lambda: _desk_chain_with(lambda c: c.update(n="x"))),
+        (["eval", "--at", "0.3"], lambda: _desk_chain_with(lambda c: c.update(svf=[1, 2]))),
+        (["eval", "--at", "0.3"], lambda: _desk_chain_with(lambda c: c.update(steps=[]))),
+        (
+            ["eval", "--at", "0.3"],
+            lambda: _desk_chain_with(lambda c: c["steps"][0].update(level=9)),
+        ),
         (["solve-di"], lambda: {"svf_file": "absent_svf.json", "x0": [0.5]}),
         (["solve-di"], lambda: {"field": "linear_tube", "x0": "abc"}),
+        (["reduce"], lambda: [1, 2]),
+        (["extract"], lambda: [1, 2]),
+        (["eval", "--at", "0.3"], lambda: [1, 2]),
+        (["solve-di"], lambda: [1, 2]),
     ],
     ids=[
         "svf-no-cells", "svf-bad-rational", "svf-nan-corner", "svf-dim-not-int",
         "svf-cells-not-list", "sets-bad-corner", "sets-lo-not-list",
-        "chain-no-level", "chain-n-not-int", "problem-svf-file-missing",
-        "problem-x0-not-number",
+        "chain-no-level", "chain-n-not-int", "chain-svf-not-object",
+        "chain-no-steps", "chain-level-beyond-n", "problem-svf-file-missing",
+        "problem-x0-not-number", "sets-not-object", "svf-not-object",
+        "chain-not-object", "problem-not-object",
     ],
 )
 def test_malformed_input_file_is_input_error(tmp_path, command, content):
@@ -327,3 +339,19 @@ def test_malformed_input_file_is_input_error(tmp_path, command, content):
     lines = r.stderr.splitlines()
     assert sum(line.startswith("input error:") for line in lines) == 1, r.stderr
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("command", [["extract"], ["eval", "--at", "0.3"]])
+@pytest.mark.parametrize("budget", ["0", "-1/8"])
+def test_nonpositive_dom_budget_is_input_error(tmp_path, command, budget):
+    path = tmp_path / "input.json"
+    if command[0] == "extract":
+        path.write_text((ASSETS / "desk_svf.json").read_text())
+    else:
+        path.write_text(json.dumps(_desk_chain_with(lambda c: None)))
+    r = run_cli(
+        ["--out", "x", command[0], str(path), *command[1:], f"--dom-budget={budget}"],
+        tmp_path,
+    )
+    assert r.returncode == 3, r.stderr
+    assert r.stderr.startswith("input error:"), r.stderr

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import itertools
 import json
 import random
@@ -5,8 +7,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from selectorkit.domain import PiecewiseConstantMap, RepresentableDomain, make_witness
+from selectorkit.domain import continuous_extension, make_witness
 from selectorkit.errors import CoverageError, InputError, PrecisionError
 from selectorkit.selector import (
     EvalResult,
@@ -26,10 +30,11 @@ from selectorkit.svf import (
     GridSpec,
     build_cellwise_svf,
     build_sampled_svf,
+    identity_range_map,
     svf_distance,
 )
 
-from oracles import brute_force_selector, first_part_containing
+from oracles import brute_force_selector, eval_selector_reference, first_part_containing
 
 F_ = Fraction
 
@@ -244,9 +249,8 @@ def test_chain_contracts(svf_fn):
                 gap = abs(float(v[0]) - float(vprev[0]))
                 assert gap < 2.0 ** -(k - 1)
     # domain monotone (exact engine keeps full coverage)
-    dims = f.domain_box.dim
     for a, b in zip(chain.steps, chain.steps[1:]):
-        assert b.carrier(dims).subtract(a.carrier(dims)).is_empty
+        assert b.domain.carrier_gbs().subtract(a.domain.carrier_gbs()).is_empty
 
 
 @pytest.mark.parametrize(
@@ -331,9 +335,7 @@ def test_point_location_matches_linear_scan(svf_fn):
     cells = [c for c, _ in f.cells]
     for x in _probe_points(cells):
         assert f.cell_index_at(x) == first_part_containing(cells, x)
-    dom = RepresentableDomain.from_cells(cells, f.domain_box)
     for step in extract(f, 4).steps:
-        pcm = PiecewiseConstantMap(step.pieces, dom)
         parts = [p for q, _ in step.pieces for p in q.parts]
         for x in _probe_points(parts):
             owners = [
@@ -341,7 +343,6 @@ def test_point_location_matches_linear_scan(svf_fn):
             ]
             want = owners[0] if owners else None
             assert step.value_at(x) == want
-            assert pcm.value_at(x) == want
 
 
 @pytest.mark.parametrize(
@@ -361,6 +362,118 @@ def test_exact_final_witness_is_make_witness_of_per_part_sequence(svf_fn):
         assert chain.final_witness(eps) == want
 
 
+def test_eval_rejects_nonpositive_witness_budget():
+    chain = extract(desk_svf(), 2)
+    for eps in (0, F_(-1, 8)):
+        with pytest.raises(InputError, match="witness budget"):
+            eval_selector(chain, [F_(3, 10)], eps)
+
+
+@pytest.mark.parametrize(
+    "svf_fn",
+    [desk_svf, three_cell_svf, four_cell_svf, offmesh_beta2_svf, beta3_svf],
+)
+def test_continuous_extension_of_final_exact_step(svf_fn):
+    chain = extract(svf_fn(), 4)
+    step = chain.steps[-1]
+    for eps in (chain.dom_budget, F_(1, 7)):
+        g = continuous_extension(step, eps)
+        assert g.exception.measure() <= eps
+        for i in range(257):
+            x = [F_(i, 256)]
+            v = step.value_at(x)
+            if v is not None and not g.exception.contains(x):
+                assert g(x) == tuple(float(c) for c in v)
+
+
+# ---------------------------------------------------------------------------
+# evaluation against the engine-by-engine reference
+
+
+def half_open_square_svf():
+    """2-D cellwise SVF on [0,1] x [0,1): the top face of the box is open."""
+    h = F_(1, 2)
+    box = BasicSet.box([0, 0], [1, 1], [True, True], [True, False])
+    cells = [
+        (BasicSet.box([0, 0], [h, h], [True, True], [True, True]), atoms(F_(1, 4))),
+        (
+            BasicSet.box([h, 0], [1, h], [False, True], [True, True]),
+            atoms(F_(1, 4), F_(3, 4)),
+        ),
+        (BasicSet.box([0, h], [h, 1], [True, False], [True, False]), atoms(F_(3, 8))),
+        (
+            BasicSet.box([h, h], [1, 1], [False, False], [True, False]),
+            GeneralizedBasicSet.of([BasicSet.interval(F_(1, 8), F_(3, 8), True, True)], dim=1),
+        ),
+    ]
+    return build_cellwise_svf(box, cells)
+
+
+def masked_square_sampled():
+    """2-D sampled SVF (beta = 2) on a 6 x 6 grid with two excluded cells."""
+    grid = GridSpec(BasicSet.closed_box([0, 0], [1, 1]), (6, 6))
+
+    def sampler(centers):
+        return [np.array([[0.25 if c[0] < 0.5 else 0.375, 0.3]]) for c in centers]
+
+    svf = build_sampled_svf(grid, sampler, tau=0.0, range_map=identity_range_map(2))
+    mask = np.ones(grid.n_cells, dtype=bool)
+    mask[[7, 22]] = False
+    return dataclasses.replace(svf, mask=mask)
+
+
+_EVAL_EPS = (None, F_(1, 16), F_(1, 7), F_(1, 100))
+_EVAL_CHAINS = ("exact", "exact-json", "exact-half-open-2d", "grid", "grid-masked-2d")
+
+
+@functools.cache
+def _eval_case(name):
+    """A chain and, per axis, the box faces with a point beyond each, and
+    the other coordinates where the answer can change: piece ends,
+    witness slab ends and grid planes."""
+    if name == "exact-json":
+        chain, faces, inner = _eval_case("exact")
+        return chain_from_json(json.loads(json.dumps(chain_to_json(chain)))), faces, inner
+    make = {
+        "exact": three_cell_svf,
+        "exact-half-open-2d": half_open_square_svf,
+        "grid": lambda: desk_sampled(16),
+        "grid-masked-2d": masked_square_sampled,
+    }[name]
+    chain = extract(make(), 4)
+    box = chain.svf.domain_box
+    parts = [p for q, _ in chain.steps[-1].pieces for p in q.parts]
+    for eps in _EVAL_EPS[1:]:
+        parts += chain.final_witness(eps).parts
+    faces, inner = [], []
+    for j in range(box.dim):
+        faces.append([box.lo[j] - F_(1, 4), box.lo[j], box.hi[j], box.hi[j] + F_(1, 4)])
+        coords = {c for p in parts for c in (p.lo[j], p.hi[j])}
+        if chain.svf.kind == "sampled":
+            coords |= set(chain.svf.grid.planes[j])
+        inner.append(sorted(coords))
+    return chain, faces, inner
+
+
+@pytest.mark.parametrize("name", _EVAL_CHAINS)
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_eval_matches_engine_reference_hypothesis(name, data):
+    chain, faces, inner = _eval_case(name)
+    eps = data.draw(st.sampled_from(_EVAL_EPS))
+    x = [
+        data.draw(
+            st.one_of(
+                st.sampled_from(ends),
+                st.sampled_from(coords),
+                st.fractions(ends[0], ends[-1], max_denominator=64),
+            )
+        )
+        for ends, coords in zip(faces, inner)
+    ]
+    assert eval_selector(chain, x, eps) == eval_selector_reference(chain, x, eps)
+
+
 # ---------------------------------------------------------------------------
 # grid engine
 
@@ -378,8 +491,6 @@ def desk_sampled(n_cells=16):
                 out.append(np.array([[0.25], [0.75]]))
         return out
 
-    from selectorkit.svf import identity_range_map
-
     return build_sampled_svf(grid, sampler, tau=0.0, range_map=identity_range_map(1))
 
 
@@ -390,8 +501,8 @@ def test_grid_engine_matches_exact_on_desk():
         ce = extract(f_exact, n)
         cg = extract(f_grid, n)
         for x in [F_(1, 10), F_(3, 10), F_(6, 10), F_(9, 10)]:
-            ve = ce.value_at_normalized([x])
-            vg = cg.value_at_normalized([x])
+            ve = ce.steps[-1].value_at([x])
+            vg = cg.steps[-1].value_at([x])
             assert tuple(float(c) for c in ve) == tuple(float(c) for c in vg)
 
 
@@ -402,7 +513,7 @@ def test_grid_engine_certified_error():
     rng = random.Random(3)
     for _ in range(500):
         x = F_(rng.randint(0, 8192), 8192)
-        v = chain.value_at_normalized([x])
+        v = chain.steps[-1].value_at([x])
         d = svf_distance(f, f.range_map.denormalize(v), [x])
         assert d < chain.final_error_bound + 1e-12
 
@@ -426,8 +537,6 @@ def test_grid_engine_names_lowest_uncovered_cell():
 
     def sampler(centers):
         return [np.array([[1.0 if i in (2, 5) else 0.25]]) for i in range(len(centers))]
-
-    from selectorkit.svf import identity_range_map
 
     svf = build_sampled_svf(grid, sampler, tau=0.0, range_map=identity_range_map(1))
     with pytest.raises(CoverageError) as err:
@@ -456,6 +565,30 @@ def test_chain_json_roundtrip_eval():
     for _ in range(100):
         x = [F_(rng.randint(0, 1024), 1024)]
         assert eval_selector(back, x) == eval_selector(chain, x)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda c: c.update(steps=[]),
+        lambda c: c["steps"][0].update(level=9),
+        lambda c: c.update(steps=c["steps"][::-1]),
+        lambda c: c.update(n=1, steps=[]),
+    ],
+    ids=["no-steps", "level-beyond-n", "levels-reversed", "n-below-2"],
+)
+def test_chain_from_json_requires_levels_2_to_n(edit):
+    obj = json.loads(json.dumps(chain_to_json(extract(three_cell_svf(), 4))))
+    edit(obj)
+    with pytest.raises(InputError, match="'steps'"):
+        chain_from_json(obj)
+
+
+def test_chain_from_json_rejects_svf_that_is_no_object():
+    obj = json.loads(json.dumps(chain_to_json(extract(three_cell_svf(), 2))))
+    obj["svf"] = [1, 2]
+    with pytest.raises(InputError, match="'svf'"):
+        chain_from_json(obj)
 
 
 def test_extraction_deterministic():

@@ -456,6 +456,11 @@ def test_json_roundtrip():
     assert back.range_map == f.range_map
 
 
+def test_cellwise_svf_from_json_rejects_non_object():
+    with pytest.raises(InputError, match="JSON object"):
+        cellwise_svf_from_json([1, 2])
+
+
 def test_sublevel_rejection_soundness():
     # points rejected from every sublevel member keep a positive margin
     f = desk_svf()
@@ -466,16 +471,3 @@ def test_sublevel_rejection_soundness():
         in_any = any(dom.contains([x]) for dom in fam.domains)
         if not in_any:
             assert svf_distance(f, [F(0)], [x]) > 0.125 - 1e-12
-
-
-def test_build_svf_dispatcher():
-    from selectorkit.svf import build_svf
-
-    f = desk_svf()
-    same = build_svf(domain_box=f.domain_box, cells=list(f.cells))
-    assert same.cells == f.cells
-    grid = GridSpec(BasicSet.closed_box([0], [1]), (4,))
-    sampled = build_svf(grid=grid, sampler=lambda cs: [np.array([[0.5]]) for _ in cs])
-    assert sampled.kind == "sampled"
-    with pytest.raises(InputError):
-        build_svf()
