@@ -35,29 +35,24 @@ def _point_arg(text: str) -> list[Fraction]:
     return [_fraction_arg(tok) for tok in text.split(",")]
 
 
-def _load_json(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except FileNotFoundError as e:
-        raise InputError(f"input file not found: {path}") from e
-    except json.JSONDecodeError as e:
-        raise InputError(
-            f"malformed JSON in {path} at line {e.lineno}, column {e.colno}: {e.msg}"
-        ) from e
-    if not isinstance(obj, dict):
-        raise InputError(f"{path} must hold a JSON object, not {type(obj).__name__}")
-    return obj
-
-
-def _digest(path: str) -> str:
-    h = hashlib.sha256()
+def _load_json(path) -> tuple[dict, str]:
+    """The JSON object in an input file, and the file's sha256."""
+    if not isinstance(path, str):
+        raise InputError(f"an input file name must be a string, not {path!r}")
     try:
         with open(path, "rb") as fh:
-            h.update(fh.read())
+            data = fh.read()
     except FileNotFoundError as e:
         raise InputError(f"input file not found: {path}") from e
-    return h.hexdigest()
+    except OSError as e:
+        raise InputError(f"cannot read input file {path}: {e.strerror}") from e
+    try:
+        obj = json.loads(data)
+    except ValueError as e:  # bad JSON, or bytes that are no Unicode text
+        raise InputError(f"malformed JSON in {path}: {e}") from e
+    if not isinstance(obj, dict):
+        raise InputError(f"{path} must hold a JSON object, not {type(obj).__name__}")
+    return obj, hashlib.sha256(data).hexdigest()
 
 
 def _json_bytes(obj) -> str:
@@ -74,8 +69,10 @@ class Run:
         self.inputs: dict[str, str] = {}
         self.t0 = time.time()
 
-    def add_input(self, path: str):
-        self.inputs[path] = _digest(path)
+    def load(self, path) -> dict:
+        """The JSON object in an input file; its sha256 goes into the manifest."""
+        obj, self.inputs[path] = _load_json(path)
+        return obj
 
     def add(self, name: str, content: str):
         self.artifacts[name] = content
@@ -108,8 +105,7 @@ def cmd_reduce(args) -> int:
     from .setalg import countable_reduction, sequence_from_json, sequence_to_json
 
     run = Run(args)
-    run.add_input(args.sets)
-    xs = sequence_from_json(_load_json(args.sets))
+    xs = sequence_from_json(run.load(args.sets))
     ks = countable_reduction(xs)
     flat = [p for it in ks.items for p in it.parts]
     disjoint = all(
@@ -137,8 +133,7 @@ def cmd_extract(args) -> int:
     from .svf import cellwise_svf_from_json
 
     run = Run(args)
-    run.add_input(args.svf)
-    svf = cellwise_svf_from_json(_load_json(args.svf))
+    svf = cellwise_svf_from_json(run.load(args.svf))
     chain = extract(svf, args.n, args.dom_budget)
     run.add("chain.json", _json_bytes(chain_to_json(chain)))
     if svf.alpha == 1:
@@ -162,8 +157,7 @@ def cmd_eval(args) -> int:
     from .selector import chain_from_json, eval_selector
 
     run = Run(args)
-    run.add_input(args.chain)
-    chain = chain_from_json(_load_json(args.chain))
+    chain = chain_from_json(run.load(args.chain))
     res = eval_selector(chain, args.at, args.dom_budget)
     if res.defined:
         text = ", ".join(str(c) for c in res.value)
@@ -186,8 +180,7 @@ def cmd_solve_di(args) -> int:
     from .inclusion import filippov_iterate, problem_from_json, trajectory_csv
 
     run = Run(args)
-    run.add_input(args.problem)
-    prob, solver = problem_from_json(_load_json(args.problem))
+    prob, solver = problem_from_json(run.load(args.problem), run.load)
     traj = filippov_iterate(prob, **solver)
     run.add("trajectory.csv", trajectory_csv(traj))
     cert = {

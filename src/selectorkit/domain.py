@@ -13,6 +13,7 @@ multilinear blending over adjacent pieces in higher dimension.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -657,44 +658,28 @@ def check_weak_finite_adjacency(
     offending cell.  delta defaults to half the thinnest side of the
     1/16 witness, or 1/8 when that witness has no non-degenerate side.
     """
-    parts = dom.carrier.union_parts()
     dim = dom.dim
     if delta is None:
         thick = _thinnest_side(dom.witness(Fraction(1, 16)))
         delta = thick / 2 if thick is not None else Fraction(1, 8)
     delta = as_fraction(delta)
-    inflated = [p.inflate(delta) for p in parts]
+    inflated = GeneralizedBasicSet.of(
+        [p.inflate(delta) for p in dom.carrier.union_parts()], dim=dim
+    )
 
-    steps = []
+    steps, starts = [], []
     for j in range(dim):
-        extent = dom.ambient.hi[j] - dom.ambient.lo[j]
+        lo = dom.ambient.lo[j]
+        extent = dom.ambient.hi[j] - lo
         n = min(ADJACENCY_CELLS_PER_AXIS, max(1, int(extent / delta)))
-        steps.append((extent / n, n))
+        steps.append(extent / n)
+        starts.append([lo + i * steps[j] for i in range(n)])
 
-    def rec(j, lo_acc):
-        if j == dim:
-            lo = lo_acc
-            hi = [lo[k] + steps[k][0] for k in range(dim)]
-            cell = BasicSet.closed_box(lo, hi)
-            meet = [b for b in inflated if b.intersects(cell)]
-            rest = GeneralizedBasicSet.of([cell], dim=dim)
-            for b in meet:
-                rest = rest.subtract(b)
-                if rest.is_empty:
-                    break
-            if not rest.is_empty:
-                return cell
-            return None
-        step, n = steps[j]
-        for i in range(n):
-            bad = rec(j + 1, lo_acc + [dom.ambient.lo[j] + i * step])
-            if bad is not None:
-                return bad
-        return None
-
-    bad = rec(0, [])
-    if bad is not None:
-        return AdjacencyReport(False, delta, bad)
+    # probe cells in row-major order, the first axis outermost
+    for lo in itertools.product(*starts):
+        cell = BasicSet.closed_box(lo, [c + step for c, step in zip(lo, steps)])
+        if not GeneralizedBasicSet.of([cell], dim=dim).subtract(inflated).is_empty:
+            return AdjacencyReport(False, delta, cell)
     return AdjacencyReport(True, delta)
 
 

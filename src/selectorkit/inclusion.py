@@ -248,28 +248,23 @@ def singleton_field_problem(x0=1.0, T=2.0, beta_tube=4.0) -> DIProblem:
     )
 
 
-def problem_from_json(obj: dict) -> tuple[DIProblem, dict]:
-    """Build a problem from a JSON spec; returns (problem, solver kwargs)."""
+def problem_from_json(
+    obj: dict, load_json: Callable[[str], dict]
+) -> tuple[DIProblem, dict]:
+    """Build a problem from a JSON spec; returns (problem, solver kwargs).
+
+    A spec naming an `svf_file` reads that cellwise SVF through load_json.
+    """
     solver = {
         "grid_step": _field(obj, "grid_step", float, 0.01),
         "max_iter": _field(obj, "max_iter", int, 50),
         "tol": _field(obj, "tol", float, 1e-6),
     }
     if "svf_file" in obj:
-        import json as _json
-
         from .svf import cellwise_svf_from_json
 
-        path = obj["svf_file"]
-        try:
-            with open(path) as fh:
-                svf_obj = _json.load(fh)
-        except OSError as e:
-            raise InputError(f"cannot read svf_file {path!r}: {e.strerror}") from e
-        except _json.JSONDecodeError as e:
-            raise InputError(f"malformed JSON in svf_file {path!r}: {e.msg}") from e
         prob = problem_from_cellwise_svf(
-            cellwise_svf_from_json(svf_obj),
+            cellwise_svf_from_json(load_json(obj["svf_file"])),
             x0=_field(obj, "x0", _vector),
             T=_field(obj, "T", float, 1.0),
             beta_tube=_field(obj, "beta_tube", float, 1e9),

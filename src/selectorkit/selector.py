@@ -28,7 +28,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Sequence
 
@@ -90,6 +90,16 @@ class StepCertificate:
     n_pieces: int
     dom_measure: Fraction
 
+    @staticmethod
+    def at_level(
+        k: int, slack: float, witness_budget, n_pieces: int, dom_measure
+    ) -> "StepCertificate":
+        """The certificate of step k: pitch 2**-(k+1), error 2**-k, gap 2**-(k-1)."""
+        return StepCertificate(
+            k, mesh_pitch(k), Fraction(1, 2**k), slack, Fraction(1, 2 ** (k - 1)),
+            as_fraction(witness_budget), n_pieces, dom_measure,
+        )
+
 
 @dataclass(frozen=True)
 class ExactStep(PiecewiseConstantMap):
@@ -115,22 +125,30 @@ class ExactStep(PiecewiseConstantMap):
         return self.domain.witness
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridStep:
     """Approximant on the sampled SVF's cell grid.
 
     winner[i] is the flat mesh index of the value on grid cell i, or -1
     where the approximant is undefined.  Every union of grid cells has
     its endpoints on the grid planes, so the grid-plane witness serves
-    each step.
+    each step.  Steps are equal when their fields other than the witness
+    are, `winner` compared by value.
     """
 
     level: int
     winner: np.ndarray = field(repr=False)
     grid: GridSpec
     beta: int
-    witness: RepresentabilityWitness = field(repr=False, compare=False)
+    witness: RepresentabilityWitness = field(repr=False)
     certificate: StepCertificate
+
+    def __eq__(self, other):
+        if not isinstance(other, GridStep):
+            return NotImplemented
+        return (self.level, self.grid, self.beta, self.certificate) == (
+            other.level, other.grid, other.beta, other.certificate
+        ) and np.array_equal(self.winner, other.winner)
 
     def value_at(self, x) -> tuple[Fraction, ...] | None:
         idx = self.grid.cell_of_point(x)
@@ -314,16 +332,7 @@ def extraction_step(
     dom_measure = sum(
         (q.measure() for q, _ in pieces), Fraction(0)
     )
-    cert = StepCertificate(
-        level=k,
-        mesh_pitch=pitch,
-        error_bound=eps_k,
-        slack=0.0,
-        step_gap=gap_k,
-        witness_budget=budget,
-        n_pieces=len(pieces),
-        dom_measure=dom_measure,
-    )
+    cert = StepCertificate.at_level(k, 0.0, budget, len(pieces), dom_measure)
     return ExactStep.from_pieces(pieces, F.domain_box, k, cert)
 
 
@@ -404,15 +413,8 @@ def _grid_step(prev_step: GridStep | None, F: SampledSVF, k: int, budget) -> Gri
     cell_vol = Fraction(1)
     for wdt in F.grid.widths():
         cell_vol *= wdt
-    cert = StepCertificate(
-        level=k,
-        mesh_pitch=mesh_pitch(k),
-        error_bound=Fraction(1, 2**k),
-        slack=3.0 * F.tau,
-        step_gap=Fraction(1, 2 ** (k - 1)),
-        witness_budget=as_fraction(budget),
-        n_pieces=len(np.unique(winner[winner >= 0])),
-        dom_measure=cell_vol * covered,
+    cert = StepCertificate.at_level(
+        k, 3.0 * F.tau, budget, len(np.unique(winner[winner >= 0])), cell_vol * covered
     )
     return GridStep(
         level=k,
@@ -690,6 +692,7 @@ def chain_from_json(obj: dict) -> SelectorChain:
     svf = cellwise_svf_from_json(svf_obj)
     try:
         n = int_from_json(obj["n"], "n")
+        dom_budget = rational_from_json(obj["dom_budget"])
         steps = []
         for s in obj["steps"]:
             pieces = tuple(
@@ -715,17 +718,29 @@ def chain_from_json(obj: dict) -> SelectorChain:
             raise InputError(
                 f"chain field 'steps' must hold levels 2..n = {n} in order, not {levels}"
             )
-        return SelectorChain(
-            svf,
-            n,
-            rational_from_json(obj["dom_budget"]),
-            tuple(rational_from_json(c) for c in obj["f1"]),
-            tuple(steps),
-        )
+        for step in steps:
+            _check_certificate(step, n, dom_budget)
+        f1 = tuple(rational_from_json(c) for c in obj["f1"])
+        return SelectorChain(svf, n, dom_budget, f1, tuple(steps))
     except KeyError as e:
         raise InputError(f"chain is missing the field {e}") from e
     except TypeError as e:
         raise InputError(f"chain has a field of the wrong type: {e}") from e
+
+
+def _check_certificate(step: ExactStep, n: int, dom_budget: Fraction) -> None:
+    """InputError naming a certificate field that extraction would not write."""
+    k, cert = step.level, step.certificate
+    want = StepCertificate.at_level(
+        k, 0.0, dom_budget / 2 ** (n - k + 1), len(step.pieces),
+        sum((q.measure() for q, _ in step.pieces), Fraction(0)),
+    )
+    for f in fields(cert):
+        got, expected = getattr(cert, f.name), getattr(want, f.name)
+        if got != expected:
+            raise InputError(
+                f"chain step at level {k} certifies {f.name} = {got}, not {expected}"
+            )
 
 
 def selector_csv(chain: SelectorChain, points: Sequence[Sequence]) -> str:

@@ -123,10 +123,8 @@ class BasicSet:
             return "empty"
         if all(self.axis_degenerate(j) for j in range(self.dim)):
             return "singleton"
-        if all(
-            not self.closed_lo[j] and not self.closed_hi[j] and self.lo[j] < self.hi[j]
-            for j in range(self.dim)
-        ):
+        # a non-empty axis open at both ends has lo < hi
+        if not any(self.closed_lo) and not any(self.closed_hi):
             return "open-box"
         return "box"
 
@@ -140,16 +138,11 @@ class BasicSet:
         return vol
 
     def contains(self, point: Sequence) -> bool:
-        if self.is_empty:
-            return False
-        pt = _aspoint(point, self.dim)
-        for j in range(self.dim):
-            c = pt[j]
-            if c < self.lo[j] or c > self.hi[j]:
-                return False
-            if c == self.lo[j] and not self.closed_lo[j]:
-                return False
-            if c == self.hi[j] and not self.closed_hi[j]:
+        """Whether each coordinate c meets its axis: both [lo, c] and [c, hi] hold c."""
+        for j, c in enumerate(_aspoint(point, self.dim)):
+            if _interval_empty(self.lo[j], self.closed_lo[j], c, True) or _interval_empty(
+                c, True, self.hi[j], self.closed_hi[j]
+            ):
                 return False
         return True
 
@@ -173,27 +166,24 @@ class BasicSet:
 
     def subtract(self, other: "BasicSet") -> list["BasicSet"]:
         """Guillotine difference; pieces are pairwise disjoint."""
-        if self.is_empty:
-            return []
-        if not self.intersects(other):
-            return [self]
+        _check_dims(self, other)
+        meet = []
+        for j in range(self.dim):
+            axis = _meet_axis(self, other, j)
+            if _interval_empty(*axis):
+                return [] if self.is_empty else [self]
+            meet.append(axis)
         pieces: list[BasicSet] = []
         cur = self
-        for j in range(self.dim):
+        for j, axis in enumerate(meet):
             # the boxes meet, so self's slabs below and above other on axis j
             # end at other's ends with the opposite closure; between them lies the meet
-            lo, clo = self.lo[j], self.closed_lo[j]
-            hi, chi = self.hi[j], self.closed_hi[j]
-            if not _interval_empty(lo, clo, other.lo[j], not other.closed_lo[j]):
-                pieces.append(
-                    _replace_axis(cur, j, lo, other.lo[j], clo, not other.closed_lo[j])
-                )
-            if not _interval_empty(other.hi[j], not other.closed_hi[j], hi, chi):
-                pieces.append(
-                    _replace_axis(cur, j, other.hi[j], hi, not other.closed_hi[j], chi)
-                )
-            m_lo, m_clo, m_hi, m_chi = _meet_axis(self, other, j)
-            cur = _replace_axis(cur, j, m_lo, m_hi, m_clo, m_chi)
+            below = (self.lo[j], self.closed_lo[j], other.lo[j], not other.closed_lo[j])
+            above = (other.hi[j], not other.closed_hi[j], self.hi[j], self.closed_hi[j])
+            for slab in (below, above):
+                if not _interval_empty(*slab):
+                    pieces.append(_replace_axis(cur, j, *slab))
+            cur = _replace_axis(cur, j, *axis)
         # the all-middle core lies inside `other`: dropped
         return pieces
 
@@ -297,15 +287,23 @@ def _meet_axis(
     return lo, clo, hi, chi
 
 
-def _slot(values: list[Fraction], c: Fraction, shift: int = 0) -> int:
-    """Slot of c among sorted distinct values: 2i+1 at v_i, 2i in the gap below.
+def _slot(i: int, closed: bool, side: int) -> int:
+    """Slot covered by an interval end at the endpoint value v_i.
 
-    At an endpoint value, shift 1 (-1) moves to the gap above (below):
-    the first (last) slot that an open lower (upper) end covers.
+    Slot 2i+1 is v_i itself and slot 2i the open gap below it.  A closed
+    end covers its value's slot; an open end covers the gap next to it
+    inside the interval: the one above (side 1) for a lower end, the one
+    below (side -1) for an upper end.
     """
+    return 2 * i + 1 + (0 if closed else side)
+
+
+def _locate_slot(values: list[Fraction], c: Fraction, closed=True, side=0) -> int:
+    """_slot of an end at c among sorted distinct values; a c between them
+    lies in the gap below the next value, whatever its closure."""
     i = bisect_left(values, c)
     if i < len(values) and values[i] == c:
-        return 2 * i + 1 + shift
+        return _slot(i, closed, side)
     return 2 * i
 
 
@@ -314,7 +312,7 @@ def _check_dims(a, b) -> None:
         raise SetAlgebraError(f"dimension mismatch {a.dim} != {b.dim}")
 
 
-def _replace_axis(box: BasicSet, j: int, lo, hi, clo, chi) -> BasicSet:
+def _replace_axis(box: BasicSet, j: int, lo, clo, hi, chi) -> BasicSet:
     los, his = list(box.lo), list(box.hi)
     clos, chis = list(box.closed_lo), list(box.closed_hi)
     los[j], his[j], clos[j], chis[j] = lo, hi, clo, chi
@@ -374,7 +372,7 @@ class GeneralizedBasicSet:
         pt = _aspoint(point, self.dim)
         hits = (1 << len(self.parts)) - 1
         for c, (values, starts, ends) in zip(pt, self._rank_index):
-            s = _slot(values, c)
+            s = _locate_slot(values, c)
             hits &= starts[s] & ends[s]
             if not hits:
                 return None
@@ -393,8 +391,8 @@ class GeneralizedBasicSet:
             return []
         hits = (1 << len(self.parts)) - 1
         for j, (values, starts, ends) in enumerate(self._rank_index):
-            first = _slot(values, box.lo[j], 0 if box.closed_lo[j] else 1)
-            last = _slot(values, box.hi[j], 0 if box.closed_hi[j] else -1)
+            first = _locate_slot(values, box.lo[j], box.closed_lo[j], 1)
+            last = _locate_slot(values, box.hi[j], box.closed_hi[j], -1)
             hits &= starts[last] & ends[first]
             if not hits:
                 return []
@@ -409,11 +407,10 @@ class GeneralizedBasicSet:
     def _rank_index(self) -> tuple[tuple[list[Fraction], list[int], list[int]], ...]:
         """Per axis: the sorted distinct endpoints and two cumulative part masks.
 
-        Slot 2i+1 is the endpoint v_i itself and slot 2i the open gap
-        below it.  A part covers the slots from 2*rank(lo)+1 (+1 if open)
-        to 2*rank(hi)+1 (-1 if open); an empty part covers none on some
-        axis and enters no mask there.  starts[s] holds the parts whose
-        first slot is at most s, ends[s] those whose last slot is at least s.
+        A part covers the slots from its lower end's `_slot` to its upper
+        end's; an empty part covers none on some axis and enters no mask
+        there.  starts[s] holds the parts whose first slot is at most s,
+        ends[s] those whose last slot is at least s.
         """
         index = []
         for j in range(self.dim):
@@ -422,8 +419,8 @@ class GeneralizedBasicSet:
             starts = [0] * (2 * len(values) + 1)
             ends = [0] * (2 * len(values) + 1)
             for k, p in enumerate(self.parts):
-                first = 2 * rank[p.lo[j]] + (1 if p.closed_lo[j] else 2)
-                last = 2 * rank[p.hi[j]] + (1 if p.closed_hi[j] else 0)
+                first = _slot(rank[p.lo[j]], p.closed_lo[j], 1)
+                last = _slot(rank[p.hi[j]], p.closed_hi[j], -1)
                 if first <= last:
                     starts[first] |= 1 << k
                     ends[last] |= 1 << k
@@ -449,27 +446,23 @@ class GeneralizedBasicSet:
     def subtract(self, other: "GeneralizedBasicSet | BasicSet") -> "GeneralizedBasicSet":
         """Each part cut, in order, by the parts of other that meet it."""
         if isinstance(other, BasicSet):
-            pieces = [piece for p in self.parts for piece in p.subtract(other)]
-            return GeneralizedBasicSet(self.dim, tuple(pieces))
+            other = GeneralizedBasicSet(self.dim, (other,))
         if not other.parts:
             return self
-        out: list[BasicSet] = []
-        for p in self.parts:
-            # an empty part meets nothing, and any difference drops it
-            pieces = [] if p.is_empty else [p]
-            for k in other.meeting(p):
-                pieces = [piece for q in pieces for piece in q.subtract(other.parts[k])]
-            out.extend(pieces)
-        return GeneralizedBasicSet(self.dim, tuple(out))
+        # an empty part meets nothing, and any difference drops it
+        pieces = [
+            q
+            for p in self.parts
+            if not p.is_empty
+            for q in _cut(p, [other.parts[k] for k in other.meeting(p)])
+        ]
+        return GeneralizedBasicSet(self.dim, tuple(pieces))
 
     def intersect(self, other: "GeneralizedBasicSet | BasicSet") -> "GeneralizedBasicSet":
-        others = other.parts if isinstance(other, GeneralizedBasicSet) else (other,)
-        parts = []
-        for p in self.parts:
-            for q in others:
-                r = p.intersect(q)
-                if not r.is_empty:
-                    parts.append(r)
+        """The meets of each part with the parts of other that it meets, in order."""
+        if isinstance(other, BasicSet):
+            other = GeneralizedBasicSet(self.dim, (other,))
+        parts = [p.intersect(other.parts[k]) for p in self.parts for k in other.meeting(p)]
         return GeneralizedBasicSet(self.dim, tuple(parts))
 
     def issubset(self, other: "GeneralizedBasicSet") -> bool:
@@ -477,11 +470,7 @@ class GeneralizedBasicSet:
         return self.subtract(other).is_empty
 
     def disjoint_from(self, other: "GeneralizedBasicSet") -> bool:
-        for p in self.parts:
-            for q in other.parts:
-                if p.intersects(q):
-                    return False
-        return True
+        return not any(other.meeting(p) for p in self.parts)
 
     def __repr__(self) -> str:
         if self.is_empty:
@@ -490,6 +479,19 @@ class GeneralizedBasicSet:
 
 
 GBS = GeneralizedBasicSet
+
+
+def _cut(part: BasicSet, boxes: Iterable[BasicSet]) -> list[BasicSet]:
+    """The pieces of part left after removing each box in turn.
+
+    Stops once nothing is left; with no box at all the part stands as it is.
+    """
+    pieces = [part]
+    for b in boxes:
+        pieces = [q for p in pieces for q in p.subtract(b)]
+        if not pieces:
+            break
+    return pieces
 
 
 def union_with_owners(
@@ -637,12 +639,7 @@ def countable_reduction(xs: SetSequence) -> SetSequence:
     earlier: list[BasicSet] = []
     for n, m in order:
         part = xs.items[n].parts[m]
-        pieces = [part]
-        for b in earlier:
-            pieces = [q for p in pieces for q in p.subtract(b)]
-            if not pieces:
-                break
-        reduced_parts[(n, m)] = pieces
+        reduced_parts[(n, m)] = _cut(part, earlier)
         earlier.append(part)
     out_items = []
     for n, it in enumerate(xs.items):

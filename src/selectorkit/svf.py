@@ -288,22 +288,31 @@ class GridSpec:
         return [(j, v) for j, planes in enumerate(self.planes) for v in planes]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledSVF:
     """Grid-sampled SVF: finite value nets at cell centers, slack tau.
 
     `mask`, when present, marks active cells; excluded cells (empty
-    value nets, reported by the producer) stay outside the domain.
+    value nets, reported by the producer) stay outside the domain.  Two
+    SVFs are equal when every field but `meta` is, the nets and the
+    mask compared by value.
     """
 
     grid: GridSpec
     range_map: AffineRangeMap
     nets: tuple[np.ndarray, ...] = field(repr=False)  # raw range coords, (m_i, beta)
     tau: float  # normalized units
-    meta: dict = field(default_factory=dict, compare=False)
+    meta: dict = field(default_factory=dict)
     mask: np.ndarray | None = field(default=None, repr=False)
 
     kind = "sampled"
+
+    def __eq__(self, other):
+        if not isinstance(other, SampledSVF):
+            return NotImplemented
+        return (self.grid, self.range_map, self.tau, len(self.nets)) == (
+            other.grid, other.range_map, other.tau, len(other.nets)
+        ) and all(map(np.array_equal, (self.mask, *self.nets), (other.mask, *other.nets)))
 
     def active(self, flat_idx: int) -> bool:
         return self.mask is None or bool(self.mask[flat_idx])
@@ -357,8 +366,8 @@ def build_sampled_svf(
 
     The sampler maps an (N, alpha) array of centers to a length-N list
     of (m_i, beta) value nets.  Every net must be inhabited.  When tau
-    is None it is estimated as half the largest net deviation between
-    adjacent cells plus the largest intra-net nearest-neighbor gap.
+    is None it is `estimate_tau`: half the largest Hausdorff deviation,
+    in normalized range units, between the nets of adjacent cells.
     """
     centers = grid.centers_array()
     nets = [np.asarray(n, dtype=float) for n in sampler(centers)]

@@ -91,6 +91,78 @@ def first_part_containing(parts, x):
     return None
 
 
+def contains_reference(box, x):
+    """BasicSet.contains as first written: an emptiness test, then four
+    literal comparisons per axis."""
+    if any(
+        _interval_empty(box.lo[j], box.closed_lo[j], box.hi[j], box.closed_hi[j])
+        for j in range(box.dim)
+    ):
+        return False
+    for j, c in enumerate(x):
+        if c < box.lo[j] or c > box.hi[j]:
+            return False
+        if c == box.lo[j] and not box.closed_lo[j]:
+            return False
+        if c == box.hi[j] and not box.closed_hi[j]:
+            return False
+    return True
+
+
+def _interval_empty(lo, clo, hi, chi):
+    return lo > hi or (lo == hi and not (clo and chi))
+
+
+def _meet_axis(a, b, j):
+    """Axis j of a meet: the larger lower and the smaller upper end, a
+    tied end closed only where both boxes close it."""
+    lo, clo = a.lo[j], a.closed_lo[j]
+    if b.lo[j] > lo:
+        lo, clo = b.lo[j], b.closed_lo[j]
+    elif b.lo[j] == lo:
+        clo = clo and b.closed_lo[j]
+    hi, chi = a.hi[j], a.closed_hi[j]
+    if b.hi[j] < hi:
+        hi, chi = b.hi[j], b.closed_hi[j]
+    elif b.hi[j] == hi:
+        chi = chi and b.closed_hi[j]
+    return lo, clo, hi, chi
+
+
+def _with_axis(box, j, lo, clo, hi, chi):
+    from selectorkit.setalg import BasicSet
+
+    def put(t, v):
+        return t[:j] + (v,) + t[j + 1 :]
+
+    return BasicSet(
+        box.dim, put(box.lo, lo), put(box.hi, hi),
+        put(box.closed_lo, clo), put(box.closed_hi, chi),
+    )
+
+
+def box_subtract_reference(a, b):
+    """BasicSet.subtract as first written: an emptiness test, a whole meet
+    test, then per axis the slab below b, the slab above b and the meet."""
+    if any(
+        _interval_empty(a.lo[j], a.closed_lo[j], a.hi[j], a.closed_hi[j])
+        for j in range(a.dim)
+    ):
+        return []
+    if any(_interval_empty(*_meet_axis(a, b, j)) for j in range(a.dim)):
+        return [a]
+    pieces, cur = [], a
+    for j in range(a.dim):
+        lo, clo = a.lo[j], a.closed_lo[j]
+        hi, chi = a.hi[j], a.closed_hi[j]
+        if not _interval_empty(lo, clo, b.lo[j], not b.closed_lo[j]):
+            pieces.append(_with_axis(cur, j, lo, clo, b.lo[j], not b.closed_lo[j]))
+        if not _interval_empty(b.hi[j], not b.closed_hi[j], hi, chi):
+            pieces.append(_with_axis(cur, j, b.hi[j], not b.closed_hi[j], hi, chi))
+        cur = _with_axis(cur, j, *_meet_axis(a, b, j))
+    return pieces
+
+
 def parts_meeting(parts, box):
     """Indices of the parts that intersect box, by a linear scan."""
     return [i for i, p in enumerate(parts) if p.intersects(box)]
@@ -133,6 +205,40 @@ def margin_reference(faces, m, max_halvings):
             return r
         r /= 2
     return None
+
+
+def adjacency_reference(dom, delta=None):
+    """check_weak_finite_adjacency as first written: a recursive walk over
+    the probe cells, each cut in turn by the inflated parts it meets."""
+    from selectorkit.domain import ADJACENCY_CELLS_PER_AXIS, AdjacencyReport, _thinnest_side
+    from selectorkit.setalg import BasicSet
+
+    dim = dom.dim
+    if delta is None:
+        thick = _thinnest_side(dom.witness(Fraction(1, 16)))
+        delta = thick / 2 if thick is not None else Fraction(1, 8)
+    delta = Fraction(delta)
+    inflated = [p.inflate(delta) for p in dom.carrier.union_parts()]
+    steps = []
+    for j in range(dim):
+        extent = dom.ambient.hi[j] - dom.ambient.lo[j]
+        n = min(ADJACENCY_CELLS_PER_AXIS, max(1, int(extent / delta)))
+        steps.append((extent / n, n))
+
+    def rec(j, lo):
+        if j == dim:
+            cell = BasicSet.closed_box(lo, [lo[k] + steps[k][0] for k in range(dim)])
+            meet = [b for b in inflated if b.intersects(cell)]
+            return cell if subtract_reference([cell], meet) else None
+        step, n = steps[j]
+        for i in range(n):
+            bad = rec(j + 1, lo + [dom.ambient.lo[j] + i * step])
+            if bad is not None:
+                return bad
+        return None
+
+    bad = rec(0, [])
+    return AdjacencyReport(bad is None, delta, bad)
 
 
 def brute_force_selector(F, n):

@@ -155,6 +155,32 @@ def test_manifest_written_and_complete(tmp_path):
     assert "seed" not in manifest  # nothing in the package draws random numbers
 
 
+def test_solve_di_manifest_lists_the_svf_file(tmp_path):
+    import hashlib
+
+    svf = tmp_path / "desk_svf.json"
+    svf.write_bytes((ASSETS / "desk_svf.json").read_bytes())
+    problem = tmp_path / "di.json"
+    problem.write_text(json.dumps({"svf_file": "desk_svf.json", "x0": [0.3], "T": 0.1}))
+    r = run_cli(["--out", "d", "solve-di", "di.json"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    manifest = json.loads((tmp_path / "d" / "run_manifest.json").read_text())
+    assert manifest["inputs"] == {
+        "di.json": hashlib.sha256(problem.read_bytes()).hexdigest(),
+        "desk_svf.json": hashlib.sha256(svf.read_bytes()).hexdigest(),
+    }
+    # an unreadable SVF file fails like any other input file
+    for content in ("{", "[1]"):
+        svf.write_text(content)
+        r = run_cli(["--out", "e", "solve-di", "di.json"], tmp_path)
+        assert r.returncode == 3, r.stderr
+        assert len(r.stderr.splitlines()) == 1, r.stderr
+        assert r.stderr.startswith("input error:") and "desk_svf.json" in r.stderr
+    problem.write_text(json.dumps({"svf_file": 3, "x0": [0.3]}))
+    r = run_cli(["--out", "e", "solve-di", "di.json"], tmp_path)
+    assert r.returncode == 3 and r.stderr.startswith("input error:"), r.stderr
+
+
 def extract_concurrently(tags, cwd):
     """Start one desk `extract --n 5` process per tag at once; wait for all."""
     env = dict(os.environ)
@@ -278,6 +304,19 @@ def _desk_svf_with(edit) -> dict:
     return svf
 
 
+# level-2 certificate fields of the desk chain, each set to a value that
+# contradicts the step's level, its one piece or the chain's budget
+CONTRADICTED_CERTIFICATE_FIELDS = [
+    ("mesh_pitch", 7),
+    ("error_bound", {"num": 1, "exp2": 1}),
+    ("step_gap", {"num": 1, "exp2": 2}),
+    ("slack", 0.5),
+    ("n_pieces", 99),
+    ("dom_measure", {"num": 1, "exp2": 1}),
+    ("witness_budget", {"num": 1, "exp2": 4}),
+]
+
+
 def _example1_with_lo(lo) -> dict:
     sets = json.loads((ASSETS / "example1.json").read_text())
     sets["items"][0]["parts"][0]["lo"] = lo
@@ -315,6 +354,15 @@ def _example1_with_lo(lo) -> dict:
             ["eval", "--at", "0.3"],
             lambda: _desk_chain_with(lambda c: c["steps"][0].update(level=9)),
         ),
+        *[
+            (
+                ["eval", "--at", "0.3"],
+                lambda field=field, value=value: _desk_chain_with(
+                    lambda c: c["steps"][0].update({field: value})
+                ),
+            )
+            for field, value in CONTRADICTED_CERTIFICATE_FIELDS
+        ],
         (["solve-di"], lambda: {"svf_file": "absent_svf.json", "x0": [0.5]}),
         (["solve-di"], lambda: {"field": "linear_tube", "x0": "abc"}),
         (["reduce"], lambda: [1, 2]),
@@ -326,7 +374,9 @@ def _example1_with_lo(lo) -> dict:
         "svf-no-cells", "svf-bad-rational", "svf-nan-corner", "svf-dim-not-int",
         "svf-cells-not-list", "sets-bad-corner", "sets-lo-not-list",
         "chain-no-level", "chain-n-not-int", "chain-svf-not-object",
-        "chain-no-steps", "chain-level-beyond-n", "problem-svf-file-missing",
+        "chain-no-steps", "chain-level-beyond-n",
+        *[f"chain-contradicted-{field}" for field, _ in CONTRADICTED_CERTIFICATE_FIELDS],
+        "problem-svf-file-missing",
         "problem-x0-not-number", "sets-not-object", "svf-not-object",
         "chain-not-object", "problem-not-object",
     ],

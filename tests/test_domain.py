@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -32,7 +33,7 @@ from selectorkit.setalg import (
 )
 from selectorkit.svf import GridSpec, grid_plane_witness
 
-from oracles import margin_reference
+from oracles import adjacency_reference, margin_reference
 
 F = Fraction
 
@@ -502,6 +503,47 @@ def test_adjacency_default_delta_with_degenerate_witness():
     report = check_weak_finite_adjacency(dom)
     assert report.delta == F(1, 8)
     assert report.ok
+
+
+@st.composite
+def probed_tilings(draw):
+    """A domain on a random tiling of the unit box and a probe delta.
+
+    Each axis is cut at 0-2 random sixteenths; every cell of the grid is
+    kept or dropped and gets mixed closure flags, so holes, gaps at open
+    faces and full covers all occur.  The witness is one thin open slab,
+    so the default delta is 1/32 where no delta is drawn.
+    """
+    dim = draw(st.integers(1, 3))
+    axes = []
+    for _ in range(dim):
+        cuts = draw(st.lists(st.integers(1, 15), max_size=2, unique=True))
+        axes.append([F(0), *sorted(F(c, 16) for c in cuts), F(1)])
+    flags = st.tuples(*[st.booleans()] * dim)
+    cells = []
+    for idx in itertools.product(*[range(len(a) - 1) for a in axes]):
+        if draw(st.integers(0, 5)) == 0:
+            continue
+        lo = [a[i] for a, i in zip(axes, idx)]
+        hi = [a[i + 1] for a, i in zip(axes, idx)]
+        cells.append(BasicSet(dim, tuple(lo), tuple(hi), draw(flags), draw(flags)))
+    ambient = BasicSet.closed_box([0] * dim, [1] * dim)
+    slab = GeneralizedBasicSet.of(
+        [BasicSet.open_box([F(-1, 32)] + [F(0)] * (dim - 1), [F(1, 32)] + [F(1)] * (dim - 1))],
+        dim=dim,
+    )
+    seq = SetSequence.of([GeneralizedBasicSet.of(cells, dim=dim)], "rowmajor")
+    dom = RepresentableDomain(seq, ambient, RepresentabilityWitness(lambda eps: slab))
+    # in 3-D only coarse probes: at most 4**3 cells
+    deltas = [F(1, 3), F(1, 4)] + ([None, F(1, 8)] if dim < 3 else [])
+    return dom, draw(st.sampled_from(deltas))
+
+
+@given(probed_tilings())
+@settings(max_examples=150, deadline=None)
+def test_adjacency_matches_recursive_reference_hypothesis(case):
+    dom, delta = case
+    assert check_weak_finite_adjacency(dom, delta) == adjacency_reference(dom, delta)
 
 
 # ---------------------------------------------------------------------------

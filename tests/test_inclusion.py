@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,9 +152,13 @@ def test_nonconvergence_flagged():
 # IO
 
 
+def read_json(path):
+    return json.loads(Path(path).read_text())
+
+
 def test_problem_from_json_linear():
     prob, solver = problem_from_json(
-        {"field": "linear_tube", "x0": 1.2, "p0": 0.1, "T": 2.0, "tol": 1e-6}
+        {"field": "linear_tube", "x0": 1.2, "p0": 0.1, "T": 2.0, "tol": 1e-6}, read_json
     )
     assert prob.name == "linear_tube"
     assert solver["tol"] == 1e-6
@@ -179,16 +185,8 @@ def test_empty_net_rejected():
 
 
 def test_problem_from_cellwise_svf_file(tmp_path):
-    import json
-
-    from selectorkit.inclusion import problem_from_json
-
     spec = {
-        "svf_file": str(
-            __import__("pathlib").Path(__file__).resolve().parent.parent
-            / "assets"
-            / "desk_svf.json"
-        ),
+        "svf_file": str(Path(__file__).resolve().parent.parent / "assets" / "desk_svf.json"),
         "x0": [0.0],
         "T": 1.0,
         "beta_tube": 2.0,
@@ -198,7 +196,7 @@ def test_problem_from_cellwise_svf_file(tmp_path):
     }
     path = tmp_path / "di.json"
     path.write_text(json.dumps(spec))
-    prob, solver = problem_from_json(json.loads(path.read_text()))
+    prob, solver = problem_from_json(read_json(path), read_json)
     traj = filippov_iterate(prob, **solver)
     assert traj.converged
     # the field is {1/4} on the visited region: linear growth at slope 1/4

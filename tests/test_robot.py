@@ -318,6 +318,12 @@ def test_export_svf_accepted():
         assert d.max() < 0.5  # reachable from the f1 anchor
 
 
+def test_exported_svfs_compare_by_value():
+    a, b = export_svf(2, F_(4, 9)), export_svf(2, F_(4, 9))
+    assert a == b
+    assert a != export_svf(2, F_(4, 11))
+
+
 def test_export_degenerate_single_cell():
     svf = export_svf(box_halfwidth=2.0, resolution=F_(4))
     assert svf.grid.n_cells == 1

@@ -552,6 +552,21 @@ def test_grid_engine_dom_monotone_and_gap():
         assert ((b.winner >= 0) <= (a.winner >= 0)).all()
 
 
+def test_grid_steps_chains_and_sampled_svfs_compare_by_value():
+    a, b = extract(desk_sampled(16), 3), extract(desk_sampled(16), 3)
+    assert a.steps[0] is not b.steps[0]
+    assert a.steps[0] == b.steps[0] and a == b and a.svf == b.svf
+    # an equal pair, then pairs differing only in an array field
+    other = dataclasses.replace(a.steps[0], winner=np.where(a.steps[0].winner == 0, 1, 0))
+    assert a.steps[0] != other
+    assert extract(desk_sampled(32), 3) != a
+    nets = list(a.svf.nets)
+    nets[0] = nets[0] + 1.0
+    assert dataclasses.replace(a.svf, nets=tuple(nets)) != a.svf
+    masked = dataclasses.replace(a.svf, mask=np.ones(a.svf.grid.n_cells, dtype=bool))
+    assert masked != a.svf and masked == dataclasses.replace(masked)
+
+
 # ---------------------------------------------------------------------------
 # determinism / serialization
 
@@ -581,6 +596,26 @@ def test_chain_from_json_requires_levels_2_to_n(edit):
     obj = json.loads(json.dumps(chain_to_json(extract(three_cell_svf(), 4))))
     edit(obj)
     with pytest.raises(InputError, match="'steps'"):
+        chain_from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("mesh_pitch", 7),
+        ("error_bound", {"num": 1, "exp2": 1}),
+        ("step_gap", {"num": 1, "exp2": 4}),
+        ("slack", 0.25),
+        ("n_pieces", 99),
+        ("dom_measure", {"num": 1, "exp2": 1}),
+        ("witness_budget", {"num": 1, "exp2": 6}),
+    ],
+)
+def test_chain_from_json_rejects_certificate_that_contradicts_its_step(field, value):
+    obj = json.loads(json.dumps(chain_to_json(extract(desk_svf(), 4))))
+    assert chain_from_json(obj).final_error_bound == 1 / 16
+    obj["steps"][2][field] = value  # the level-4 step
+    with pytest.raises(InputError, match=f"level 4 certifies {field} = "):
         chain_from_json(obj)
 
 

@@ -28,6 +28,8 @@ from selectorkit.setalg import (
 from selectorkit.rational import as_fraction
 
 from oracles import (
+    box_subtract_reference,
+    contains_reference,
     first_part_containing,
     parts_meeting,
     seq_boxes,
@@ -297,6 +299,51 @@ def test_subtract_matches_sequential_reference_hypothesis(case):
     dim, a, b = case
     got = GeneralizedBasicSet(dim, a).subtract(GeneralizedBasicSet(dim, b))
     assert got.parts == tuple(subtract_reference(a, b))
+
+
+@st.composite
+def mixed_boxes(draw, count):
+    """count boxes of one dimension 1-3 and points beside their ends.
+
+    Corners come from the quarter grid and small fractions; a width of
+    -1/4 makes an axis empty, 0 degenerate, and the flags are mixed, so
+    empty, degenerate, disjoint, touching and nested boxes all occur.
+    Each point coordinate is an end of some box or a free coordinate.
+    """
+    dim = draw(st.integers(1, 3))
+    flags = st.tuples(*[st.booleans()] * dim)
+    width = st.one_of(st.sampled_from([F(k, 4) for k in range(-1, 9)]), COORD)
+    boxes = []
+    for _ in range(count):
+        lo = tuple(draw(COORD) for _ in range(dim))
+        hi = tuple(a + draw(width) for a in lo)
+        boxes.append(BasicSet(dim, lo, hi, draw(flags), draw(flags)))
+    coord = [
+        st.one_of(st.sampled_from([c for b in boxes for c in (b.lo[j], b.hi[j])]), COORD)
+        for j in range(dim)
+    ]
+    return boxes, draw(st.lists(st.tuples(*coord), min_size=1, max_size=6))
+
+
+@given(mixed_boxes(2))
+@settings(max_examples=300, deadline=None)
+def test_box_subtract_matches_reference_hypothesis(case):
+    (a, b), points = case
+    for x, y in ((a, b), (b, a), (a, a)):
+        pieces = x.subtract(y)
+        assert pieces == box_subtract_reference(x, y)
+        for pt in points:
+            inside = [p.contains(pt) for p in pieces]
+            assert sum(inside) == (x.contains(pt) and not y.contains(pt))
+
+
+@given(mixed_boxes(1))
+@settings(max_examples=200, deadline=None)
+def test_box_contains_matches_linear_scan_hypothesis(case):
+    (box,), points = case
+    for x in points:
+        want = first_part_containing([box], x) is not None
+        assert box.contains(x) == want == contains_reference(box, x)
 
 
 @st.composite
