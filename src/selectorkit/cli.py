@@ -102,17 +102,14 @@ class Run:
 
 
 def cmd_reduce(args) -> int:
-    from .setalg import countable_reduction, sequence_from_json, sequence_to_json
+    from .setalg import GeneralizedBasicSet, countable_reduction, first_meeting_pair
+    from .setalg import sequence_from_json, sequence_to_json
 
     run = Run(args)
     xs = sequence_from_json(run.load(args.sets))
     ks = countable_reduction(xs)
-    flat = [p for it in ks.items for p in it.parts]
-    disjoint = all(
-        not flat[i].intersects(flat[j])
-        for i in range(len(flat))
-        for j in range(i + 1, len(flat))
-    )
+    flat = [GeneralizedBasicSet(p.dim, (p,)) for it in ks.items for p in it.parts]
+    disjoint = first_meeting_pair(flat) is None
     report = {
         "items": len(xs.items),
         "input_measure_sum": rational_to_json(xs.measure()),

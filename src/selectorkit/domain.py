@@ -19,22 +19,22 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
 
-from .errors import AdjacencyError, WitnessError
+from .errors import AdjacencyError, InputError, WitnessError
 from .rational import as_fraction
 from .setalg import (
     BasicSet,
     GeneralizedBasicSet,
     SetAlgebraError,
     SetSequence,
+    basic_set_from_json,
+    basic_set_to_json,
     countable_reduction,
     dist_point_set,
-    gbs_to_json,
+    first_meeting_pair,
     sequence_from_json,
     sequence_to_json,
     union_with_owners,
 )
-
-BUDGET_RULES = ("geometric", "equal")
 
 
 # ---------------------------------------------------------------------------
@@ -64,9 +64,8 @@ def _face_groups(faces: Sequence[BasicSet]) -> list[tuple[int, Fraction, BasicSe
     return out
 
 
-def _budgets(eps: Fraction, n: int, rule: str) -> list[Fraction]:
-    if rule == "equal":
-        return [eps / n] * n
+def _budgets(eps: Fraction, n: int) -> list[Fraction]:
+    """Geometric budgets eps/2, eps/4, ..., one per slab, summing below eps."""
     return [eps * Fraction(1, 2 ** (i + 1)) for i in range(n)]
 
 
@@ -82,27 +81,25 @@ def make_witness(
     x: SetSequence | GeneralizedBasicSet,
     ambient: BasicSet,
     eps,
-    budget_rule: str = "geometric",
     coverage: str = "ambient",
 ) -> GeneralizedBasicSet:
     """Build a witness M(eps) for the endpoint set of x, in one attempt.
 
     The carrier is x itself, a GeneralizedBasicSet, or a SetSequence's
-    union.  Open slabs around each merged endpoint group, budgeted per
-    `budget_rule`, clipped to a slight inflation of the ambient box.
+    union.  Open slabs around each merged endpoint group, budgeted
+    geometrically, clipped to a slight inflation of the ambient box.
     Each failed clause raises WitnessError: a vanishing slab margin or a
     measure over eps (clause 1), or, from `decide_clauses`, no positive
     well-containment margin (clause 2) or coverage-region points outside
     both the witness and the carrier (clause 3, non-representable input).
     """
-    return _witness_and_certificate(x, ambient, eps, budget_rule, coverage)[0]
+    return _witness_and_certificate(x, ambient, eps, coverage)[0]
 
 
 def _witness_and_certificate(
     x: SetSequence | GeneralizedBasicSet,
     ambient: BasicSet,
     eps,
-    budget_rule: str,
     coverage: str,
 ) -> tuple[GeneralizedBasicSet, DomainCertificate | None]:
     """make_witness's witness and the certificate that admitted it.
@@ -113,8 +110,6 @@ def _witness_and_certificate(
     eps = as_fraction(eps)
     if eps <= 0:
         raise WitnessError("witness budget must be positive")
-    if budget_rule not in BUDGET_RULES:
-        raise WitnessError(f"unknown budget rule {budget_rule!r}")
     carrier = x.as_gbs() if isinstance(x, SetSequence) else x
     gamma = carrier.gamma
     dim = ambient.dim
@@ -122,7 +117,7 @@ def _witness_and_certificate(
         return GeneralizedBasicSet.empty(dim), None
 
     groups = _face_groups(gamma)
-    budgets = _budgets(eps, len(groups), budget_rule)
+    budgets = _budgets(eps, len(groups))
 
     # keep slab thickness under a quarter of the closest parallel plane gap
     caps = []
@@ -307,17 +302,14 @@ class CarrierWitness(RepresentabilityWitness):
     that certificate instead of deciding them again.
     """
 
-    def __init__(
-        self, carrier: SetSequence, ambient: BasicSet, budget_rule: str, coverage: str
-    ):
+    def __init__(self, carrier: SetSequence, ambient: BasicSet, coverage: str):
         super().__init__(self._generate)
-        self._carrier, self._ambient = carrier, ambient
-        self._budget_rule, self._coverage = budget_rule, coverage
+        self._carrier, self._ambient, self._coverage = carrier, ambient, coverage
         self._decided: dict[Fraction, DomainCertificate | None] = {}
 
     def _generate(self, eps: Fraction) -> GeneralizedBasicSet:
         m, self._decided[eps] = _witness_and_certificate(
-            self._carrier, self._ambient, eps, self._budget_rule, self._coverage
+            self._carrier, self._ambient, eps, self._coverage
         )
         return m
 
@@ -350,30 +342,23 @@ class RepresentableDomain:
     carrier: SetSequence
     ambient: BasicSet
     witness: RepresentabilityWitness = field(compare=False)
-    budget_rule: str = "geometric"
     coverage: str = "ambient"
 
     @staticmethod
     def from_carrier(
-        carrier: SetSequence,
-        ambient: BasicSet,
-        budget_rule: str = "geometric",
-        coverage: str = "ambient",
+        carrier: SetSequence, ambient: BasicSet, coverage: str = "ambient"
     ) -> "RepresentableDomain":
-        witness = CarrierWitness(carrier, ambient, budget_rule, coverage)
-        return RepresentableDomain(carrier, ambient, witness, budget_rule, coverage)
+        witness = CarrierWitness(carrier, ambient, coverage)
+        return RepresentableDomain(carrier, ambient, witness, coverage)
 
     @staticmethod
     def from_cells(
-        cells: Sequence[BasicSet],
-        ambient: BasicSet,
-        budget_rule: str = "geometric",
-        coverage: str = "ambient",
+        cells: Sequence[BasicSet], ambient: BasicSet, coverage: str = "ambient"
     ) -> "RepresentableDomain":
         if any(c.dim != ambient.dim for c in cells):
             raise SetAlgebraError("part dimension mismatch")
         seq = SetSequence.of(cells, "rowmajor")
-        return RepresentableDomain.from_carrier(seq, ambient, budget_rule, coverage)
+        return RepresentableDomain.from_carrier(seq, ambient, coverage)
 
     @property
     def dim(self) -> int:
@@ -401,7 +386,6 @@ def reduce_domain(dom: RepresentableDomain) -> RepresentableDomain:
         countable_reduction(dom.carrier),
         dom.ambient,
         dom.witness,
-        dom.budget_rule,
         dom.coverage,
     )
 
@@ -440,7 +424,7 @@ def _joint_witness_domain(carrier, d1, d2) -> RepresentableDomain:
         return GeneralizedBasicSet.of(m1.parts + m2.parts, dim=d1.ambient.dim)
 
     return RepresentableDomain(
-        carrier, d1.ambient, RepresentabilityWitness(gen), d1.budget_rule, d1.coverage
+        carrier, d1.ambient, RepresentabilityWitness(gen), d1.coverage
     )
 
 
@@ -469,10 +453,9 @@ class PiecewiseConstantMap:
         return union_with_owners([q for q, _ in self.pieces])
 
     def validate(self) -> None:
-        for i in range(len(self.pieces)):
-            for j in range(i + 1, len(self.pieces)):
-                if not self.pieces[i][0].disjoint_from(self.pieces[j][0]):
-                    raise WitnessError(f"pieces {i} and {j} overlap")
+        pair = first_meeting_pair([q for q, _ in self.pieces])
+        if pair is not None:
+            raise WitnessError("pieces {} and {} overlap".format(*pair))
         union = GeneralizedBasicSet.of(
             [p for q, _ in self.pieces for p in q.parts], dim=self.domain.dim
         )
@@ -688,20 +671,14 @@ def check_weak_finite_adjacency(
 
 
 def domain_to_json(dom: RepresentableDomain) -> dict:
-    return {
-        **sequence_to_json(dom.carrier),
-        "ambient": gbs_to_json(
-            GeneralizedBasicSet.of([dom.ambient], dim=dom.ambient.dim)
-        )["parts"][0],
-        "witness_budget_rule": dom.budget_rule,
-    }
+    return {**sequence_to_json(dom.carrier), "ambient": basic_set_to_json(dom.ambient)}
 
 
 def domain_from_json(obj: dict) -> RepresentableDomain:
-    from .setalg import basic_set_from_json
-
+    """A domain whose witness make_witness builds with its geometric budgets."""
+    rule = obj.get("witness_budget_rule", "geometric")
+    if rule != "geometric":
+        raise InputError(f"unknown witness budget rule {rule!r}; only 'geometric' is built")
     carrier = sequence_from_json(obj)
     ambient = basic_set_from_json(obj["ambient"], int(obj["dim"]))
-    return RepresentableDomain.from_carrier(
-        carrier, ambient, obj.get("witness_budget_rule", "geometric")
-    )
+    return RepresentableDomain.from_carrier(carrier, ambient)

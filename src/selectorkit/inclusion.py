@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -84,6 +85,10 @@ class DITrajectory:
 
 
 def _grid(T: float, h: float) -> np.ndarray:
+    if not (math.isfinite(h) and h > 0):
+        raise InputError(f"grid_step must be finite and positive, not {h!r}")
+    if not (math.isfinite(T) and T >= 0):
+        raise InputError(f"horizon T must be finite and non-negative, not {T!r}")
     n = round(T / h)
     if abs(n * h - T) > 1e-9 * max(1.0, T):
         raise InputError(f"grid step {h} does not divide the horizon {T}")
@@ -147,6 +152,8 @@ def filippov_iterate(
     Returns the trajectory with its tube certificate; a run that does
     not converge within max_iter comes back flagged non-certified.
     """
+    if max_iter < 1:
+        raise InputError(f"max_iter must be at least 1, not {max_iter!r}")
     times = _grid(prob.T, grid_step)
     h = float(grid_step)
     n = len(times)
@@ -256,9 +263,9 @@ def problem_from_json(
     A spec naming an `svf_file` reads that cellwise SVF through load_json.
     """
     solver = {
-        "grid_step": _field(obj, "grid_step", float, 0.01),
+        "grid_step": _field(obj, "grid_step", _finite, 0.01),
         "max_iter": _field(obj, "max_iter", int, 50),
-        "tol": _field(obj, "tol", float, 1e-6),
+        "tol": _field(obj, "tol", _finite, 1e-6),
     }
     if "svf_file" in obj:
         from .svf import cellwise_svf_from_json
@@ -266,25 +273,25 @@ def problem_from_json(
         prob = problem_from_cellwise_svf(
             cellwise_svf_from_json(load_json(obj["svf_file"])),
             x0=_field(obj, "x0", _vector),
-            T=_field(obj, "T", float, 1.0),
-            beta_tube=_field(obj, "beta_tube", float, 1e9),
+            T=_field(obj, "T", _finite, 1.0),
+            beta_tube=_field(obj, "beta_tube", _finite, 1e9),
             obj=obj,
         )
         return prob, solver
     name = obj.get("field", "linear_tube")
     if name == "linear_tube":
         prob = linear_tube_problem(
-            x0=float(_field(obj, "x0", _vector, 1.2)[0]),
-            p0=_field(obj, "p0", float, 0.1),
-            T=_field(obj, "T", float, 2.0),
-            beta_tube=_field(obj, "beta_tube", float, 4.0),
+            x0=_field(obj, "x0", _coordinate, 1.2),
+            p0=_field(obj, "p0", _finite, 0.1),
+            T=_field(obj, "T", _finite, 2.0),
+            beta_tube=_field(obj, "beta_tube", _finite, 4.0),
             net_points=_field(obj, "net_points", int, 3),
         )
     elif name == "singleton":
         prob = singleton_field_problem(
-            x0=float(_field(obj, "x0", _vector, 1.0)[0]),
-            T=_field(obj, "T", float, 2.0),
-            beta_tube=_field(obj, "beta_tube", float, 4.0),
+            x0=_field(obj, "x0", _coordinate, 1.0),
+            T=_field(obj, "T", _finite, 2.0),
+            beta_tube=_field(obj, "beta_tube", _finite, 4.0),
         )
     else:
         raise InputError(f"unknown built-in field {name!r}")
@@ -294,8 +301,26 @@ def problem_from_json(
 _REQUIRED = object()
 
 
+def _finite(value) -> float:
+    out = float(value)
+    if not math.isfinite(out):
+        raise ValueError("not a finite number")
+    return out
+
+
 def _vector(value) -> np.ndarray:
-    return np.atleast_1d(np.asarray(value, dtype=float))
+    out = np.atleast_1d(np.asarray(value, dtype=float))
+    if out.ndim != 1 or not out.size or not np.isfinite(out).all():
+        raise ValueError("not a non-empty list of finite numbers")
+    return out
+
+
+def _coordinate(value) -> float:
+    """The one coordinate of a point of a built-in 1-D field."""
+    out = _vector(value)
+    if len(out) != 1:
+        raise ValueError("a built-in field is one-dimensional")
+    return float(out[0])
 
 
 def _field(obj: dict, key: str, convert, default=_REQUIRED):
@@ -305,8 +330,8 @@ def _field(obj: dict, key: str, convert, default=_REQUIRED):
     value = obj.get(key, default)
     try:
         return convert(value)
-    except (TypeError, ValueError) as e:
-        raise InputError(f"problem field {key!r} is malformed: {value!r}") from e
+    except (TypeError, ValueError, OverflowError) as e:
+        raise InputError(f"problem field {key!r} is malformed: {value!r} ({e})") from e
 
 
 def problem_from_cellwise_svf(svf, x0, T, beta_tube, obj=None) -> DIProblem:
@@ -332,8 +357,8 @@ def problem_from_cellwise_svf(svf, x0, T, beta_tube, obj=None) -> DIProblem:
         return np.array(pts)
 
     obj = obj or {}
-    kappa_const = _field(obj, "kappa", float, 1.0)
-    p_const = _field(obj, "p", float, 0.0)
+    kappa_const = _field(obj, "kappa", _finite, 1.0)
+    p_const = _field(obj, "p", _finite, 0.0)
     return DIProblem(
         field_net=net,
         x0=x0,

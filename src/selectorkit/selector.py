@@ -41,6 +41,7 @@ from .setalg import (
     BasicSet,
     _aspoint,
     GeneralizedBasicSet,
+    basic_set_to_json,
     gbs_from_json,
     gbs_to_json,
 )
@@ -52,6 +53,7 @@ from .svf import (
     cellwise_svf_from_json,
     cellwise_svf_to_json,
     grid_witness,
+    unravel,
 )
 
 
@@ -63,16 +65,15 @@ def mesh_pitch(k: int) -> Fraction:
     return Fraction(1, 2 ** (k + 1))
 
 
+def mesh_shape(level: int, beta: int) -> tuple[int, ...]:
+    """Nodes per axis of the level's mesh over [0, 1]**beta."""
+    return (2 ** (level + 1) + 1,) * beta
+
+
 def mesh_value(level: int, flat: int, beta: int) -> tuple[Fraction, ...]:
     """The level's mesh node with row-major flat index `flat`."""
     pitch = mesh_pitch(level)
-    n = 2 ** (level + 1) + 1
-    digits = []
-    for _ in range(beta):
-        digits.append(flat % n)
-        flat //= n
-    digits.reverse()
-    return tuple(pitch * d for d in digits)
+    return tuple(pitch * d for d in unravel(flat, mesh_shape(level, beta)))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +348,7 @@ _GRID_TEMP_ELEMS = 8_000_000  # cells x candidates x net points per temporary
 def _grid_step(prev_step: GridStep | None, F: SampledSVF, k: int, budget) -> GridStep:
     beta = F.beta
     pitch = 2.0 ** -(k + 1)
-    n_axis = 2 ** (k + 1) + 1
+    nodes = mesh_shape(k, beta)
     eps_accept = 2.0**-k + 2.0 * F.tau
     gap = 2.0 ** -(k - 1)
     n_cells = F.grid.n_cells
@@ -362,10 +363,6 @@ def _grid_step(prev_step: GridStep | None, F: SampledSVF, k: int, budget) -> Gri
         prev_ok = prev_ok & F.mask
 
     offsets = np.array(_ball_offsets(beta))
-
-    strides = np.array(
-        [n_axis ** (beta - 1 - j) for j in range(beta)], dtype=np.int64
-    )
     winner = np.full(n_cells, -1, dtype=np.int64)
     accept2 = eps_accept * eps_accept
     gap2 = gap * gap
@@ -388,7 +385,7 @@ def _grid_step(prev_step: GridStep | None, F: SampledSVF, k: int, budget) -> Gri
                 break
             prev, nets_pad = prev_chunk[todo], nets_chunk[todo]
             digits = base[todo, None, :] + offsets[None, o_lo : o_lo + _OFFSET_BLOCK]
-            valid = ((digits >= 0) & (digits < n_axis)).all(axis=2)
+            valid = ((digits >= 0) & (digits < nodes)).all(axis=2)
             coords = digits * pitch
             d_prev2 = ((coords - prev[:, None, :]) ** 2).sum(axis=2)
             # |c - n|^2 = |c|^2 + |n|^2 - 2 c.n via batched matmul, avoiding
@@ -399,7 +396,7 @@ def _grid_step(prev_step: GridStep | None, F: SampledSVF, k: int, budget) -> Gri
             ok = valid & (d_prev2 < gap2) & (d_net2 < accept2)
             hit = ok.any(axis=1)
             first = np.argmax(ok[hit], axis=1)
-            winner[cells[todo[hit]]] = digits[hit, first] @ strides
+            winner[cells[todo[hit]]] = np.ravel_multi_index(digits[hit, first].T, nodes)
             todo = todo[~hit]
         if len(todo):
             flat = int(cells[todo[0]])
@@ -410,11 +407,9 @@ def _grid_step(prev_step: GridStep | None, F: SampledSVF, k: int, budget) -> Gri
             )
 
     covered = int((winner >= 0).sum())
-    cell_vol = Fraction(1)
-    for wdt in F.grid.widths():
-        cell_vol *= wdt
     cert = StepCertificate.at_level(
-        k, 3.0 * F.tau, budget, len(np.unique(winner[winner >= 0])), cell_vol * covered
+        k, 3.0 * F.tau, budget, len(np.unique(winner[winner >= 0])),
+        F.grid.cell_volume * covered,
     )
     return GridStep(
         level=k,
@@ -426,20 +421,11 @@ def _grid_step(prev_step: GridStep | None, F: SampledSVF, k: int, budget) -> Gri
     )
 
 
-def _coords_from_flat(flat_idx: np.ndarray, n_axis: int, beta: int) -> np.ndarray:
-    out = np.empty((len(flat_idx), beta), dtype=np.float64)
-    rem = flat_idx.astype(np.int64).copy()
-    for j in reversed(range(beta)):
-        out[:, j] = rem % n_axis
-        rem //= n_axis
-    return out
-
-
 def _winner_coords(step: GridStep) -> np.ndarray:
-    n_axis = 2 ** (step.level + 1) + 1
-    pitch = 2.0 ** -(step.level + 1)
+    """Each cell's winning mesh node as float coordinates; NaN where undefined."""
     w = step.winner
-    coords = _coords_from_flat(np.maximum(w, 0), n_axis, step.beta) * pitch
+    digits = np.unravel_index(np.maximum(w, 0), mesh_shape(step.level, step.beta))
+    coords = np.stack(digits, axis=-1) * 2.0 ** -(step.level + 1)
     coords[w < 0] = np.nan
     return coords
 
@@ -447,35 +433,17 @@ def _winner_coords(step: GridStep) -> np.ndarray:
 def _grid_pieces(step: GridStep):
     """Merge same-valued cell runs along the last axis into boxes."""
     grid = step.grid
-    shape = grid.shape
-    w = step.winner.reshape(shape)
     pieces: dict[int, list[BasicSet]] = {}
-    widths = grid.widths()
-
-    def cell_lo(idx):
-        return [grid.box.lo[j] + widths[j] * idx[j] for j in range(grid.dim)]
-
-    it = np.ndindex(*shape[:-1]) if grid.dim > 1 else [()]
-    last = shape[-1]
-    for pre in it:
-        run_start, run_val = None, None
-        for i in range(last + 1):
-            val = int(w[pre + (i,)]) if i < last else None
-            if val != run_val or i == last:
-                if run_val is not None and run_val >= 0:
-                    lo = cell_lo(pre + (run_start,))
-                    hi_idx = pre + (i - 1,)
-                    hi = [
-                        grid.box.lo[j] + widths[j] * (hi_idx[j] + 1)
-                        for j in range(grid.dim)
-                    ]
-                    closed_hi = [
-                        hi_idx[j] == shape[j] - 1 for j in range(grid.dim)
-                    ]
-                    pieces.setdefault(run_val, []).append(
-                        BasicSet.box(lo, hi, [True] * grid.dim, closed_hi)
-                    )
-                run_start, run_val = i, val
+    for r, row in enumerate(step.winner.reshape(-1, grid.shape[-1]).tolist()):
+        pre = unravel(r, grid.shape[:-1])
+        start = 0
+        for val, run in itertools.groupby(row):
+            end = start + len(list(run))
+            if val >= 0:
+                pieces.setdefault(val, []).append(
+                    grid.cells_box(pre + (start,), pre + (end - 1,))
+                )
+            start = end
     return tuple(
         (
             GeneralizedBasicSet.of(pieces[val], dim=grid.dim),
@@ -558,10 +526,7 @@ def cauchy_defect(chain: SelectorChain, k: int, m: int) -> CauchyDefect:
         d2 = ((ck - cm) ** 2).sum(axis=1)
         viol = both & (d2 >= float(thr2))
         lostmask = (sk.winner >= 0) & (sm.winner < 0)
-        cell_vol = Fraction(1)
-        for wdt in chain.svf.grid.widths():
-            cell_vol *= wdt
-        bad = cell_vol * int(viol.sum()) + cell_vol * int(lostmask.sum())
+        bad = chain.svf.grid.cell_volume * int((viol | lostmask).sum())
     budget = sk.certificate.witness_budget + sm.certificate.witness_budget
     return CauchyDefect(k, m, thr, bad, budget)
 
@@ -671,9 +636,7 @@ def chain_to_json(chain: SelectorChain) -> dict:
             "kind": "sampled",
             "tau": chain.svf.tau,
             "grid_shape": list(chain.svf.grid.shape),
-            "domain": gbs_to_json(
-                GeneralizedBasicSet.of([chain.svf.grid.box], dim=chain.svf.grid.dim)
-            )["parts"][0],
+            "domain": basic_set_to_json(chain.svf.grid.box),
             "range": {
                 "lo": [rational_to_json(c) for c in chain.svf.range_map.lo],
                 "hi": [rational_to_json(c) for c in chain.svf.range_map.hi],

@@ -508,6 +508,24 @@ def union_with_owners(
     return union, tuple(i for i, q in enumerate(sets) for _ in q.parts)
 
 
+def first_meeting_pair(sets: Sequence[GeneralizedBasicSet]) -> tuple[int, int] | None:
+    """The first pair i < j, in row-major order, of sets whose parts meet.
+
+    One box query per part on the union of all parts; parts of one set
+    never make a pair.  None when the sets are pairwise disjoint.
+    """
+    union, owner = union_with_owners(sets)
+    return min(
+        (
+            (owner[k], owner[m])
+            for k, p in enumerate(union.parts)
+            for m in union.meeting(p)
+            if owner[m] > owner[k]
+        ),
+        default=None,
+    )
+
+
 # ---------------------------------------------------------------------------
 # measure / distance entry points
 
@@ -655,10 +673,11 @@ def countable_reduction(xs: SetSequence) -> SetSequence:
 
 
 def basic_set_to_json(b: BasicSet) -> dict:
-    if b.is_empty:
-        return {"kind": "empty"}
+    kind = b.kind
+    if kind == "empty":
+        return {"kind": kind}
     return {
-        "kind": b.kind,
+        "kind": kind,
         "lo": [rational_to_json(c) for c in b.lo],
         "hi": [rational_to_json(c) for c in b.hi],
         "closed_lo": list(b.closed_lo),

@@ -17,6 +17,7 @@ coordinates and normalizes at the boundary.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from bisect import bisect_right
@@ -36,6 +37,7 @@ from .setalg import (
     basic_set_from_json,
     basic_set_to_json,
     dist2_point_set,
+    first_meeting_pair,
     gbs_from_json,
     gbs_to_json,
 )
@@ -181,10 +183,9 @@ def build_cellwise_svf(
             [p.closure() for p in values.parts], dim=values.dim
         )
         closed_cells.append((cell, closed_vals))
-    for i in range(len(closed_cells)):
-        for j in range(i + 1, len(closed_cells)):
-            if closed_cells[i][0].intersects(closed_cells[j][0]):
-                raise InputError(f"cells {i} and {j} overlap")
+    pair = first_meeting_pair([GeneralizedBasicSet(dim, (c,)) for c, _ in closed_cells])
+    if pair is not None:
+        raise InputError("cells {} and {} overlap".format(*pair))
     union = GeneralizedBasicSet.of([c for c, _ in closed_cells], dim=dim)
     box = GeneralizedBasicSet.of([domain_box], dim=dim)
     if not box.subtract(union).is_empty:
@@ -207,6 +208,19 @@ def build_cellwise_svf(
 # sampled SVFs
 
 
+def unravel(flat: int, shape: Sequence[int]) -> tuple[int, ...]:
+    """The row-major multi-index of `flat` in an array of the given shape.
+
+    The scalar form of `np.unravel_index`, which costs more per call.
+    """
+    idx = []
+    for n in reversed(shape):
+        idx.append(flat % n)
+        flat //= n
+    idx.reverse()
+    return tuple(idx)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform cell grid over a closed box; cells are half-open tiles."""
@@ -220,10 +234,11 @@ class GridSpec:
 
     @property
     def n_cells(self) -> int:
-        n = 1
-        for s in self.shape:
-            n *= s
-        return n
+        return math.prod(self.shape)
+
+    @property
+    def cell_volume(self) -> Fraction:
+        return math.prod(self.widths(), start=Fraction(1))
 
     def widths(self) -> tuple[Fraction, ...]:
         return tuple(
@@ -231,17 +246,20 @@ class GridSpec:
         )
 
     def center(self, idx: tuple[int, ...]) -> tuple[Fraction, ...]:
-        w = self.widths()
-        return tuple(
-            self.box.lo[j] + w[j] * idx[j] + w[j] / 2 for j in range(self.dim)
-        )
+        return tuple((p[i] + p[i + 1]) / 2 for p, i in zip(self.planes, idx))
 
     def centers_array(self) -> np.ndarray:
-        axes = []
-        for j in range(self.dim):
-            lo = float(self.box.lo[j])
-            w = float(self.widths()[j])
-            axes.append(lo + w * (np.arange(self.shape[j]) + 0.5))
+        """Every cell center in float64, row-major."""
+        return self._float_lattice([np.arange(n) + 0.5 for n in self.shape])
+
+    def corners_array(self) -> np.ndarray:
+        """Every crossing of the grid planes in float64, row-major."""
+        return self._float_lattice([np.arange(n + 1) for n in self.shape])
+
+    def _float_lattice(self, steps: list[np.ndarray]) -> np.ndarray:
+        axes = [
+            float(lo) + float(w) * s for lo, w, s in zip(self.box.lo, self.widths(), steps)
+        ]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
@@ -271,18 +289,24 @@ class GridSpec:
         return out
 
     def unflat(self, flat: int) -> tuple[int, ...]:
-        idx = []
-        for j in reversed(range(self.dim)):
-            idx.append(flat % self.shape[j])
-            flat //= self.shape[j]
-        return tuple(reversed(idx))
+        return unravel(flat, self.shape)
+
+    def cells_box(self, first: tuple[int, ...], last: tuple[int, ...]) -> BasicSet:
+        """The box of cells first..last on every axis.
+
+        Closed below; closed above only where `last` is the axis's last
+        cell, so the boxes of disjoint index ranges are disjoint.
+        """
+        return BasicSet(
+            self.dim,
+            tuple(planes[i] for planes, i in zip(self.planes, first)),
+            tuple(planes[i + 1] for planes, i in zip(self.planes, last)),
+            (True,) * self.dim,
+            tuple(i == n - 1 for i, n in zip(last, self.shape)),
+        )
 
     def cell_box(self, idx: tuple[int, ...]) -> BasicSet:
-        w = self.widths()
-        lo = [self.box.lo[j] + w[j] * idx[j] for j in range(self.dim)]
-        hi = [self.box.lo[j] + w[j] * (idx[j] + 1) for j in range(self.dim)]
-        closed_hi = [idx[j] == self.shape[j] - 1 for j in range(self.dim)]
-        return BasicSet.box(lo, hi, [True] * self.dim, closed_hi)
+        return self.cells_box(idx, idx)
 
     def grid_planes(self) -> list[tuple[int, Fraction]]:
         return [(j, v) for j, planes in enumerate(self.planes) for v in planes]
@@ -388,18 +412,13 @@ def build_sampled_svf(
 def estimate_tau(svf: SampledSVF) -> float:
     """Grid-estimated slack: half the max adjacent-cell net deviation."""
     norm = svf.normalized_nets
-    shape = svf.grid.shape
+    cells = np.arange(svf.grid.n_cells).reshape(svf.grid.shape)
     worst = 0.0
-    for flat in range(svf.grid.n_cells):
-        idx = svf.grid.unflat(flat)
-        a = norm[flat]
-        for j in range(svf.grid.dim):
-            if idx[j] + 1 < shape[j]:
-                nb = list(idx)
-                nb[j] += 1
-                b = norm[svf.grid.flat(tuple(nb))]
-                d = max(directed_deviation(a, b), directed_deviation(b, a))
-                worst = max(worst, d)
+    for j in range(svf.grid.dim):
+        # every cell paired with its neighbour one step up axis j
+        for i, k in zip(np.delete(cells, -1, axis=j).flat, np.delete(cells, 0, axis=j).flat):
+            a, b = norm[i], norm[k]
+            worst = max(worst, directed_deviation(a, b), directed_deviation(b, a))
     return 0.5 * worst
 
 
@@ -609,22 +628,15 @@ def filippov_regularize(
 
 def _straddle_mask(grid: GridSpec, sigma) -> np.ndarray:
     """Cells whose corners disagree in sign are surface cells."""
-    corner_axes = []
-    for j in range(grid.dim):
-        lo = float(grid.box.lo[j])
-        w = float(grid.widths()[j])
-        corner_axes.append(lo + w * np.arange(grid.shape[j] + 1))
-    mesh = np.meshgrid(*corner_axes, indexing="ij")
-    corners = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-    sgn = np.sign(np.asarray(sigma(corners), dtype=float)).reshape(
+    sgn = np.sign(np.asarray(sigma(grid.corners_array()), dtype=float)).reshape(
         [s + 1 for s in grid.shape]
     )
-    out = np.zeros(grid.shape, dtype=bool)
-    it = np.ndindex(*grid.shape)
-    for idx in it:
-        sl = tuple(slice(i, i + 2) for i in idx)
-        vals = sgn[sl].reshape(-1)
-        out[idx] = vals.max() != vals.min() or (vals == 0).any()
+    # each cell's 2**dim corner signs, one corner offset per slice
+    corner = np.stack([
+        sgn[tuple(slice(o, o + n) for o, n in zip(offset, grid.shape))]
+        for offset in itertools.product((0, 1), repeat=grid.dim)
+    ])
+    out = (corner.max(axis=0) != corner.min(axis=0)) | (corner == 0).any(axis=0)
     return out.reshape(-1)
 
 

@@ -493,3 +493,104 @@ def robot_subgradients(x, theta_grid: int):
     if not np.any(np.isclose(minimizers, theta_best)):
         minimizers = np.sort(np.append(minimizers, theta_best))
     return v_best, minimizers, gradients(minimizers)
+
+
+# ---------------------------------------------------------------------------
+# grid geometry and overlap checks, as first written
+
+
+def cell_box_reference(grid, idx):
+    """GridSpec.cell_box with its corners computed from the widths."""
+    from selectorkit.setalg import BasicSet
+
+    w = grid.widths()
+    lo = [grid.box.lo[j] + w[j] * idx[j] for j in range(grid.dim)]
+    hi = [grid.box.lo[j] + w[j] * (idx[j] + 1) for j in range(grid.dim)]
+    closed_hi = [idx[j] == grid.shape[j] - 1 for j in range(grid.dim)]
+    return BasicSet.box(lo, hi, [True] * grid.dim, closed_hi)
+
+
+def _mesh_value_reference(level, flat, beta):
+    pitch = Fraction(1, 2 ** (level + 1))
+    n = 2 ** (level + 1) + 1
+    digits = []
+    for _ in range(beta):
+        digits.append(flat % n)
+        flat //= n
+    digits.reverse()
+    return tuple(pitch * d for d in digits)
+
+
+def grid_pieces_reference(step):
+    """selector._grid_pieces with each run's box built by hand, cell by cell."""
+    import numpy as np
+
+    from selectorkit.setalg import BasicSet, GeneralizedBasicSet
+
+    grid = step.grid
+    shape = grid.shape
+    w = step.winner.reshape(shape)
+    pieces = {}
+    widths = grid.widths()
+
+    def cell_lo(idx):
+        return [grid.box.lo[j] + widths[j] * idx[j] for j in range(grid.dim)]
+
+    it = np.ndindex(*shape[:-1]) if grid.dim > 1 else [()]
+    last = shape[-1]
+    for pre in it:
+        run_start, run_val = None, None
+        for i in range(last + 1):
+            val = int(w[pre + (i,)]) if i < last else None
+            if val != run_val or i == last:
+                if run_val is not None and run_val >= 0:
+                    lo = cell_lo(pre + (run_start,))
+                    hi_idx = pre + (i - 1,)
+                    hi = [
+                        grid.box.lo[j] + widths[j] * (hi_idx[j] + 1)
+                        for j in range(grid.dim)
+                    ]
+                    closed_hi = [hi_idx[j] == shape[j] - 1 for j in range(grid.dim)]
+                    pieces.setdefault(run_val, []).append(
+                        BasicSet.box(lo, hi, [True] * grid.dim, closed_hi)
+                    )
+                run_start, run_val = i, val
+    return tuple(
+        (
+            GeneralizedBasicSet.of(pieces[val], dim=grid.dim),
+            _mesh_value_reference(step.level, val, step.beta),
+        )
+        for val in sorted(pieces)
+    )
+
+
+def straddle_mask_reference(grid, sigma):
+    """svf._straddle_mask cell by cell: a cell straddles when its corner
+    signs disagree or one of them is zero."""
+    import numpy as np
+
+    corner_axes = []
+    for j in range(grid.dim):
+        lo = float(grid.box.lo[j])
+        w = float(grid.widths()[j])
+        corner_axes.append(lo + w * np.arange(grid.shape[j] + 1))
+    mesh = np.meshgrid(*corner_axes, indexing="ij")
+    corners = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    sgn = np.sign(np.asarray(sigma(corners), dtype=float)).reshape(
+        [s + 1 for s in grid.shape]
+    )
+    out = np.zeros(grid.shape, dtype=bool)
+    for idx in np.ndindex(*grid.shape):
+        vals = sgn[tuple(slice(i, i + 2) for i in idx)].reshape(-1)
+        out[idx] = vals.max() != vals.min() or (vals == 0).any()
+    return out.reshape(-1)
+
+
+def first_meeting_pair_reference(sets):
+    """The first pair i < j of generalized sets with meeting parts, by
+    testing every pair of sets and every pair of their parts."""
+    for i in range(len(sets)):
+        for j in range(i + 1, len(sets)):
+            if any(p.intersects(q) for p in sets[i].parts for q in sets[j].parts):
+                return i, j
+    return None

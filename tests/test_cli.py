@@ -323,6 +323,22 @@ def _example1_with_lo(lo) -> dict:
     return sets
 
 
+# solver and problem fields that end a run in a traceback or are misread
+BAD_PROBLEMS = [
+    ("grid-step-zero", {"grid_step": 0}),
+    ("grid-step-negative", {"grid_step": -0.01}),
+    ("grid-step-nan", {"grid_step": float("nan")}),
+    ("T-infinite", {"T": float("inf")}),
+    ("singleton-T-negative", {"field": "singleton", "T": -1}),
+    ("max-iter-zero", {"max_iter": 0}),
+    ("max-iter-negative", {"max_iter": -3}),
+    ("x0-empty", {"x0": []}),
+    ("linear-tube-x0-two-coordinates", {"field": "linear_tube", "x0": [1, 2]}),
+    ("x0-nan", {"x0": [float("nan")]}),
+    ("p0-nan", {"p0": float("nan")}),
+]
+
+
 @pytest.mark.parametrize(
     "command, content",
     [
@@ -365,6 +381,7 @@ def _example1_with_lo(lo) -> dict:
         ],
         (["solve-di"], lambda: {"svf_file": "absent_svf.json", "x0": [0.5]}),
         (["solve-di"], lambda: {"field": "linear_tube", "x0": "abc"}),
+        *[(["solve-di"], lambda problem=problem: problem) for _, problem in BAD_PROBLEMS],
         (["reduce"], lambda: [1, 2]),
         (["extract"], lambda: [1, 2]),
         (["eval", "--at", "0.3"], lambda: [1, 2]),
@@ -377,7 +394,8 @@ def _example1_with_lo(lo) -> dict:
         "chain-no-steps", "chain-level-beyond-n",
         *[f"chain-contradicted-{field}" for field, _ in CONTRADICTED_CERTIFICATE_FIELDS],
         "problem-svf-file-missing",
-        "problem-x0-not-number", "sets-not-object", "svf-not-object",
+        "problem-x0-not-number", *[f"problem-{name}" for name, _ in BAD_PROBLEMS],
+        "sets-not-object", "svf-not-object",
         "chain-not-object", "problem-not-object",
     ],
 )

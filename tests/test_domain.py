@@ -25,6 +25,7 @@ from selectorkit.domain import (
     _separating_faces,
     _thinnest_side,
 )
+from selectorkit.errors import InputError
 from selectorkit.setalg import (
     BasicSet,
     GeneralizedBasicSet,
@@ -70,7 +71,8 @@ def square_domain(nx=2, ny=2):
 # make_witness
 
 
-def test_witness_equal_budget_reproduces_three_point_cover():
+def test_witness_geometric_budget_three_point_cover():
+    """The three endpoint slabs take eps/2, eps/4 and eps/8 in plane order."""
     seq = SetSequence.of(
         [
             BasicSet.interval(0, F(1, 2), True, True),
@@ -79,14 +81,14 @@ def test_witness_equal_budget_reproduces_three_point_cover():
         "rowmajor",
     )
     ambient = BasicSet.closed_box([0], [1])
-    m = make_witness(seq, ambient, F(3, 10), budget_rule="equal")
+    m = make_witness(seq, ambient, F(3, 10))
     got = sorted((p.lo[0], p.hi[0]) for p in m.parts)
     assert got == [
-        (F(-1, 20), F(1, 20)),
-        (F(9, 20), F(11, 20)),
-        (F(19, 20), F(21, 20)),
+        (F(-3, 40), F(3, 40)),
+        (F(37, 80), F(43, 80)),
+        (F(157, 160), F(163, 160)),
     ]
-    assert m.measure() == F(3, 10)
+    assert m.measure() == F(21, 80)
 
 
 def test_from_cells_rejects_cell_of_other_dimension():
@@ -229,16 +231,16 @@ def carriers_inside_unit_box(draw):
     return GeneralizedBasicSet.of(parts, dim=dim)
 
 
-@given(carriers_inside_unit_box(), st.sampled_from(["geometric", "equal"]))
+@given(carriers_inside_unit_box())
 @settings(max_examples=100, deadline=None)
-def test_witness_margin_holds_for_carriers_inside_ambient(carrier, budget_rule):
+def test_witness_margin_holds_for_carriers_inside_ambient(carrier):
     ambient = BasicSet.closed_box([0] * carrier.dim, [1] * carrier.dim)
     eps = F(1, 10)
     try:
-        make_witness(carrier, ambient, eps, budget_rule, coverage="ambient")
+        make_witness(carrier, ambient, eps, coverage="ambient")
     except WitnessError as e:
         assert "well-containment margin" not in str(e)
-    m = make_witness(carrier, ambient, eps, budget_rule, coverage="closure")
+    m = make_witness(carrier, ambient, eps, coverage="closure")
     if m.is_empty:
         assert not carrier.gamma
     else:
@@ -394,6 +396,16 @@ def test_pcm_validate_and_eval():
     assert f.value_at([F(1, 4)]) == (0,)
     assert f.value_at([F(3, 4)]) == (1,)
     assert f.value_at([F(2)]) is None
+
+
+def test_pcm_validate_names_the_first_overlapping_pair():
+    dom = unit_interval_domain()
+    q1, q2 = dom.carrier.items
+    # the point 1/2 lies in piece 1, [0, 1/2], but not in piece 0, (1/2, 1]
+    seam = GeneralizedBasicSet.of([BasicSet.singleton([F(1, 2)])])
+    pieces = ((q2, (F(1),)), (q1, (F(0),)), (seam, (F(1, 2),)))
+    with pytest.raises(WitnessError, match="pieces 1 and 2 overlap"):
+        PiecewiseConstantMap(pieces=pieces, domain=dom).validate()
 
 
 def test_extension_constant_map():
@@ -708,6 +720,15 @@ def test_domain_json_roundtrip():
     assert back.carrier == dom.carrier
     assert back.ambient == dom.ambient
     assert back.verify(F(1, 10)).ok
+
+
+def test_domain_json_names_no_budget_rule_and_refuses_other_rules():
+    obj = domain_to_json(unit_interval_domain())
+    assert "witness_budget_rule" not in obj
+    back = domain_from_json(dict(obj, witness_budget_rule="geometric"))
+    assert back.verify(F(1, 10)).ok
+    with pytest.raises(InputError, match="'equal'"):
+        domain_from_json(dict(obj, witness_budget_rule="equal"))
 
 
 def test_witness_distance_oracle():

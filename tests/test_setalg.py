@@ -15,6 +15,7 @@ from selectorkit.setalg import (
     basic_set_to_json,
     countable_reduction,
     dist_point_set,
+    first_meeting_pair,
     flatten_index,
     gbs_from_json,
     gbs_to_json,
@@ -30,6 +31,7 @@ from selectorkit.rational import as_fraction
 from oracles import (
     box_subtract_reference,
     contains_reference,
+    first_meeting_pair_reference,
     first_part_containing,
     parts_meeting,
     seq_boxes,
@@ -344,6 +346,20 @@ def test_box_contains_matches_linear_scan_hypothesis(case):
     for x in points:
         want = first_part_containing([box], x) is not None
         assert box.contains(x) == want == contains_reference(box, x)
+
+
+@given(
+    st.integers(1, 3).flatmap(
+        lambda d: st.tuples(st.just(d), st.lists(grid_parts(d), min_size=0, max_size=6))
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_first_meeting_pair_matches_all_pairs_loop_hypothesis(case):
+    """Empty, degenerate and touching parts with mixed ends; parts of one
+    set that meet each other make no pair."""
+    dim, part_lists = case
+    sets = [GeneralizedBasicSet(dim, parts) for parts in part_lists]
+    assert first_meeting_pair(sets) == first_meeting_pair_reference(sets)
 
 
 @st.composite

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selectorkit.errors import (
     DomainPointError,
@@ -23,12 +25,20 @@ from selectorkit.svf import (
     cellwise_svf_to_json,
     filippov_regularize,
     grid_plane_witness,
+    grid_witness,
     sublevel_domains,
     svf_distance,
     symmetric_range_box,
 )
+from selectorkit.selector import GridStep, _grid_pieces
+from selectorkit.svf import _straddle_mask
 
-from oracles import sublevel_reference
+from oracles import (
+    cell_box_reference,
+    grid_pieces_reference,
+    straddle_mask_reference,
+    sublevel_reference,
+)
 
 F = Fraction
 
@@ -471,3 +481,64 @@ def test_sublevel_rejection_soundness():
         in_any = any(dom.contains([x]) for dom in fam.domains)
         if not in_any:
             assert svf_distance(f, [F(0)], [x]) > 0.125 - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# hypothesis properties: grid geometry against the references
+
+
+@st.composite
+def grids(draw):
+    """A grid in dimension 1-3 with 1-5 cells per axis.
+
+    Cell widths include non-dyadic ones such as 4/33, whose planes the
+    references compute from the widths and GridSpec reads from `planes`.
+    """
+    dim = draw(st.integers(1, 3))
+    lo = [draw(st.sampled_from([F(-2), F(0), F(1, 3)])) for _ in range(dim)]
+    shape = tuple(draw(st.integers(1, 5)) for _ in range(dim))
+    widths = [draw(st.sampled_from([F(4, 33), F(1, 3), F(1, 2), F(2, 7), F(1)])) for _ in range(dim)]
+    hi = [a + w * n for a, w, n in zip(lo, widths, shape)]
+    return GridSpec(BasicSet.closed_box(lo, hi), shape)
+
+
+@given(grids())
+@settings(max_examples=200, deadline=None)
+def test_cell_box_matches_reference_hypothesis(grid):
+    for idx in np.ndindex(*grid.shape):
+        want = cell_box_reference(grid, idx)
+        assert grid.cell_box(idx) == want
+        assert repr(grid.cell_box(idx)) == repr(want)
+
+
+@given(grids(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_straddle_mask_matches_reference_hypothesis(grid, data):
+    n_corners = math.prod(s + 1 for s in grid.shape)
+    values = np.array(data.draw(st.lists(
+        st.sampled_from([-2.5, -1.0, 0.0, 0.5, 3.0]),
+        min_size=n_corners, max_size=n_corners,
+    )))
+
+    def sigma(corners):
+        assert len(corners) == n_corners
+        return values
+
+    assert np.array_equal(_straddle_mask(grid, sigma), straddle_mask_reference(grid, sigma))
+
+
+@given(grids(), st.integers(1, 2), st.data())
+@settings(max_examples=200, deadline=None)
+def test_grid_pieces_match_reference_hypothesis(grid, beta, data):
+    """Same pieces in the same order from winners with holes and repeats."""
+    winner = np.array(data.draw(st.lists(
+        st.sampled_from([-1, 0, 3, 7, 8]),
+        min_size=grid.n_cells, max_size=grid.n_cells,
+    )), dtype=np.int64)
+    step = GridStep(
+        level=2, winner=winner, grid=grid, beta=beta,
+        witness=grid_witness(grid), certificate=None,
+    )
+    want = grid_pieces_reference(step)
+    assert _grid_pieces(step) == want
+    assert repr(_grid_pieces(step)) == repr(want)
