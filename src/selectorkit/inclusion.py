@@ -154,6 +154,8 @@ def filippov_iterate(
     """
     if max_iter < 1:
         raise InputError(f"max_iter must be at least 1, not {max_iter!r}")
+    if not tol > 0:
+        raise InputError(f"tol must be positive, not {tol!r}")
     times = _grid(prob.T, grid_step)
     h = float(grid_step)
     n = len(times)
@@ -343,6 +345,10 @@ def problem_from_cellwise_svf(svf, x0, T, beta_tube, obj=None) -> DIProblem:
     should override for sharper certificates.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if len(x0) != svf.alpha:
+        raise InputError(f"x0 has {len(x0)} coordinates; the SVF's domain has {svf.alpha}")
+    if not svf.domain_box.contains([as_fraction(c) for c in x0]):
+        raise InputError(f"x0 {x0.tolist()} lies outside the SVF's working box")
 
     def net(t, x):
         vals = svf.value_set([as_fraction(float(c)) for c in x])

@@ -30,6 +30,7 @@ import io
 import itertools
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -41,6 +42,7 @@ from .setalg import (
     BasicSet,
     _aspoint,
     GeneralizedBasicSet,
+    Point,
     basic_set_to_json,
     gbs_from_json,
     gbs_to_json,
@@ -125,6 +127,25 @@ class ExactStep(PiecewiseConstantMap):
     def witness(self) -> RepresentabilityWitness:
         return self.domain.witness
 
+    def answer(self, x: Point, eps: Fraction) -> tuple[str | None, int | None]:
+        """(reason, None) where f_k is undefined at x, else (None, piece index).
+
+        Undefined outside the closed working box, then inside M(eps),
+        then outside every piece.
+        """
+        box = self.domain.ambient
+        if not all(lo <= c <= hi for c, lo, hi in zip(x, box.lo, box.hi)):
+            return EvalResult.OUTSIDE_DOMAIN, None
+        if self.witness(eps).contains(x):
+            return EvalResult.INSIDE_WITNESS, None
+        union, owner = self._located
+        k = union.locate(x)
+        return (EvalResult.OUTSIDE_DOMAIN, None) if k is None else (None, owner[k])
+
+    def keyed_values(self) -> dict[int, tuple[Fraction, ...]]:
+        """Each piece's value under the key `answer` returns for it."""
+        return {i: r for i, (_, r) in enumerate(self.pieces)}
+
 
 @dataclass(frozen=True, eq=False)
 class GridStep:
@@ -143,6 +164,8 @@ class GridStep:
     beta: int
     witness: RepresentabilityWitness = field(repr=False)
     certificate: StepCertificate
+    # per admitted eps, the slab ends of M(eps) on each axis
+    _slab_keys: dict = field(default_factory=dict, init=False, repr=False)
 
     def __eq__(self, other):
         if not isinstance(other, GridStep):
@@ -157,6 +180,44 @@ class GridStep:
             return None
         w = int(self.winner[self.grid.flat(idx)])
         return None if w < 0 else mesh_value(self.level, w, self.beta)
+
+    @cached_property
+    def _winners(self) -> list[int]:
+        return self.winner.tolist()
+
+    def answer(self, x: Point, eps: Fraction) -> tuple[str | None, int | None]:
+        """(reason, None) where f_k is undefined at x, else (None, mesh index).
+
+        One integer placement per axis among the ends of M(eps)'s slabs
+        decides all three questions: outside the closed box, inside
+        M(eps), and which cell, whose winner may be -1 (undefined).
+        """
+        axes = self._slab_keys.get(eps)
+        if axes is None:
+            self.witness(eps)  # admits eps only when M(eps) fits its budget
+            axes = self._slab_keys[eps] = self.grid.slab_keys(eps)
+        flat, in_slab = 0, False
+        for c, axis, n_cells in zip(x, axes, self.grid.shape):
+            placed = axis.place(c)
+            if placed is None:
+                return EvalResult.OUTSIDE_DOMAIN, None
+            below, upto = placed
+            if below == upto and below & 1:
+                in_slab = True
+            else:
+                flat = flat * n_cells + upto // 2 - 1
+        if in_slab:
+            return EvalResult.INSIDE_WITNESS, None
+        w = self._winners[flat]
+        return (EvalResult.OUTSIDE_DOMAIN, None) if w < 0 else (None, w)
+
+    def keyed_values(self) -> dict[int, tuple[Fraction, ...]]:
+        """Each winning mesh node under the key `answer` returns for it."""
+        return {
+            w: mesh_value(self.level, w, self.beta)
+            for w in np.unique(self.winner).tolist()
+            if w >= 0
+        }
 
     @property
     def pieces(self) -> tuple[tuple[GeneralizedBasicSet, tuple[Fraction, ...]], ...]:
@@ -189,6 +250,12 @@ class SelectorChain:
 
     def final_witness(self, eps) -> GeneralizedBasicSet:
         return self.steps[-1].witness(eps)
+
+    @cached_property
+    def final_values(self) -> dict[int, tuple[Fraction, ...]]:
+        """The final step's values denormalized to the range, all computed at once."""
+        denormalize = self.svf.range_map.denormalize
+        return {k: denormalize(r) for k, r in self.steps[-1].keyed_values().items()}
 
 
 @dataclass(frozen=True)
@@ -444,9 +511,10 @@ def _grid_pieces(step: GridStep):
                     grid.cells_box(pre + (start,), pre + (end - 1,))
                 )
             start = end
+    # a box of cells is never empty: GridSpec has positive widths
     return tuple(
         (
-            GeneralizedBasicSet.of(pieces[val], dim=grid.dim),
+            GeneralizedBasicSet(grid.dim, tuple(pieces[val])),
             mesh_value(step.level, val, step.beta),
         )
         for val in sorted(pieces)
@@ -466,17 +534,11 @@ def eval_selector(chain: SelectorChain, x, eps_dom=None) -> EvalResult:
     eps_dom = chain.dom_budget if eps_dom is None else as_fraction(eps_dom)
     if eps_dom <= 0:
         raise InputError("witness budget must be positive")
-    box = chain.svf.domain_box
-    x = _aspoint(x, box.dim)
-    if not all(lo <= c <= hi for c, lo, hi in zip(x, box.lo, box.hi)):
-        return EvalResult(None, EvalResult.OUTSIDE_DOMAIN)
-    step = chain.steps[-1]
-    if step.witness(eps_dom).contains(x):
-        return EvalResult(None, EvalResult.INSIDE_WITNESS)
-    r = step.value_at(x)
-    if r is None:
-        return EvalResult(None, EvalResult.OUTSIDE_DOMAIN)
-    return EvalResult(chain.svf.range_map.denormalize(r))
+    x = _aspoint(x, chain.svf.domain_box.dim)
+    reason, key = chain.steps[-1].answer(x, eps_dom)
+    if reason is not None:
+        return EvalResult(None, reason)
+    return EvalResult(chain.final_values[key])
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -222,11 +222,58 @@ def unravel(flat: int, shape: Sequence[int]) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
+class AxisKeys:
+    """Sorted rational breakpoints on one axis of a closed interval [lo, hi].
+
+    The breakpoints and both ends are stored as ints: each times `scale`,
+    the lcm of their denominators, so a coordinate is placed among them
+    by one integer division and a bisection, exactly.
+    """
+
+    scale: int
+    keys: list[int]
+    lo: int
+    hi: int
+
+    @staticmethod
+    def of(values: Sequence[Fraction], lo: Fraction, hi: Fraction) -> "AxisKeys":
+        scale = math.lcm(*(v.denominator for v in (lo, hi, *values)))
+        lo, hi, *keys = (v.numerator * (scale // v.denominator) for v in (lo, hi, *values))
+        return AxisKeys(scale, keys, lo, hi)
+
+    def place(self, c: Fraction) -> tuple[int, int] | None:
+        """None when c lies outside [lo, hi]; else (#keys < c, #keys <= c).
+
+        With c * scale = n + r / q, 0 <= r < q, an int key k is at most
+        c exactly when k <= n, and below c when k <= n and r > 0 or k < n.
+        """
+        n, r = divmod(c.numerator * self.scale, c.denominator)
+        if n < self.lo or n > self.hi or (n == self.hi and r):
+            return None
+        upto = bisect_right(self.keys, n)
+        return (upto if r else bisect_left(self.keys, n)), upto
+
+
+@dataclass(frozen=True)
 class GridSpec:
-    """Uniform cell grid over a closed box; cells are half-open tiles."""
+    """Uniform cell grid over a closed box; cells are half-open tiles.
+
+    The box has positive width and at least one cell on every axis.
+    """
 
     box: BasicSet
     shape: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.shape) != self.box.dim:
+            raise InputError(
+                f"grid shape {tuple(self.shape)} has {len(self.shape)} axes, "
+                f"the box {self.box.dim}"
+            )
+        if any(n < 1 for n in self.shape):
+            raise InputError(f"grid shape {tuple(self.shape)} has an axis without cells")
+        if any(h <= l for l, h in zip(self.box.lo, self.box.hi)):
+            raise InputError("grid box must have positive width on every axis")
 
     @property
     def dim(self) -> int:
@@ -272,15 +319,46 @@ class GridSpec:
             for j in range(self.dim)
         )
 
+    @cached_property
+    def _plane_keys(self) -> tuple[AxisKeys, ...]:
+        return tuple(AxisKeys.of(p, p[0], p[-1]) for p in self.planes)
+
     def cell_of_point(self, x) -> tuple[int, ...] | None:
         idx = []
-        for j, planes in enumerate(self.planes):
-            c = as_fraction(x[j])
-            if c < planes[0] or c > planes[-1]:
+        for j, axis in enumerate(self._plane_keys):
+            placed = axis.place(as_fraction(x[j]))
+            if placed is None:
                 return None
             # cells are [plane_i, plane_i+1); the top plane closes the last cell
-            idx.append(min(bisect_right(planes, c), self.shape[j]) - 1)
+            idx.append(min(placed[1], self.shape[j]) - 1)
         return tuple(idx)
+
+    def slab_half_widths(self, eps: Fraction) -> tuple[Fraction, ...]:
+        """Per axis, the half-width h of the grid-plane witness's slabs.
+
+        eps is split evenly over the planes; a slab of axis j has volume
+        at most 2h * prod over the other axes of (width + 1), which needs
+        2h <= 1.  h <= min_w / 4 keeps the slabs of one axis apart.
+        """
+        budget = eps / sum(n + 1 for n in self.shape)
+        spans = [h - l + 1 for l, h in zip(self.box.lo, self.box.hi)]
+        min_w = min(self.widths())
+        return tuple(
+            min(budget / (2 * math.prod(spans[:j] + spans[j + 1 :])), min_w / 4, Fraction(1, 2))
+            for j in range(self.dim)
+        )
+
+    def slab_keys(self, eps: Fraction) -> tuple[AxisKeys, ...]:
+        """Per axis, the slab ends v_0 - h, v_0 + h, ..., v_N + h over [v_0, v_N].
+
+        They strictly increase because h <= min_w / 4.  A coordinate
+        with a == b keys below and at or below it lies in an open slab
+        exactly when a is odd; otherwise its cell is b // 2 - 1.
+        """
+        return tuple(
+            AxisKeys.of([v + s for v in p for s in (-h, h)], p[0], p[-1])
+            for p, h in zip(self.planes, self.slab_half_widths(eps))
+        )
 
     def flat(self, idx: tuple[int, ...]) -> int:
         out = 0
@@ -550,21 +628,10 @@ def grid_plane_witness(grid: GridSpec, eps) -> GeneralizedBasicSet:
     The endpoint set of any union of grid cells lies on the grid
     planes, so one witness shape serves every such domain.
     """
-    eps = as_fraction(eps)
-    planes = grid.grid_planes()
-    cross: dict[int, Fraction] = {}
-    for j in range(grid.dim):
-        area = Fraction(1)
-        for k in range(grid.dim):
-            if k != j:
-                area *= (grid.box.hi[k] - grid.box.lo[k]) + 1
-        cross[j] = area
-    budget = eps / len(planes)
-    min_w = min(grid.widths())
+    half_widths = grid.slab_half_widths(as_fraction(eps))
     parts = []
-    for j, v in planes:
-        # the volume bound 2h * prod(width + 1) needs 2h <= 1
-        half = min(budget / (2 * cross[j]), min_w / 4, Fraction(1, 2))
+    for j, v in grid.grid_planes():
+        half = half_widths[j]
         lo = [grid.box.lo[k] - half for k in range(grid.dim)]
         hi = [grid.box.hi[k] + half for k in range(grid.dim)]
         lo[j], hi[j] = v - half, v + half

@@ -499,6 +499,20 @@ def robot_subgradients(x, theta_grid: int):
 # grid geometry and overlap checks, as first written
 
 
+def cell_of_point_reference(grid, x):
+    """GridSpec.cell_of_point by `Fraction` bisection over the planes."""
+    from bisect import bisect_right
+
+    idx = []
+    for j, planes in enumerate(grid.planes):
+        c = Fraction(x[j])
+        if c < planes[0] or c > planes[-1]:
+            return None
+        # cells are [plane_i, plane_i+1); the top plane closes the last cell
+        idx.append(min(bisect_right(planes, c), grid.shape[j]) - 1)
+    return tuple(idx)
+
+
 def cell_box_reference(grid, idx):
     """GridSpec.cell_box with its corners computed from the widths."""
     from selectorkit.setalg import BasicSet

@@ -336,6 +336,9 @@ BAD_PROBLEMS = [
     ("linear-tube-x0-two-coordinates", {"field": "linear_tube", "x0": [1, 2]}),
     ("x0-nan", {"x0": [float("nan")]}),
     ("p0-nan", {"p0": float("nan")}),
+    ("tol-zero", {"tol": 0, "T": 0.1}),
+    ("svf-x0-outside-box", {"svf_file": str(ASSETS / "desk_svf.json"), "x0": [3.0], "T": 0.1}),
+    ("svf-x0-two-coordinates", {"svf_file": str(ASSETS / "desk_svf.json"), "x0": [0.5, 0.5]}),
 ]
 
 

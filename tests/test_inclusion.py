@@ -136,6 +136,12 @@ def test_grid_step_must_divide_horizon():
         filippov_iterate(prob, grid_step=0.3)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0])
+def test_nonpositive_tol_rejected(tol):
+    with pytest.raises(InputError, match="tol"):
+        filippov_iterate(linear_tube_problem(T=1.0), tol=tol)
+
+
 def test_initial_offset_outside_tube_rejected():
     with pytest.raises(InputError):
         linear_tube_problem(x0=9.0, beta_tube=1.0)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from selectorkit.domain import continuous_extension, make_witness
 from selectorkit.errors import CoverageError, InputError, PrecisionError
+from selectorkit.robot import export_svf
 from selectorkit.selector import (
     EvalResult,
     _ball_offsets,
@@ -423,7 +424,9 @@ def masked_square_sampled():
 
 
 _EVAL_EPS = (None, F_(1, 16), F_(1, 7), F_(1, 100))
-_EVAL_CHAINS = ("exact", "exact-json", "exact-half-open-2d", "grid", "grid-masked-2d")
+_EVAL_CHAINS = (
+    "exact", "exact-json", "exact-half-open-2d", "grid", "grid-masked-2d", "grid-robot-3d",
+)
 
 
 @functools.cache
@@ -439,6 +442,8 @@ def _eval_case(name):
         "exact-half-open-2d": half_open_square_svf,
         "grid": lambda: desk_sampled(16),
         "grid-masked-2d": masked_square_sampled,
+        # non-dyadic planes -2 + 4i/9, as in the robot_grid bench workload
+        "grid-robot-3d": lambda: export_svf(2, F_(4, 9)),
     }[name]
     chain = extract(make(), 4)
     box = chain.svf.domain_box
@@ -461,12 +466,15 @@ def _eval_case(name):
 def test_eval_matches_engine_reference_hypothesis(name, data):
     chain, faces, inner = _eval_case(name)
     eps = data.draw(st.sampled_from(_EVAL_EPS))
+    # floats too, as the closed loop passes them
     x = [
         data.draw(
             st.one_of(
                 st.sampled_from(ends),
                 st.sampled_from(coords),
+                st.sampled_from(coords).map(float),
                 st.fractions(ends[0], ends[-1], max_denominator=64),
+                st.floats(float(ends[0]), float(ends[-1])),
             )
         )
         for ends, coords in zip(faces, inner)

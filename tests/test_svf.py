@@ -35,6 +35,7 @@ from selectorkit.svf import _straddle_mask
 
 from oracles import (
     cell_box_reference,
+    cell_of_point_reference,
     grid_pieces_reference,
     straddle_mask_reference,
     sublevel_reference,
@@ -204,6 +205,22 @@ def test_sublevel_domains_pass_def6():
 
 # ---------------------------------------------------------------------------
 # sampled SVFs
+
+
+@pytest.mark.parametrize(
+    "lo, hi, shape, match",
+    [
+        ([0, 0], [1, 1], (4,), "axes"),
+        ([0], [1], (4, 4), "axes"),
+        ([0, 0], [1, 1], (4, 0), "without cells"),
+        ([0], [1], (-2,), "without cells"),
+        ([0, 1], [1, 1], (4, 4), "positive width"),
+        ([1], [0], (4,), "positive width"),
+    ],
+)
+def test_grid_spec_refuses_a_grid_without_cells(lo, hi, shape, match):
+    with pytest.raises(InputError, match=match):
+        GridSpec(BasicSet.closed_box(lo, hi), shape)
 
 
 def test_sampled_build_and_tau():
@@ -497,7 +514,10 @@ def grids(draw):
     dim = draw(st.integers(1, 3))
     lo = [draw(st.sampled_from([F(-2), F(0), F(1, 3)])) for _ in range(dim)]
     shape = tuple(draw(st.integers(1, 5)) for _ in range(dim))
-    widths = [draw(st.sampled_from([F(4, 33), F(1, 3), F(1, 2), F(2, 7), F(1)])) for _ in range(dim)]
+    widths = [
+        draw(st.sampled_from([F(4, 33), F(4, 9), F(1, 3), F(1, 2), F(2, 7), F(1)]))
+        for _ in range(dim)
+    ]
     hi = [a + w * n for a, w, n in zip(lo, widths, shape)]
     return GridSpec(BasicSet.closed_box(lo, hi), shape)
 
@@ -509,6 +529,26 @@ def test_cell_box_matches_reference_hypothesis(grid):
         want = cell_box_reference(grid, idx)
         assert grid.cell_box(idx) == want
         assert repr(grid.cell_box(idx)) == repr(want)
+
+
+@given(grids(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_cell_of_point_matches_fraction_bisection_hypothesis(grid, data):
+    """Points on, just beside and outside every plane, as Fractions and floats."""
+    tiny = F(1, 2**40)
+    base = [
+        data.draw(st.one_of(
+            st.fractions(p[0] - 1, p[-1] + 1, max_denominator=99),
+            st.floats(float(p[0] - 1), float(p[-1] + 1)),
+        ))
+        for p in grid.planes
+    ]
+    for j, planes in enumerate(grid.planes):
+        for v in (*planes, planes[0] - 1, planes[-1] + 1):
+            for c in (v - tiny, v, v + tiny, float(v)):
+                x = list(base)
+                x[j] = c
+                assert grid.cell_of_point(x) == cell_of_point_reference(grid, x)
 
 
 @given(grids(), st.data())
