@@ -133,14 +133,17 @@ class ExactStep(PiecewiseConstantMap):
         Undefined outside the closed working box, then inside M(eps),
         then outside every piece.
         """
-        box = self.domain.ambient
-        if not all(lo <= c <= hi for c, lo, hi in zip(x, box.lo, box.hi)):
+        if not self._closed_box.contains(x):
             return EvalResult.OUTSIDE_DOMAIN, None
         if self.witness(eps).contains(x):
             return EvalResult.INSIDE_WITNESS, None
         union, owner = self._located
         k = union.locate(x)
         return (EvalResult.OUTSIDE_DOMAIN, None) if k is None else (None, owner[k])
+
+    @cached_property
+    def _closed_box(self) -> GeneralizedBasicSet:
+        return GeneralizedBasicSet(self.domain.dim, (self.domain.ambient.closure(),))
 
     def keyed_values(self) -> dict[int, tuple[Fraction, ...]]:
         """Each piece's value under the key `answer` returns for it."""

@@ -16,7 +16,7 @@ over (set index, part index).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -287,24 +287,54 @@ def _meet_axis(
     return lo, clo, hi, chi
 
 
-def _slot(i: int, closed: bool, side: int) -> int:
-    """Slot covered by an interval end at the endpoint value v_i.
+@dataclass(frozen=True)
+class AxisKeys:
+    """Sorted distinct rational breakpoints on one axis, each times `scale`
+    (the lcm of their denominators) as an int, so a coordinate is placed
+    among them by one integer division and a bisection, exactly.  Optional
+    outer ends lo <= hi, scaled alike, close the axis to [lo, hi]."""
 
-    Slot 2i+1 is v_i itself and slot 2i the open gap below it.  A closed
-    end covers its value's slot; an open end covers the gap next to it
-    inside the interval: the one above (side 1) for a lower end, the one
-    below (side -1) for an upper end.
-    """
-    return 2 * i + 1 + (0 if closed else side)
+    scale: int
+    keys: list[int]
+    lo: int | None = None
+    hi: int | None = None
 
+    @staticmethod
+    def of(values: Sequence[Fraction], lo=None, hi=None) -> "AxisKeys":
+        ends = () if lo is None else (lo, hi)
+        scale = math.lcm(*(v.denominator for v in (*ends, *values)))
+        ints = [v.numerator * (scale // v.denominator) for v in (*ends, *values)]
+        return AxisKeys(scale, sorted(set(ints[len(ends) :])), *ints[: len(ends)])
 
-def _locate_slot(values: list[Fraction], c: Fraction, closed=True, side=0) -> int:
-    """_slot of an end at c among sorted distinct values; a c between them
-    lies in the gap below the next value, whatever its closure."""
-    i = bisect_left(values, c)
-    if i < len(values) and values[i] == c:
-        return _slot(i, closed, side)
-    return 2 * i
+    def key(self, v: Fraction) -> int:
+        """v times scale; v's denominator divides scale."""
+        return v.numerator * (self.scale // v.denominator)
+
+    def place(self, c) -> tuple[int, int] | None:
+        """(#keys < c, #keys <= c), or None when c lies outside [lo, hi].
+
+        c is an exact rational read through `as_integer_ratio`.  With
+        c * scale = n + r / q, 0 <= r < q, an int key k is at most c
+        exactly when k <= n, and below c when k <= n and r > 0 or k < n.
+        """
+        p, q = c.as_integer_ratio()
+        n, r = divmod(p * self.scale, q)
+        if self.lo is not None and (n < self.lo or n > self.hi or (n == self.hi and r)):
+            return None
+        upto = bisect_right(self.keys, n)
+        return (upto if r else bisect_left(self.keys, n)), upto
+
+    @staticmethod
+    def slot(below: int, upto: int, closed: bool = True, side: int = 0) -> int:
+        """Slot covered by an interval end placed at (below, upto).
+
+        Slot 2i+1 is the key v_i and slot 2i the gap below it.  An end
+        between keys (below == upto) lies in the gap, whatever its closure.
+        An end at v_i covers v_i's slot when closed, else the gap next to
+        it inside the interval: above (side 1) for a lower end, below
+        (side -1) for an upper one.  A point's slot is below + upto.
+        """
+        return below + upto + (0 if closed or below == upto else side)
 
 
 def _check_dims(a, b) -> None:
@@ -363,7 +393,7 @@ class GeneralizedBasicSet:
         """Index of the first part containing the point, or None.
 
         Each coordinate is placed in its slot among the axis's sorted
-        endpoint values by exact bisection.  The parts holding the point
+        endpoint values by `AxisKeys`.  The parts holding the point
         start at or before that slot and end at or after it on every
         axis; the lowest bit of that mask is the first of them.
         """
@@ -371,8 +401,8 @@ class GeneralizedBasicSet:
             return None
         pt = _aspoint(point, self.dim)
         hits = (1 << len(self.parts)) - 1
-        for c, (values, starts, ends) in zip(pt, self._rank_index):
-            s = _locate_slot(values, c)
+        for c, (axis, starts, ends) in zip(pt, self._rank_index):
+            s = axis.slot(*axis.place(c))
             hits &= starts[s] & ends[s]
             if not hits:
                 return None
@@ -390,9 +420,9 @@ class GeneralizedBasicSet:
         if not self.parts or box.is_empty:
             return []
         hits = (1 << len(self.parts)) - 1
-        for j, (values, starts, ends) in enumerate(self._rank_index):
-            first = _locate_slot(values, box.lo[j], box.closed_lo[j], 1)
-            last = _locate_slot(values, box.hi[j], box.closed_hi[j], -1)
+        for j, (axis, starts, ends) in enumerate(self._rank_index):
+            first = axis.slot(*axis.place(box.lo[j]), box.closed_lo[j], 1)
+            last = axis.slot(*axis.place(box.hi[j]), box.closed_hi[j], -1)
             hits &= starts[last] & ends[first]
             if not hits:
                 return []
@@ -404,30 +434,32 @@ class GeneralizedBasicSet:
         return out
 
     @cached_property
-    def _rank_index(self) -> tuple[tuple[list[Fraction], list[int], list[int]], ...]:
-        """Per axis: the sorted distinct endpoints and two cumulative part masks.
+    def _rank_index(self) -> tuple[tuple[AxisKeys, list[int], list[int]], ...]:
+        """Per axis: the part ends as `AxisKeys` and two cumulative part masks.
 
-        A part covers the slots from its lower end's `_slot` to its upper
-        end's; an empty part covers none on some axis and enters no mask
-        there.  starts[s] holds the parts whose first slot is at most s,
-        ends[s] those whose last slot is at least s.
+        A part covers the slots from its lower end's slot to its upper
+        end's (each end's rank read from a dict on the keys); an empty
+        part covers none on some axis and enters no mask there.  starts[s]
+        holds the parts whose first slot is at most s, ends[s] those whose
+        last slot is at least s.
         """
         index = []
         for j in range(self.dim):
-            values = sorted({c for p in self.parts for c in (p.lo[j], p.hi[j])})
-            rank = {v: i for i, v in enumerate(values)}
-            starts = [0] * (2 * len(values) + 1)
-            ends = [0] * (2 * len(values) + 1)
+            axis = AxisKeys.of([c for p in self.parts for c in (p.lo[j], p.hi[j])])
+            rank = {k: i for i, k in enumerate(axis.keys)}
+            starts = [0] * (2 * len(rank) + 1)
+            ends = [0] * (2 * len(rank) + 1)
             for k, p in enumerate(self.parts):
-                first = _slot(rank[p.lo[j]], p.closed_lo[j], 1)
-                last = _slot(rank[p.hi[j]], p.closed_hi[j], -1)
+                a, b = rank[axis.key(p.lo[j])], rank[axis.key(p.hi[j])]
+                first = axis.slot(a, a + 1, p.closed_lo[j], 1)
+                last = axis.slot(b, b + 1, p.closed_hi[j], -1)
                 if first <= last:
                     starts[first] |= 1 << k
                     ends[last] |= 1 << k
             for s in range(1, len(starts)):
                 starts[s] |= starts[s - 1]
                 ends[-1 - s] |= ends[-s]
-            index.append((values, starts, ends))
+            index.append((axis, starts, ends))
         return tuple(index)
 
     @cached_property
@@ -468,9 +500,6 @@ class GeneralizedBasicSet:
     def issubset(self, other: "GeneralizedBasicSet") -> bool:
         """Exact containment, closure flags included."""
         return self.subtract(other).is_empty
-
-    def disjoint_from(self, other: "GeneralizedBasicSet") -> bool:
-        return not any(other.meeting(p) for p in self.parts)
 
     def __repr__(self) -> str:
         if self.is_empty:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -31,6 +30,7 @@ import numpy as np
 from .errors import DomainPointError, InhabitednessError, InputError, PrecisionError
 from .rational import as_fraction, int_from_json, rational_from_json, rational_to_json
 from .setalg import (
+    AxisKeys,
     BasicSet,
     GeneralizedBasicSet,
     SetSequence,
@@ -219,39 +219,6 @@ def unravel(flat: int, shape: Sequence[int]) -> tuple[int, ...]:
         flat //= n
     idx.reverse()
     return tuple(idx)
-
-
-@dataclass(frozen=True)
-class AxisKeys:
-    """Sorted rational breakpoints on one axis of a closed interval [lo, hi].
-
-    The breakpoints and both ends are stored as ints: each times `scale`,
-    the lcm of their denominators, so a coordinate is placed among them
-    by one integer division and a bisection, exactly.
-    """
-
-    scale: int
-    keys: list[int]
-    lo: int
-    hi: int
-
-    @staticmethod
-    def of(values: Sequence[Fraction], lo: Fraction, hi: Fraction) -> "AxisKeys":
-        scale = math.lcm(*(v.denominator for v in (lo, hi, *values)))
-        lo, hi, *keys = (v.numerator * (scale // v.denominator) for v in (lo, hi, *values))
-        return AxisKeys(scale, keys, lo, hi)
-
-    def place(self, c: Fraction) -> tuple[int, int] | None:
-        """None when c lies outside [lo, hi]; else (#keys < c, #keys <= c).
-
-        With c * scale = n + r / q, 0 <= r < q, an int key k is at most
-        c exactly when k <= n, and below c when k <= n and r > 0 or k < n.
-        """
-        n, r = divmod(c.numerator * self.scale, c.denominator)
-        if n < self.lo or n > self.hi or (n == self.hi and r):
-            return None
-        upto = bisect_right(self.keys, n)
-        return (upto if r else bisect_left(self.keys, n)), upto
 
 
 @dataclass(frozen=True)

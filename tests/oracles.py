@@ -168,6 +168,43 @@ def parts_meeting(parts, box):
     return [i for i, p in enumerate(parts) if p.intersects(box)]
 
 
+def slot_reference(values, c, closed=True, side=0):
+    """The slot of an interval end at c among sorted distinct `Fraction`
+    values, by `Fraction` bisection, as the rank index first placed it.
+
+    Slot 2i+1 is values[i] and slot 2i the gap below it; an end at a
+    value covers its slot when closed and the gap on `side` when open.
+    """
+    from bisect import bisect_left
+
+    c = Fraction(c)
+    i = bisect_left(values, c)
+    if i < len(values) and values[i] == c:
+        return 2 * i + 1 + (0 if closed else side)
+    return 2 * i
+
+
+def rank_index_reference(g):
+    """Per axis of a generalized set: its sorted distinct `Fraction` ends
+    and the cumulative start and end masks, as first written."""
+    index = []
+    for j in range(g.dim):
+        values = sorted({c for p in g.parts for c in (p.lo[j], p.hi[j])})
+        starts = [0] * (2 * len(values) + 1)
+        ends = [0] * (2 * len(values) + 1)
+        for k, p in enumerate(g.parts):
+            first = slot_reference(values, p.lo[j], p.closed_lo[j], 1)
+            last = slot_reference(values, p.hi[j], p.closed_hi[j], -1)
+            if first <= last:
+                starts[first] |= 1 << k
+                ends[last] |= 1 << k
+        for s in range(1, len(starts)):
+            starts[s] |= starts[s - 1]
+            ends[-1 - s] |= ends[-s]
+        index.append((values, starts, ends))
+    return index
+
+
 def subtract_reference(parts, subtrahends):
     """Sequential difference: every piece cut by each subtrahend in turn."""
     parts = list(parts)

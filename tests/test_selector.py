@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from selectorkit.selector import (
     piecewise_constant_finish,
     selector_csv,
 )
-from selectorkit.setalg import BasicSet, GeneralizedBasicSet, SetSequence
+from selectorkit.setalg import BasicSet, GeneralizedBasicSet, SetAlgebraError, SetSequence
 from selectorkit.svf import (
     AffineRangeMap,
     GridSpec,
@@ -425,8 +426,20 @@ def masked_square_sampled():
 
 _EVAL_EPS = (None, F_(1, 16), F_(1, 7), F_(1, 100))
 _EVAL_CHAINS = (
-    "exact", "exact-json", "exact-half-open-2d", "grid", "grid-masked-2d", "grid-robot-3d",
+    "exact", "exact-json", "exact-half-open-2d", "exact-thirds",
+    "grid", "grid-masked-2d", "grid-robot-3d",
 )
+
+
+def thirds_svf():
+    """1-D cellwise SVF cut at 1/3 and 7/9: cell ends that are not dyadic."""
+    box = BasicSet.closed_box([0], [1])
+    cells = [
+        (BasicSet.interval(0, F_(1, 3), True, True), atoms(F_(1, 8))),
+        (BasicSet.interval(F_(1, 3), F_(7, 9), False, False), atoms(F_(3, 8), F_(5, 8))),
+        (BasicSet.interval(F_(7, 9), 1, True, True), atoms(F_(7, 16))),
+    ]
+    return build_cellwise_svf(box, cells)
 
 
 @functools.cache
@@ -440,6 +453,7 @@ def _eval_case(name):
     make = {
         "exact": three_cell_svf,
         "exact-half-open-2d": half_open_square_svf,
+        "exact-thirds": thirds_svf,
         "grid": lambda: desk_sampled(16),
         "grid-masked-2d": masked_square_sampled,
         # non-dyadic planes -2 + 4i/9, as in the robot_grid bench workload
@@ -480,6 +494,23 @@ def test_eval_matches_engine_reference_hypothesis(name, data):
         for ends, coords in zip(faces, inner)
     ]
     assert eval_selector(chain, x, eps) == eval_selector_reference(chain, x, eps)
+
+
+@pytest.mark.parametrize("name", ["desk", "grid-robot-3d"])
+def test_eval_refuses_malformed_points(name):
+    """Every coordinate is checked before any step answers, on both engines."""
+    chain = extract(desk_svf(), 4) if name == "desk" else _eval_case(name)[0]
+    dim = chain.svf.domain_box.dim
+    refusals = [(c, ValueError, "non-finite scalar") for c in (math.nan, math.inf, -math.inf)]
+    refusals += [(True, TypeError, "bool"), ("abc", ValueError, "abc")]
+    for j in range(dim):
+        for bad, error, match in refusals:
+            x = [F_(1, 3)] * dim
+            x[j] = bad
+            with pytest.raises(error, match=match):
+                eval_selector(chain, x)
+    with pytest.raises(SetAlgebraError, match=f"point dimension {dim + 1} != set dimension {dim}"):
+        eval_selector(chain, [F_(1, 3)] * (dim + 1))
 
 
 # ---------------------------------------------------------------------------

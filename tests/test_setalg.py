@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selectorkit.setalg import (
+    AxisKeys,
     BasicSet,
     GeneralizedBasicSet,
     SetAlgebraError,
@@ -34,7 +35,9 @@ from oracles import (
     first_meeting_pair_reference,
     first_part_containing,
     parts_meeting,
+    rank_index_reference,
     seq_boxes,
+    slot_reference,
     subtract_reference,
     union_measure,
 )
@@ -215,25 +218,31 @@ def test_intersects_agrees_with_intersect_hypothesis(pair):
 # hypothesis property: point location against a linear scan
 
 
-# the quarter grid holds every endpoint, the midpoints between them and
-# values outside every part
+# the sixth grid holds every endpoint, the quarter grid the midpoints
+# between half-integer ones, and both hold values outside every part
 COORD = st.one_of(
     st.sampled_from([F(k, 4) for k in range(-4, 17)]),
+    st.sampled_from([F(k, 6) for k in range(-6, 25)]),
     st.fractions(min_value=-1, max_value=5, max_denominator=7),
 )
 
 
 @st.composite
 def grid_parts(draw, dim):
-    """0-8 parts on the half-integer grid, empty and degenerate ones kept."""
+    """0-8 parts with corners on halves and thirds, empty and degenerate
+    ones kept; widths are halves or thirds, so the ends of one axis mix
+    the denominators 2 and 3 and lie on the sixth grid."""
     flags = st.tuples(*[st.booleans()] * dim)
+    corners = GRID + [F(k, 3) for k in (1, 2, 4, 5)]
     parts = []
     for _ in range(draw(st.integers(0, 8))):
-        lo = tuple(draw(st.sampled_from(GRID)) for _ in range(dim))
+        lo = tuple(draw(st.sampled_from(corners)) for _ in range(dim))
         if draw(st.integers(0, 4)) == 0:
             parts.append(BasicSet.singleton(lo))
             continue
-        hi = tuple(a + F(draw(st.integers(-1, 3)), 2) for a in lo)
+        hi = tuple(
+            a + F(draw(st.integers(-1, 3)), draw(st.sampled_from([2, 3]))) for a in lo
+        )
         parts.append(BasicSet(dim, lo, hi, draw(flags), draw(flags)))
     return tuple(parts)
 
@@ -242,11 +251,11 @@ def grid_parts(draw, dim):
 def located_unions(draw):
     """A union of 0-8 parts in dimension 1-3, empty parts kept, and points.
 
-    Corners lie on the half-integer grid; widths of -1/2 and 0 give empty
+    Corners lie on halves and thirds; negative and zero widths give empty
     and degenerate axes (faces), singletons are drawn outright, and the
-    closure flags are mixed.  Coordinates come from the quarter grid
-    (every endpoint, the midpoints between them and values outside every
-    part) and from small arbitrary fractions.
+    closure flags are mixed.  Coordinates come from the quarter and sixth
+    grids (every endpoint, midpoints and values outside every part) and
+    from small arbitrary fractions.
     """
     dim = draw(st.integers(1, 3))
     point = st.tuples(*[COORD] * dim)
@@ -291,6 +300,55 @@ def test_meeting_matches_linear_scan_hypothesis(case):
     g, boxes = case
     for box in boxes:
         assert g.meeting(box) == parts_meeting(g.parts, box)
+
+
+# ---------------------------------------------------------------------------
+# hypothesis property: integer placement against a Fraction bisection
+
+
+@st.composite
+def axis_probes(draw):
+    """1-8 breakpoints with non-dyadic gaps, in any order and repeated, and
+    probes as Fractions, floats and ints: on each breakpoint, 2**-40
+    beside it, and outside all of them."""
+    values = [draw(st.fractions(-2, 2, max_denominator=9))]
+    for _ in range(draw(st.integers(0, 7))):
+        width = draw(st.sampled_from([F(1, 3), F(2, 3), F(4, 9), F(4, 33), F(1, 2), F(1)]))
+        values.append(values[-1] + width)
+    tiny = F(1, 2**40)
+    exact = [c for v in values for c in (v - tiny, v, v + tiny)]
+    exact += [values[0] - 1, values[-1] + 1]
+    ints = [n for v in values for n in (math.floor(v), math.ceil(v))]
+    ints += [math.floor(values[0]) - 1, math.ceil(values[-1]) + 1]
+    given_as = draw(st.permutations(values + values[: draw(st.integers(0, 2))]))
+    return values, given_as, exact + [float(c) for c in exact] + ints
+
+
+@given(axis_probes(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_axis_keys_slot_matches_fraction_bisection_hypothesis(case, closed):
+    values, given_as, probes = case
+    axis = AxisKeys.of(given_as)
+    bounded = AxisKeys.of(values, values[0], values[-1])
+    for c in probes:
+        placed = axis.place(c)
+        assert axis.slot(*placed) == slot_reference(values, c)
+        for side in (1, -1):
+            assert axis.slot(*placed, closed, side) == slot_reference(values, c, closed, side)
+        inside = values[0] <= F(c) <= values[-1]
+        assert bounded.place(c) == (placed if inside else None)
+
+
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(st.just(d), grid_parts(d))))
+@settings(max_examples=200, deadline=None)
+def test_rank_index_matches_fraction_reference_hypothesis(case):
+    dim, parts = case
+    g = GeneralizedBasicSet(dim, parts)
+    for (axis, starts, ends), (values, want_starts, want_ends) in zip(
+        g._rank_index, rank_index_reference(g)
+    ):
+        assert axis.keys == [axis.key(v) for v in values]
+        assert (starts, ends) == (want_starts, want_ends)
 
 
 @given(
