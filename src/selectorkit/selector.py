@@ -256,9 +256,17 @@ class SelectorChain:
 
     @cached_property
     def final_values(self) -> dict[int, tuple[Fraction, ...]]:
-        """The final step's values denormalized to the range, all computed at once."""
-        denormalize = self.svf.range_map.denormalize
-        return {k: denormalize(r) for k, r in self.steps[-1].keyed_values().items()}
+        """The final step's values denormalized to the range, all computed at once.
+
+        Each axis's low end and width are taken once for every value;
+        the result equals `range_map.denormalize` of each value.
+        """
+        rmap = self.svf.range_map
+        axes = tuple(zip(rmap.lo, rmap.widths()))
+        return {
+            key: tuple(l + c * w for c, (l, w) in zip(r, axes))
+            for key, r in self.steps[-1].keyed_values().items()
+        }
 
 
 @dataclass(frozen=True)
@@ -412,7 +420,10 @@ def extraction_step(
 
 
 _OFFSET_BLOCK = 32  # ball candidates tested per pass
-_GRID_TEMP_ELEMS = 8_000_000  # cells x candidates x net points per temporary
+# per chunk of cells: a pass's candidates x net points, plus the int16
+# index of the ball offsets each cell keeps
+_GRID_TEMP_ELEMS = 8_000_000
+_SLAB_GUARD = 1e-9  # relative margin of the first-digit slab bound
 
 
 def _grid_step(prev_step: GridStep | None, F: SampledSVF, k: int, budget) -> GridStep:
@@ -433,43 +444,72 @@ def _grid_step(prev_step: GridStep | None, F: SampledSVF, k: int, budget) -> Gri
         prev_ok = prev_ok & F.mask
 
     offsets = np.array(_ball_offsets(beta))
+    # the ball's distinct first-digit offsets, each offset's index among
+    # them, and how many offsets share each
+    first_offsets, first_of, n_first = np.unique(
+        offsets[:, 0], return_inverse=True, return_counts=True
+    )
     winner = np.full(n_cells, -1, dtype=np.int64)
     accept2 = eps_accept * eps_accept
     gap2 = gap * gap
     padded_all = F.padded_nets
+    nn_all = (padded_all**2).sum(axis=2)  # (cells, m)
     m_max = padded_all.shape[1]
 
-    # walk the ball in lexicographic blocks and retire each cell at its
-    # first hit, which is its lowest-index admissible candidate
+    # First-digit slab bound: a candidate with first digit d0 lies at least
+    # |d0*pitch - n_0| from net point n, so no d0 with slab2 >= accept2
+    # holds an admissible candidate.  Pruning must keep every candidate
+    # that the float test below admits.  That test computes d_net2 as
+    # |c|^2 + |n|^2 - 2 c.n, with rounding error below
+    # (beta + 2) * 2**-53 * (|c| + |n|)^2, under 1e-14 for coordinates in
+    # [0, 1]; slab2 is off by a few ulps of itself.  Both lie far below
+    # 1e-9 of accept2 >= 4**-k at every level k <= 8, and `rounding2`
+    # keeps the bound safe at deeper levels.
+    rounding2 = (beta + 3) * 2.0**-52 * (np.sqrt(beta) + np.sqrt(nn_all.max())) ** 2
+    prune2 = accept2 * (1 + _SLAB_GUARD) + rounding2
+
+    # walk each cell's kept offsets in lexicographic blocks and retire the
+    # cell at its first hit, which is its lowest-index admissible candidate
     active = np.nonzero(prev_ok)[0]
-    chunk = max(1, _GRID_TEMP_ELEMS // (_OFFSET_BLOCK * m_max))
+    chunk = max(1, _GRID_TEMP_ELEMS // (_OFFSET_BLOCK * m_max + len(offsets)))
     for lo in range(0, len(active), chunk):
         cells = active[lo : lo + chunk]
         nets_chunk = padded_all[cells]
         prev_chunk = prev_vals[cells]  # (b, beta)
         base = np.rint(prev_chunk / pitch).astype(np.int64)
-        nn_chunk = (nets_chunk**2).sum(axis=2)  # (b, m)
+        nn_chunk = nn_all[cells]  # (b, m)
+        d0 = base[:, :1] + first_offsets  # (b, 9) first digits
+        slab2 = ((d0[:, :, None] * pitch - nets_chunk[:, None, :, 0]) ** 2).min(axis=2)
+        keep = (slab2 < prune2) & (d0 >= 0) & (d0 < nodes[0])  # (b, 9)
+        n_keep = (keep * n_first).sum(axis=1)
+        # each row's kept offsets first, in ball order
+        order = np.argsort(~keep[:, first_of], axis=1, kind="stable").astype(np.int16)
         todo = np.arange(len(cells))  # chunk rows still without a winner
-        for o_lo in range(0, len(offsets), _OFFSET_BLOCK):
+        for p_lo in range(0, len(offsets), _OFFSET_BLOCK):
+            todo = todo[n_keep[todo] > p_lo]  # rows with kept offsets left
             if not len(todo):
                 break
             prev, nets_pad = prev_chunk[todo], nets_chunk[todo]
-            digits = base[todo, None, :] + offsets[None, o_lo : o_lo + _OFFSET_BLOCK]
-            valid = ((digits >= 0) & (digits < nodes)).all(axis=2)
+            idx = order[todo, p_lo : p_lo + _OFFSET_BLOCK]
+            kept = p_lo + np.arange(idx.shape[1]) < n_keep[todo, None]
+            digits = base[todo, None, :] + offsets[idx]
+            valid = kept & ((digits >= 0) & (digits < nodes)).all(axis=2)
             coords = digits * pitch
             d_prev2 = ((coords - prev[:, None, :]) ** 2).sum(axis=2)
             # |c - n|^2 = |c|^2 + |n|^2 - 2 c.n via batched matmul, avoiding
-            # the (b, C, m, beta) broadcast temporary
+            # the (b, C, m, beta) broadcast temporary; 2 c.n is formed in place
             cc = (coords**2).sum(axis=2)  # (b, C)
-            cross = coords @ nets_pad.transpose(0, 2, 1)  # (b, C, m)
-            d_net2 = (cc[:, :, None] + nn_chunk[todo][:, None, :] - 2.0 * cross).min(axis=2)
+            cross2 = coords @ nets_pad.transpose(0, 2, 1)  # (b, C, m)
+            cross2 *= 2.0
+            d_net2 = (cc[:, :, None] + nn_chunk[todo][:, None, :] - cross2).min(axis=2)
             ok = valid & (d_prev2 < gap2) & (d_net2 < accept2)
             hit = ok.any(axis=1)
             first = np.argmax(ok[hit], axis=1)
             winner[cells[todo[hit]]] = np.ravel_multi_index(digits[hit, first].T, nodes)
             todo = todo[~hit]
-        if len(todo):
-            flat = int(cells[todo[0]])
+        uncovered = np.flatnonzero(winner[cells] < 0)
+        if len(uncovered):
+            flat = int(cells[uncovered[0]])
             raise CoverageError(
                 f"mesh guarantee fails at level {k} on cell {F.grid.unflat(flat)}: "
                 "sampled slack too coarse or value set unreachable",
@@ -534,9 +574,12 @@ def eval_selector(chain: SelectorChain, x, eps_dom=None) -> EvalResult:
     Undefined outside the closed working box, then inside the final
     step's witness M(eps_dom), then wherever that step has no value.
     """
-    eps_dom = chain.dom_budget if eps_dom is None else as_fraction(eps_dom)
-    if eps_dom <= 0:
-        raise InputError("witness budget must be positive")
+    if eps_dom is None:
+        eps_dom = chain.dom_budget  # positive: extract and chain_from_json refuse others
+    else:
+        eps_dom = as_fraction(eps_dom)
+        if eps_dom <= 0:
+            raise InputError("witness budget must be positive")
     x = _aspoint(x, chain.svf.domain_box.dim)
     reason, key = chain.steps[-1].answer(x, eps_dom)
     if reason is not None:
@@ -721,6 +764,8 @@ def chain_from_json(obj: dict) -> SelectorChain:
     try:
         n = int_from_json(obj["n"], "n")
         dom_budget = rational_from_json(obj["dom_budget"])
+        if dom_budget <= 0:
+            raise InputError(f"chain field 'dom_budget' must be positive, not {dom_budget}")
         steps = []
         for s in obj["steps"]:
             pieces = tuple(

@@ -645,3 +645,68 @@ def first_meeting_pair_reference(sets):
             if any(p.intersects(q) for p in sets[i].parts for q in sets[j].parts):
                 return i, j
     return None
+
+
+def grid_step_reference(prev_winner, F, k):
+    """The winners of selector._grid_step, walking the whole ball.
+
+    `prev_winner` is the level k - 1 winner array, or None to start from
+    the constant f_1.  Every active cell tests all of its lattice-ball
+    offsets in lexicographic blocks of 32 and keeps its first admissible
+    candidate; a cell that none serves raises CoverageError naming the
+    lowest such cell.
+    """
+    import numpy as np
+
+    from selectorkit.errors import CoverageError
+    from selectorkit.selector import _ball_offsets, _f1_value, mesh_shape
+
+    beta = F.beta
+    pitch = 2.0 ** -(k + 1)
+    nodes = mesh_shape(k, beta)
+    eps_accept = 2.0**-k + 2.0 * F.tau
+    gap = 2.0 ** -(k - 1)
+
+    if prev_winner is None:
+        prev_vals = np.tile([float(c) for c in _f1_value(F)], (F.grid.n_cells, 1))
+        prev_ok = np.ones(F.grid.n_cells, dtype=bool)
+    else:
+        digits = np.unravel_index(np.maximum(prev_winner, 0), mesh_shape(k - 1, beta))
+        prev_vals = np.stack(digits, axis=-1) * 2.0**-k
+        prev_ok = prev_winner >= 0
+    if F.mask is not None:
+        prev_ok = prev_ok & F.mask
+
+    offsets = np.array(_ball_offsets(beta))
+    winner = np.full(F.grid.n_cells, -1, dtype=np.int64)
+    accept2 = eps_accept * eps_accept
+    gap2 = gap * gap
+    nets_all = F.padded_nets
+    nn_all = (nets_all**2).sum(axis=2)
+    cells = np.nonzero(prev_ok)[0]
+    base = np.rint(prev_vals[cells] / pitch).astype(np.int64)
+    todo = np.arange(len(cells))
+    for o_lo in range(0, len(offsets), 32):
+        if not len(todo):
+            break
+        prev, nets = prev_vals[cells[todo]], nets_all[cells[todo]]
+        digits = base[todo, None, :] + offsets[None, o_lo : o_lo + 32]
+        valid = ((digits >= 0) & (digits < nodes)).all(axis=2)
+        coords = digits * pitch
+        d_prev2 = ((coords - prev[:, None, :]) ** 2).sum(axis=2)
+        cc = (coords**2).sum(axis=2)
+        cross = coords @ nets.transpose(0, 2, 1)
+        d_net2 = (cc[:, :, None] + nn_all[cells[todo]][:, None, :] - 2.0 * cross).min(axis=2)
+        ok = valid & (d_prev2 < gap2) & (d_net2 < accept2)
+        hit = ok.any(axis=1)
+        first = np.argmax(ok[hit], axis=1)
+        winner[cells[todo[hit]]] = np.ravel_multi_index(digits[hit, first].T, nodes)
+        todo = todo[~hit]
+    if len(todo):
+        idx = F.grid.unflat(int(cells[todo[0]]))
+        raise CoverageError(
+            f"mesh guarantee fails at level {k} on cell {idx}: "
+            "sampled slack too coarse or value set unreachable",
+            region=F.grid.cell_box(idx),
+        )
+    return winner

@@ -426,3 +426,22 @@ def test_nonpositive_dom_budget_is_input_error(tmp_path, command, budget):
     )
     assert r.returncode == 3, r.stderr
     assert r.stderr.startswith("input error:"), r.stderr
+
+
+@pytest.mark.parametrize("budget", [0, {"num": -1, "exp2": 4}], ids=["zero", "negative"])
+def test_eval_refuses_chain_with_nonpositive_dom_budget(tmp_path, budget):
+    from selectorkit.rational import rational_from_json, rational_to_json
+
+    def edit(chain):
+        # the steps' budgets scaled to match, so only the sign is wrong
+        chain["dom_budget"] = budget
+        for step in chain["steps"]:
+            step["witness_budget"] = rational_to_json(
+                rational_from_json(budget) / 2 ** (chain["n"] - step["level"] + 1)
+            )
+
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(_desk_chain_with(edit)))
+    r = run_cli(["--out", "x", "eval", str(path), "--at", "0.3"], tmp_path)
+    assert r.returncode == 3, r.stderr
+    assert r.stderr.startswith("input error:") and "'dom_budget'" in r.stderr, r.stderr

@@ -5,6 +5,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 
 from selectorkit.domain import continuous_extension, make_witness
 from selectorkit.errors import CoverageError, InputError, PrecisionError
+from selectorkit.rational import rational_from_json, rational_to_json
+from selectorkit import selector
 from selectorkit.robot import export_svf
 from selectorkit.selector import (
     EvalResult,
@@ -23,6 +26,7 @@ from selectorkit.selector import (
     eval_selector,
     extract,
     extraction_step,
+    mesh_value,
     piecewise_constant_finish,
     selector_csv,
 )
@@ -36,7 +40,12 @@ from selectorkit.svf import (
     svf_distance,
 )
 
-from oracles import brute_force_selector, eval_selector_reference, first_part_containing
+from oracles import (
+    brute_force_selector,
+    eval_selector_reference,
+    first_part_containing,
+    grid_step_reference,
+)
 
 F_ = Fraction
 
@@ -372,6 +381,22 @@ def test_eval_rejects_nonpositive_witness_budget():
 
 
 @pytest.mark.parametrize(
+    "make_chain",
+    [
+        lambda: extract(offmesh_beta2_svf(), 4),
+        lambda: extract(beta3_svf(), 3),
+        lambda: extract(export_svf(2, F_(4, 9)), 4),
+    ],
+    ids=["exact-beta2", "exact-beta3", "robot-grid"],
+)
+def test_final_values_equal_per_value_denormalize(make_chain):
+    chain = make_chain()
+    denormalize = chain.svf.range_map.denormalize
+    want = {k: denormalize(r) for k, r in chain.steps[-1].keyed_values().items()}
+    assert len(want) > 1 and chain.final_values == want
+
+
+@pytest.mark.parametrize(
     "svf_fn",
     [desk_svf, three_cell_svf, four_cell_svf, offmesh_beta2_svf, beta3_svf],
 )
@@ -584,6 +609,87 @@ def test_grid_engine_names_lowest_uncovered_cell():
     assert err.value.region == grid.cell_box((2,))
 
 
+def _reference_winners(F, n):
+    """Each level's winners by the unpruned walk, or the CoverageError it raises."""
+    out, prev = [], None
+    try:
+        for k in range(2, n + 1):
+            prev = grid_step_reference(prev, F, k)
+            out.append(prev)
+    except CoverageError as e:
+        return out, e
+    return out, None
+
+
+@st.composite
+def sampled_svfs(draw):
+    """Small random sampled SVFs with a level n that their tau admits."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=2)))
+    beta = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 5))
+    tau = draw(st.floats(0.0, 2.0 ** -(n + 1)))
+    grid = GridSpec(BasicSet.closed_box([0] * len(shape), [1] * len(shape)), shape)
+    max_points = draw(st.sampled_from([1, 4]))  # single points or several
+    nets = [rng.uniform(-1, 1, (rng.integers(1, max_points + 1), beta)) for _ in range(grid.n_cells)]
+    if draw(st.booleans()):
+        # anchored at 0 with values up to 0.6 per axis: some cells unreachable
+        nets = [0.6 * np.abs(v) for v in nets]
+        range_map = identity_range_map(beta)
+    else:
+        range_map = None  # symmetric box, anchor at its center
+    svf = build_sampled_svf(grid, lambda centers: nets, tau=tau, range_map=range_map)
+    if draw(st.booleans()):
+        svf = dataclasses.replace(svf, mask=rng.random(grid.n_cells) < 0.8)
+    return svf, n
+
+
+@given(sampled_svfs(), st.sampled_from([1, 500, 8_000_000]))
+@settings(max_examples=120, deadline=None)
+def test_pruned_grid_walk_matches_full_walk_hypothesis(case, temp_elems):
+    svf, n = case
+    want, err = _reference_winners(svf, n)
+    # small temporaries split the cells into several chunks
+    with mock.patch.object(selector, "_GRID_TEMP_ELEMS", temp_elems):
+        if err is None:
+            chain = extract(svf, n)
+            assert all(np.array_equal(s.winner, w) for s, w in zip(chain.steps, want))
+            return
+        with pytest.raises(CoverageError) as got:
+            extract(svf, n)
+    assert str(got.value) == str(err) and got.value.region == err.region
+
+
+def _slab_boundary_svf(tau, beta, ulps_inside):
+    """One cell whose net point lies eps_accept (less `ulps_inside` ulps)
+    beyond the level-2 slab of first digit 1, along the first axis."""
+    n0 = 1 / 8 + (2.0**-2 + 2.0 * tau)
+    for _ in range(ulps_inside):
+        n0 = math.nextafter(n0, 0)
+    net = np.array([[n0] + [1 / 8] * (beta - 1)])
+    grid = GridSpec(BasicSet.closed_box([0], [1]), (1,))
+    return build_sampled_svf(grid, lambda c: [net], tau=tau, range_map=identity_range_map(beta))
+
+
+@pytest.mark.parametrize("ulps_inside", [0, 1], ids=["at-eps", "1-ulp-inside"])
+@pytest.mark.parametrize("beta", [1, 2, 3])
+@pytest.mark.parametrize("tau", [0.0, 1 / 64, 0.02])
+def test_slab_bound_keeps_candidates_on_its_boundary(tau, beta, ulps_inside):
+    svf = _slab_boundary_svf(tau, beta, ulps_inside)
+    assert np.array_equal(extract(svf, 2).steps[0].winner, grid_step_reference(None, svf, 2))
+
+
+def test_slab_guard_keeps_a_winner_the_bare_bound_drops():
+    # the float test admits the node (1/8, 1/8), although the first-axis
+    # distance of its net point, in float, already reaches eps_accept
+    svf = _slab_boundary_svf(0.02, 2, 0)
+    accept = 2.0**-2 + 2.0 * svf.tau
+    assert (1 / 8 - svf.padded_nets[0, 0, 0]) ** 2 >= accept * accept
+    want = grid_step_reference(None, svf, 2)
+    assert mesh_value(2, int(want[0]), 2) == (F_(1, 8), F_(1, 8))
+    assert np.array_equal(extract(svf, 2).steps[0].winner, want)
+
+
 def test_grid_engine_dom_monotone_and_gap():
     f = desk_sampled(32)
     chain = extract(f, 5)
@@ -655,6 +761,20 @@ def test_chain_from_json_rejects_certificate_that_contradicts_its_step(field, va
     assert chain_from_json(obj).final_error_bound == 1 / 16
     obj["steps"][2][field] = value  # the level-4 step
     with pytest.raises(InputError, match=f"level 4 certifies {field} = "):
+        chain_from_json(obj)
+
+
+@pytest.mark.parametrize("budget", [0, {"num": -1, "exp2": 4}], ids=["zero", "negative"])
+@pytest.mark.parametrize("with_steps", [False, True], ids=["chain-only", "with-steps"])
+def test_chain_from_json_refuses_nonpositive_dom_budget(budget, with_steps):
+    obj = json.loads(json.dumps(chain_to_json(extract(desk_svf(), 4))))
+    obj["dom_budget"] = budget
+    if with_steps:  # the steps' budgets scaled to match, as extract would write them
+        for step in obj["steps"]:
+            step["witness_budget"] = rational_to_json(
+                rational_from_json(budget) / 2 ** (4 - step["level"] + 1)
+            )
+    with pytest.raises(InputError, match="'dom_budget' must be positive"):
         chain_from_json(obj)
 
 
