@@ -13,6 +13,10 @@ tube bound |x(t) - g(t)| <= xi(t) with
 evaluated by composite trapezoid quadrature on the same grid.
 Derivatives of iterates are the stored selector values, never numerical
 differences.
+Each sweep asks the net oracle once for the whole grid, field_net(times,
+X) -> (n, m, d), and projects every point at once.  A net of fewer than m
+points repeats its last point; the nearest point of lowest index wins, so
+a repeated point never displaces its original.
 """
 
 from __future__ import annotations
@@ -25,19 +29,21 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InhabitednessError, InputError
+from .errors import DomainPointError, InhabitednessError, InputError
 from .rational import as_fraction
 
 
-NetOracle = Callable[[float, np.ndarray], np.ndarray]
+NetOracle = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass
 class DIProblem:
     """Differential inclusion xdot in F(t, x), x(0) = x0, on [0, T].
 
-    `field_net` returns a finite net of F(t, x) as an (m, d) array with
-    declared net radius `tau`.  The reference curve g comes with its
+    `field_net(times, X)` returns, for n times and the (n, d) states at
+    them, an (n, m, d) array: row i is a net of F(times[i], X[i]) with
+    declared net radius `tau`, a net of fewer than m points padded by
+    repeating its last point.  The reference curve g comes with its
     derivative oracle; kappa and p are the Lipschitz modulus and defect
     functions of the tube theorem.
     """
@@ -126,15 +132,14 @@ def xi_bound(delta: float, kappa, p, t: float, grid_step: float = 0.01) -> float
 # projection selector
 
 
-def projection_selector(
-    field_net: NetOracle, t: float, x: np.ndarray, target: np.ndarray
-) -> np.ndarray:
-    """Net point of F(t, x) nearest to the target; ties take the lowest index."""
-    net = np.atleast_2d(np.asarray(field_net(t, np.atleast_1d(x)), dtype=float))
-    if net.size == 0:
-        raise InhabitednessError(f"empty value net at t={t}, x={x}")
-    d = np.linalg.norm(net - np.atleast_1d(target), axis=1)
-    return net[int(np.argmin(d))]
+def projection_selector(nets: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Row i: the point of nets[i] (n, m >= 1, d) nearest to targets[i] (n, d).
+
+    Ties take the lowest index.  Norms are compared, not squares: two
+    squares that differ can round to one norm, which is a tie.
+    """
+    dist = np.linalg.norm(nets - targets[:, None, :], axis=-1)
+    return nets[np.arange(len(nets)), dist.argmin(axis=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -158,21 +163,18 @@ def filippov_iterate(
         raise InputError(f"tol must be positive, not {tol!r}")
     times = _grid(prob.T, grid_step)
     h = float(grid_step)
-    n = len(times)
-    d = len(prob.x0)
 
     g_vals = np.array([np.atleast_1d(prob.g(t)) for t in times])
-    shift = prob.x0 - g_vals[0]
-    x_cur = g_vals + shift
+    x_cur = g_vals + (prob.x0 - g_vals[0])
     xdot_cur = np.array([np.atleast_1d(prob.g_dot(t)) for t in times])
 
     residuals: list[float] = []
     converged = False
-    v = xdot_cur
     for _ in range(max_iter):
-        v = np.empty((n, d))
-        for j in range(n):
-            v[j] = projection_selector(prob.field_net, float(times[j]), x_cur[j], xdot_cur[j])
+        nets = np.asarray(prob.field_net(times, x_cur), dtype=float)
+        if nets.shape[1] == 0:
+            raise InhabitednessError(f"empty value net at t={times[0]}, x={x_cur[0]}")
+        v = projection_selector(nets, xdot_cur)
         x_next = prob.x0 + _cumtrapz(v, h)
         residual = float(np.abs(x_next - x_cur).max())
         residuals.append(residual)
@@ -218,10 +220,10 @@ def linear_tube_problem(
     """
     if net_points < 2:
         raise InputError("net_points must be at least 2")
-    alphas = np.linspace(-1.0, 1.0, int(net_points))
+    offsets = np.linspace(-1.0, 1.0, int(net_points)) * p0
 
-    def net(t, x):
-        return np.array([[-x[0] + a * p0] for a in alphas])
+    def net(times, X):
+        return offsets[None, :, None] + (-X[:, None, :1])
 
     return DIProblem(
         field_net=net,
@@ -240,8 +242,8 @@ def linear_tube_problem(
 def singleton_field_problem(x0=1.0, T=2.0, beta_tube=4.0) -> DIProblem:
     """Degenerate inclusion xdot = -x: Picard iteration for the ODE."""
 
-    def net(t, x):
-        return np.array([[-x[0]]])
+    def net(times, X):
+        return -X[:, None, :1]
 
     return DIProblem(
         field_net=net,
@@ -350,17 +352,26 @@ def problem_from_cellwise_svf(svf, x0, T, beta_tube, obj=None) -> DIProblem:
     if not svf.domain_box.contains([as_fraction(c) for c in x0]):
         raise InputError(f"x0 {x0.tolist()} lies outside the SVF's working box")
 
-    def net(t, x):
-        vals = svf.value_set([as_fraction(float(c)) for c in x])
-        pts = []
-        for part in vals.parts:
-            lo = [float(c) for c in part.lo]
-            hi = [float(c) for c in part.hi]
-            pts.append(lo)
-            if hi != lo:
-                pts.append(hi)
-                pts.append([0.5 * (a + b) for a, b in zip(lo, hi)])
-        return np.array(pts)
+    def net(times, X):
+        nets = []
+        for t, x in zip(times.tolist(), X.tolist()):
+            i = svf.cell_index_at([as_fraction(c) for c in x])
+            if i is None:
+                raise DomainPointError(
+                    f"Filippov iteration: the iterate at t={t!r} is {x!r}, "
+                    "outside the SVF's working box"
+                )
+            pts = []
+            for part in svf.cells[i][1].parts:
+                lo = [float(c) for c in part.lo]
+                hi = [float(c) for c in part.hi]
+                pts.append(lo)
+                if hi != lo:
+                    pts.append(hi)
+                    pts.append([0.5 * (a + b) for a, b in zip(lo, hi)])
+            nets.append(pts)
+        m = max(map(len, nets))
+        return np.array([pts + pts[-1:] * (m - len(pts)) for pts in nets])
 
     obj = obj or {}
     kappa_const = _field(obj, "kappa", _finite, 1.0)

@@ -167,7 +167,7 @@ class GridStep:
     beta: int
     witness: RepresentabilityWitness = field(repr=False)
     certificate: StepCertificate
-    # per admitted eps, the slab ends of M(eps) on each axis
+    # per admitted eps, by its integer ratio: the slab ends of M(eps) per axis
     _slab_keys: dict = field(default_factory=dict, init=False, repr=False)
 
     def __eq__(self, other):
@@ -195,10 +195,11 @@ class GridStep:
         decides all three questions: outside the closed box, inside
         M(eps), and which cell, whose winner may be -1 (undefined).
         """
-        axes = self._slab_keys.get(eps)
+        key = eps.as_integer_ratio()  # a tuple of ints hashes faster than a Fraction
+        axes = self._slab_keys.get(key)
         if axes is None:
             self.witness(eps)  # admits eps only when M(eps) fits its budget
-            axes = self._slab_keys[eps] = self.grid.slab_keys(eps)
+            axes = self._slab_keys[key] = self.grid.slab_keys(eps)
         flat, in_slab = 0, False
         for c, axis, n_cells in zip(x, axes, self.grid.shape):
             placed = axis.place(c)

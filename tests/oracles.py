@@ -710,3 +710,67 @@ def grid_step_reference(prev_winner, F, k):
             region=F.grid.cell_box(idx),
         )
     return winner
+
+
+def projection_reference(net, target):
+    """The point of one (m, d) net nearest to the target; ties take the
+    lowest index."""
+    import numpy as np
+
+    d = np.linalg.norm(net - np.atleast_1d(target), axis=1)
+    return net[int(np.argmin(d))]
+
+
+def filippov_iterate_reference(prob, grid_step=0.01, max_iter=50, tol=1e-6):
+    """inclusion.filippov_iterate, projecting one grid point at a time.
+
+    Each point's net comes from its own one-row call of the oracle, so
+    no padding enters; the sweep, the quadrature, the residual and the
+    certificate are written out as the solver's.
+    """
+    import numpy as np
+
+    from selectorkit.errors import InhabitednessError
+    from selectorkit.inclusion import DITrajectory, _cumtrapz, _grid, xi_profile
+
+    times = _grid(prob.T, grid_step)
+    h = float(grid_step)
+    n, d = len(times), len(prob.x0)
+
+    g_vals = np.array([np.atleast_1d(prob.g(t)) for t in times])
+    x_cur = g_vals + (prob.x0 - g_vals[0])
+    xdot_cur = np.array([np.atleast_1d(prob.g_dot(t)) for t in times])
+    residuals, converged, v = [], False, xdot_cur
+    for _ in range(max_iter):
+        v = np.empty((n, d))
+        for j in range(n):
+            net = np.asarray(prob.field_net(times[j : j + 1], x_cur[j : j + 1]), dtype=float)[0]
+            if net.size == 0:
+                raise InhabitednessError(f"empty value net at t={times[j]}, x={x_cur[j]}")
+            v[j] = projection_reference(net, xdot_cur[j])
+        x_next = prob.x0 + _cumtrapz(v, h)
+        residual = float(np.abs(x_next - x_cur).max())
+        residuals.append(residual)
+        x_cur, xdot_cur = x_next, v
+        if residual < tol:
+            converged = True
+            break
+
+    xi = xi_profile(prob.delta, prob.kappa, prob.p, times)
+    dv = np.abs(np.diff(v, axis=0)).sum(axis=1)
+    tv = np.concatenate([[0.0], np.cumsum(dv)])
+    quad_slack = 0.25 * h * tv + h * h * (1.0 + np.abs(xi)) + prob.tau * times
+    gap = np.linalg.norm(x_cur - g_vals, axis=1)
+    margin = float((xi + quad_slack - gap).min())
+    return DITrajectory(
+        times=times,
+        states=x_cur,
+        selector_values=v,
+        xi=xi,
+        quad_slack=quad_slack,
+        residuals=residuals,
+        iterations=len(residuals),
+        converged=converged,
+        certified=bool(converged and margin >= 0.0),
+        tube_margin=margin,
+    )

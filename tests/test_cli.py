@@ -87,6 +87,54 @@ def test_solve_di_certificate(tmp_path):
     assert len(csv_lines) == 202
 
 
+# sha256 of the solve-di artifacts; a change to these bytes must be named
+SOLVE_DI_DIGESTS = {
+    "di_linear.json": {
+        "trajectory.csv": "42685138429540df7fd0c10799c4ea489af8fa5988b24df9661abdb142313a31",
+        "certificate.json": "ea903f78c5fd7bc4823c6da7009406dca795f5e5048c99e9fbc31c52d7b7c181",
+    },
+    # the problem of test_inclusion.test_problem_from_cellwise_svf_file
+    "di_desk.json": {
+        "trajectory.csv": "b321442ddb60a0375168d6a7ec01d09b99695c8d78aa8198ff1b18dad20cabb2",
+        "certificate.json": "fa7c3dac4a5c88696e2d925893713db385453df42c56fc54b9461c31eb7e5d8d",
+    },
+}
+
+
+def test_solve_di_artifacts_are_pinned(tmp_path):
+    import hashlib
+
+    (tmp_path / "desk_svf.json").write_bytes((ASSETS / "desk_svf.json").read_bytes())
+    (tmp_path / "di_linear.json").write_bytes((ASSETS / "di_linear.json").read_bytes())
+    (tmp_path / "di_desk.json").write_text(json.dumps({
+        "svf_file": "desk_svf.json", "x0": [0.0], "T": 1.0, "beta_tube": 2.0,
+        "kappa": 1.0, "p": 0.25, "grid_step": 0.01,
+    }))
+    for problem, digests in SOLVE_DI_DIGESTS.items():
+        out = Path(problem).stem
+        r = run_cli(["--out", out, "solve-di", problem], tmp_path)
+        assert r.returncode == 0, r.stderr
+        got = {
+            name: hashlib.sha256((tmp_path / out / name).read_bytes()).hexdigest()
+            for name in digests
+        }
+        assert got == digests, problem
+
+
+def test_solve_di_names_the_iterate_that_leaves_the_box(tmp_path):
+    # from 0.9 the desk field's value 3/4 carries the iterate past x = 1
+    (tmp_path / "desk_svf.json").write_bytes((ASSETS / "desk_svf.json").read_bytes())
+    (tmp_path / "di.json").write_text(json.dumps(
+        {"svf_file": "desk_svf.json", "x0": [0.9], "T": 2.0, "grid_step": 0.01}
+    ))
+    r = run_cli(["--out", "d", "solve-di", "di.json"], tmp_path)
+    assert r.returncode == 2
+    assert r.stderr.splitlines() == [
+        "contract violation: Filippov iteration: the iterate at t=0.41000000000000003 "
+        "is [1.0025000000000002], outside the SVF's working box"
+    ]
+
+
 def test_robot_sim_analytic(tmp_path):
     r = run_cli(
         [
