@@ -65,6 +65,10 @@ class Run:
     def __init__(self, args):
         self.args = args
         self.out = Path(getattr(args, "out", ".") or ".")
+        # the nearest existing path must be a directory: refuse before any work
+        existing = next(p for p in (self.out, *self.out.parents) if p.exists())
+        if not existing.is_dir():
+            raise InputError(f"--out {self.out}: {existing} is a file, not a directory")
         self.artifacts: dict[str, str] = {}
         self.inputs: dict[str, str] = {}
         self.t0 = time.time()

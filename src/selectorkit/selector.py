@@ -11,7 +11,7 @@ so both engines enumerate the same lattice ball around it
 (`_ball_offsets`) in lexicographic order, which keeps the tie-break,
 and differ only in the distance test.  The exact engine handles
 cellwise SVFs and decides both tests in rational arithmetic for each
-atom (cell times previous piece).  The grid engine handles sampled
+cell, which it never splits.  The grid engine handles sampled
 SVFs on their cell grid, vectorized in float64, with declared slack
 tau folded into every certificate (acceptance threshold
 2**-k + 2*tau, certified error 2**-k + 3*tau).
@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import PiecewiseConstantMap, RepresentabilityWitness, RepresentableDomain
+from .domain import PiecewiseConstantMap, RepresentabilityWitness
 from .errors import CoverageError, InputError, PrecisionError
 from .rational import as_fraction, int_from_json, rational_from_json, rational_to_json
 from .setalg import (
@@ -46,6 +46,7 @@ from .setalg import (
     basic_set_to_json,
     gbs_from_json,
     gbs_to_json,
+    union_with_owners,
 )
 from .svf import (
     CellwiseSVF,
@@ -106,44 +107,41 @@ class StepCertificate:
 
 @dataclass(frozen=True)
 class ExactStep(PiecewiseConstantMap):
-    """Approximant f_k: disjoint generalized sets with mesh values.
+    """Approximant f_k on a cellwise SVF: its cells grouped by mesh value.
 
-    Its domain is the row-major sequence of its pieces' parts, and that
-    domain's witness is the step's M(eps).
+    The pieces' parts are the SVF's non-empty cells, each once, so the
+    step's domain is the SVF's `cell_domain`, whose witness is M(eps).
     """
 
     level: int
     certificate: StepCertificate
-
-    @staticmethod
-    def from_pieces(
-        pieces, box: BasicSet, level: int, certificate: StepCertificate
-    ) -> "ExactStep":
-        parts = [p for q, _ in pieces for p in q.parts]
-        domain = RepresentableDomain.from_cells(parts, box, coverage="closure")
-        return ExactStep(pieces, domain, level, certificate)
+    # per admitted eps, by its integer ratio: M(eps) in the closed box, then the pieces
+    _unions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def witness(self) -> RepresentabilityWitness:
         return self.domain.witness
 
+    @cached_property
+    def by_cell(self) -> dict[BasicSet, tuple[int, tuple[Fraction, ...]]]:
+        """Each cell's piece index and value."""
+        return {p: (i, r) for i, (q, r) in enumerate(self.pieces) for p in q.parts}
+
     def answer(self, x: Point, eps: Fraction) -> tuple[str | None, int | None]:
         """(reason, None) where f_k is undefined at x, else (None, piece index).
 
-        Undefined outside the closed working box, then inside M(eps),
-        then outside every piece.
+        The first part that holds x decides: a part of M(eps) in the closed
+        box, a piece's part, or none (outside the domain).
         """
-        if not self._closed_box.contains(x):
-            return EvalResult.OUTSIDE_DOMAIN, None
-        if self.witness(eps).contains(x):
-            return EvalResult.INSIDE_WITNESS, None
-        union, owner = self._located
+        key = eps.as_integer_ratio()  # a tuple of ints hashes faster than a Fraction
+        if key not in self._unions:
+            m = self.witness(eps).intersect(self.domain.ambient.closure())
+            self._unions[key] = union_with_owners([m, *(q for q, _ in self.pieces)])
+        union, owner = self._unions[key]
         k = union.locate(x)
-        return (EvalResult.OUTSIDE_DOMAIN, None) if k is None else (None, owner[k])
-
-    @cached_property
-    def _closed_box(self) -> GeneralizedBasicSet:
-        return GeneralizedBasicSet(self.domain.dim, (self.domain.ambient.closure(),))
+        if k is None:
+            return EvalResult.OUTSIDE_DOMAIN, None
+        return (EvalResult.INSIDE_WITNESS, None) if owner[k] == 0 else (None, owner[k] - 1)
 
     def keyed_values(self) -> dict[int, tuple[Fraction, ...]]:
         """Each piece's value under the key `answer` returns for it."""
@@ -352,68 +350,62 @@ def extraction_step(
 
     `f_prev` is the step at level k - 1, or None to start from the
     constant f_1.  `budget` is the step's witness budget, 2**-(k+2)
-    unless given.
+    unless given.  A cell of F that no piece of `f_prev` holds is an InputError.
     """
     if k < 2:
         raise InputError("extraction level must be at least 2")
     budget = as_fraction(budget) if budget is not None else Fraction(1, 2 ** (k + 2))
-    if f_prev is None:
-        whole = GeneralizedBasicSet.of([c for c, _ in F.cells], dim=F.alpha)
-        prev = [(whole, _f1_value(F))]
-    else:
-        prev = f_prev.pieces
+    f1 = _f1_value(F)
+    prev = {cell: (0, f1) for cell, _ in F.cells} if f_prev is None else f_prev.by_cell
     pitch = mesh_pitch(k)
     top = 2 ** (k + 1)  # largest mesh digit
-    eps_k = Fraction(1, 2**k)
-    gap_k = Fraction(1, 2 ** (k - 1))
-    e2 = eps_k * eps_k
-    g2 = gap_k * gap_k
     offsets = _ball_offsets(F.beta)
 
-    # winner per atom (cell x previous piece, pairwise disjoint): the
-    # first ball candidate within gap of the previous value and within
-    # eps of the cell's value set
-    winners: dict[tuple[Fraction, ...], list[GeneralizedBasicSet]] = {}
+    # winner per cell: the first ball candidate admissible from its previous value
+    winners: dict[tuple[Fraction, ...], list[BasicSet]] = {}
     for ci, (cell, _) in enumerate(F.cells):
-        cell_g = GeneralizedBasicSet.of([cell], dim=F.alpha)
-        vals = F.normalized_values(ci).parts
-        for pi, (q, v) in enumerate(prev):
-            region = cell_g.intersect(q)
-            if region.is_empty:
+        if cell.is_empty:
+            continue
+        if cell not in prev:
+            raise InputError(f"the level-{k - 1} step holds no piece for cell {ci} of the SVF")
+        pi, v = prev[cell]
+        vals = F.normalized_values(ci)
+        base = [round(c / pitch) for c in v]
+        for off in offsets:
+            digits = [b + o for b, o in zip(base, off)]
+            if not all(0 <= d <= top for d in digits):
                 continue
-            base = [round(c / pitch) for c in v]
-            for off in offsets:
-                digits = [b + o for b, o in zip(base, off)]
-                if not all(0 <= d <= top for d in digits):
-                    continue
-                r = tuple(pitch * d for d in digits)
-                if sum((a - b) * (a - b) for a, b in zip(r, v)) < g2 and min(
-                    p.dist2_point(r) for p in vals
-                ) < e2:
-                    break
-            else:
-                raise CoverageError(
-                    f"no mesh point at level {k} serves cell {ci} from piece {pi}; "
-                    "the value set lies outside the previous approximant's reach",
-                    region=region,
-                )
-            winners.setdefault(r, []).append(region)
+            r = tuple(pitch * d for d in digits)
+            if admissible(r, v, vals, k):
+                break
+        else:
+            raise CoverageError(
+                f"no mesh point at level {k} serves cell {ci} from piece {pi}; "
+                "the value set lies outside the previous approximant's reach",
+                region=GeneralizedBasicSet(F.alpha, (cell,)),
+            )
+        winners.setdefault(r, []).append(cell)
 
-    # value tuples sort in mesh-index order
-    pieces = tuple(
-        (
-            GeneralizedBasicSet.of(
-                [p for g in winners[r] for p in g.parts], dim=F.alpha
-            ),
-            r,
-        )
-        for r in sorted(winners)
+    # value tuples sort in mesh-index order; the cells tile the box
+    pieces = tuple((GeneralizedBasicSet(F.alpha, tuple(winners[r])), r) for r in sorted(winners))
+    cert = StepCertificate.at_level(k, 0.0, budget, len(pieces), F.domain_box.measure())
+    return ExactStep(pieces, F.cell_domain, k, cert)
+
+
+def admissible(r: Sequence[Fraction], prev: Sequence[Fraction], vals, k: int) -> bool:
+    """Whether r may be f_k's value on a cell with normalized value set `vals`
+    where f_{k-1} is `prev`.
+
+    r must lie within 2**-(k-1) of prev and within 2**-k of vals, both
+    strictly, and be a level-k mesh node.
+    """
+    g2, e2 = Fraction(1, 4 ** (k - 1)), Fraction(1, 4**k)
+    return (
+        len(r) == len(prev)
+        and sum((a - b) * (a - b) for a, b in zip(r, prev)) < g2
+        and min(p.dist2_point(r) for p in vals.parts) < e2
+        and all(2 ** (k + 1) % c.denominator == 0 and 0 <= c <= 1 for c in r)
     )
-    dom_measure = sum(
-        (q.measure() for q, _ in pieces), Fraction(0)
-    )
-    cert = StepCertificate.at_level(k, 0.0, budget, len(pieces), dom_measure)
-    return ExactStep.from_pieces(pieces, F.domain_box, k, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -622,12 +614,10 @@ def cauchy_defect(chain: SelectorChain, k: int, m: int) -> CauchyDefect:
     sm = chain.steps[m - 2]
     bad = Fraction(0)
     if chain.engine == "exact":
-        for qk, vk in sk.pieces:
-            for qm, vm in sm.pieces:
-                d2 = sum((a - b) * (a - b) for a, b in zip(vk, vm))
-                if d2 >= thr2:
-                    bad += qk.intersect(qm).measure()
-        bad += sk.domain.carrier_gbs().subtract(sm.domain.carrier_gbs()).measure()
+        later = sm.by_cell  # a cell that level m lost counts whole
+        for cell, (_, vk) in sk.by_cell.items():
+            if cell not in later or sum((a - b) ** 2 for a, b in zip(vk, later[cell][1])) >= thr2:
+                bad += cell.measure()
     else:
         ck = _winner_coords(sk)
         cm = _winner_coords(sm)
@@ -786,7 +776,7 @@ def chain_from_json(obj: dict) -> SelectorChain:
                 n_pieces=int_from_json(s["n_pieces"], "n_pieces"),
                 dom_measure=rational_from_json(s["dom_measure"]),
             )
-            steps.append(ExactStep.from_pieces(pieces, svf.domain_box, cert.level, cert))
+            steps.append(ExactStep(pieces, svf.cell_domain, cert.level, cert))
         levels = [step.level for step in steps]
         if n < 2 or levels != list(range(2, n + 1)):
             raise InputError(
@@ -795,6 +785,12 @@ def chain_from_json(obj: dict) -> SelectorChain:
         for step in steps:
             _check_certificate(step, n, dom_budget)
         f1 = tuple(rational_from_json(c) for c in obj["f1"])
+        if f1 != _f1_value(svf):
+            raise InputError(
+                f"chain field 'f1' must be the normalized zero {_fmt(_f1_value(svf))}, "
+                f"not {_fmt(f1)}"
+            )
+        _check_cells(svf, f1, steps)
         return SelectorChain(svf, n, dom_budget, f1, tuple(steps))
     except KeyError as e:
         raise InputError(f"chain is missing the field {e}") from e
@@ -807,7 +803,7 @@ def _check_certificate(step: ExactStep, n: int, dom_budget: Fraction) -> None:
     k, cert = step.level, step.certificate
     want = StepCertificate.at_level(
         k, 0.0, dom_budget / 2 ** (n - k + 1), len(step.pieces),
-        sum((q.measure() for q, _ in step.pieces), Fraction(0)),
+        step.domain.ambient.measure(),
     )
     for f in fields(cert):
         got, expected = getattr(cert, f.name), getattr(want, f.name)
@@ -815,6 +811,33 @@ def _check_certificate(step: ExactStep, n: int, dom_budget: Fraction) -> None:
             raise InputError(
                 f"chain step at level {k} certifies {f.name} = {got}, not {expected}"
             )
+
+
+def _check_cells(svf: CellwiseSVF, f1: tuple[Fraction, ...], steps) -> None:
+    """InputError unless each step's parts are the SVF's non-empty cells, each once,
+    and `admissible` accepts each cell's value from its value one level down."""
+    cells = {cell: ci for ci, (cell, _) in enumerate(svf.cells) if not cell.is_empty}
+    prev = dict.fromkeys(cells, f1)
+    for step in steps:
+        k, held = step.level, [cells.get(p) for q, _ in step.pieces for p in q.parts]
+        if None in held or sorted(held) != list(cells.values()):
+            raise InputError(
+                f"chain step at level {k} must hold each of the SVF's {len(cells)} non-empty "
+                f"cells once as a part of a piece, not the cells {held}"
+            )
+        for cell, (i, r) in step.by_cell.items():
+            if not admissible(r, prev[cell], svf.normalized_values(cells[cell]), k):
+                raise InputError(
+                    f"chain step at level {k} gives piece {i} the value {_fmt(r)} on "
+                    f"cell {cells[cell]}, which is not a level-{k} mesh node within 2**-{k} "
+                    f"of the cell's values and 2**-{k - 1} of its level-{k - 1} value "
+                    f"{_fmt(prev[cell])}"
+                )
+        prev = {cell: r for cell, (_, r) in step.by_cell.items()}
+
+
+def _fmt(r: Sequence[Fraction]) -> str:
+    return "(" + ", ".join(str(c) for c in r) + ")"
 
 
 def selector_csv(chain: SelectorChain, points: Sequence[Sequence]) -> str:

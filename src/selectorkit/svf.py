@@ -153,6 +153,11 @@ class CellwiseSVF:
     def _cell_union(self) -> GeneralizedBasicSet:
         return GeneralizedBasicSet(self.alpha, tuple(cell for cell, _ in self.cells))
 
+    @cached_property
+    def cell_domain(self) -> RepresentableDomain:
+        """The cells as one domain over the box: every exact step's domain."""
+        return RepresentableDomain.from_cells(self._cell_union.parts, self.domain_box, "closure")
+
     def value_set(self, x) -> GeneralizedBasicSet:
         i = self.cell_index_at(x)
         if i is None:
@@ -160,7 +165,11 @@ class CellwiseSVF:
         return self.cells[i][1]
 
     def normalized_values(self, i: int) -> GeneralizedBasicSet:
-        return self.range_map.normalize_gbs(self.cells[i][1])
+        return self._normalized_values[i]
+
+    @cached_property
+    def _normalized_values(self) -> tuple[GeneralizedBasicSet, ...]:
+        return tuple(self.range_map.normalize_gbs(values) for _, values in self.cells)
 
 
 def build_cellwise_svf(

@@ -324,6 +324,83 @@ def brute_force_selector(F, n):
     return levels
 
 
+def extraction_step_reference(prev, F, k, budget=None):
+    """selector.extraction_step as first written: every cell of F against
+    every previous piece, each non-empty meet an atom with its own winner.
+
+    `prev` is the previous step's pieces, or None to start from the
+    normalized zero.  Returns (pieces, certificate), the domain measure
+    summed over the pieces; an atom without a winner raises the engine's
+    CoverageError.
+    """
+    from selectorkit.errors import CoverageError
+    from selectorkit.selector import StepCertificate, _ball_offsets, mesh_pitch
+    from selectorkit.setalg import GeneralizedBasicSet
+
+    budget = Fraction(budget) if budget is not None else Fraction(1, 2 ** (k + 2))
+    if prev is None:
+        whole = GeneralizedBasicSet.of([c for c, _ in F.cells], dim=F.alpha)
+        prev = [(whole, F.range_map.normalize([0] * F.beta))]
+    pitch = mesh_pitch(k)
+    top = 2 ** (k + 1)
+    e2 = Fraction(1, 2**k) ** 2
+    g2 = Fraction(1, 2 ** (k - 1)) ** 2
+    winners = {}
+    for ci, (cell, _) in enumerate(F.cells):
+        cell_g = GeneralizedBasicSet.of([cell], dim=F.alpha)
+        vals = F.normalized_values(ci).parts
+        for pi, (q, v) in enumerate(prev):
+            region = cell_g.intersect(q)
+            if region.is_empty:
+                continue
+            base = [round(c / pitch) for c in v]
+            for off in _ball_offsets(F.beta):
+                digits = [b + o for b, o in zip(base, off)]
+                if not all(0 <= d <= top for d in digits):
+                    continue
+                r = tuple(pitch * d for d in digits)
+                if sum((a - b) * (a - b) for a, b in zip(r, v)) < g2 and min(
+                    p.dist2_point(r) for p in vals
+                ) < e2:
+                    break
+            else:
+                raise CoverageError(
+                    f"no mesh point at level {k} serves cell {ci} from piece {pi}; "
+                    "the value set lies outside the previous approximant's reach",
+                    region=region,
+                )
+            winners.setdefault(r, []).append(region)
+    pieces = tuple(
+        (GeneralizedBasicSet.of([p for g in winners[r] for p in g.parts], dim=F.alpha), r)
+        for r in sorted(winners)
+    )
+    dom_measure = sum((q.measure() for q, _ in pieces), Fraction(0))
+    return pieces, StepCertificate.at_level(k, 0.0, budget, len(pieces), dom_measure)
+
+
+def cauchy_defect_reference(chain, k, m):
+    """selector.cauchy_defect's exact branch as first written: the meet of
+    every pair of far-apart pieces, plus level k's parts minus level m's."""
+    from selectorkit.selector import CauchyDefect
+    from selectorkit.setalg import GeneralizedBasicSet
+
+    thr = Fraction(1, 2 ** (k - 2))
+    sk, sm = chain.steps[k - 2], chain.steps[m - 2]
+    bad = Fraction(0)
+    for qk, vk in sk.pieces:
+        for qm, vm in sm.pieces:
+            if sum((a - b) * (a - b) for a, b in zip(vk, vm)) >= thr * thr:
+                bad += qk.intersect(qm).measure()
+
+    def carrier(step):
+        parts = [p for q, _ in step.pieces for p in q.parts]
+        return GeneralizedBasicSet.of(parts, dim=chain.svf.alpha)
+
+    bad += carrier(sk).subtract(carrier(sm)).measure()
+    budget = sk.certificate.witness_budget + sm.certificate.witness_budget
+    return CauchyDefect(k, m, thr, bad, budget)
+
+
 # ---------------------------------------------------------------------------
 # sublevel families, one cell at a time
 

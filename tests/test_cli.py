@@ -121,6 +121,41 @@ def test_solve_di_artifacts_are_pinned(tmp_path):
         assert got == digests, problem
 
 
+# sha256 of the exact-engine artifacts of `extract assets/desk_svf.json --n 4`
+# and of `eval.json` at points of that chain; a change to these bytes must be named
+DESK_EXTRACT_DIGESTS = {
+    "chain.json": "dc99af559c89f85bbb4d121471f7bf707521572135843ee5da769510cc2eb7b2",
+    "selector_section.csv": "211b5370220eae452ac314f3bacc21e950176d3fcd9f9188bc2f078268ccb35c",
+}
+DESK_EVAL_DIGESTS = {
+    "0.3": "20703ec9b1c0564a6609cbfe53cf02ffbf8ecd11fa7fd7982746e8eb12d460d5",  # 7/32
+    # the cell boundary and the box face, each inside M(1/16)
+    "1/2": "b63ab8ed2548b26f999e6bb16916d846207dd5215fd000d2eef926ba0d0129a2",
+    "1": "31bec7487f04c1f30f453e26576a3a3b13e5fcfcd802dbec19e856b042e64dc0",
+    # outside the box: inside M(1/16)'s slab (-1/64, 1/64), and beyond it
+    "-1/128": "d5778e82f0905fdf6c5501f59c4e2566d62fd6af8036bb9f58d390f7fe551b91",
+    "3/2": "eb25d2885b591d01afea028777f2962a6335cbf5ea9c681621c9336ebc970cc6",
+}
+
+
+def test_exact_extract_and_eval_artifacts_are_pinned(tmp_path):
+    import hashlib
+
+    def sha(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    r = run_cli(["--out", "e", "extract", str(ASSETS / "desk_svf.json"), "--n", "4"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    got = {name: sha(tmp_path / "e" / name) for name in DESK_EXTRACT_DIGESTS}
+    assert got == DESK_EXTRACT_DIGESTS
+    got = {}
+    for i, at in enumerate(DESK_EVAL_DIGESTS):
+        r = run_cli(["--out", f"v{i}", "eval", "e/chain.json", f"--at={at}"], tmp_path)
+        assert r.returncode == 0, r.stderr
+        got[at] = sha(tmp_path / f"v{i}" / "eval.json")
+    assert got == DESK_EVAL_DIGESTS
+
+
 def test_solve_di_names_the_iterate_that_leaves_the_box(tmp_path):
     # from 0.9 the desk field's value 3/4 carries the iterate past x = 1
     (tmp_path / "desk_svf.json").write_bytes((ASSETS / "desk_svf.json").read_bytes())
@@ -185,6 +220,17 @@ def test_contract_violation_exit_code(tmp_path):
     r = run_cli(["--out", "x", "extract", str(path)], tmp_path)
     assert r.returncode == 2
     assert "contract violation" in r.stderr
+
+
+@pytest.mark.parametrize("out", ["plainfile", "plainfile/sub"])
+def test_out_through_a_file_is_input_error(tmp_path, out):
+    (tmp_path / "plainfile").write_text("kept\n")
+    r = run_cli(["--out", out, "reduce", str(ASSETS / "example1.json")], tmp_path)
+    assert r.returncode == 3, r.stderr
+    assert r.stderr.splitlines() == [
+        f"input error: --out {out}: plainfile is a file, not a directory"
+    ]
+    assert r.stdout == "" and (tmp_path / "plainfile").read_text() == "kept\n"
 
 
 def test_missing_input_file(tmp_path):
@@ -336,12 +382,12 @@ def test_bad_robot_input_is_input_error(tmp_path, args):
     assert "Traceback" not in r.stderr
 
 
-def _desk_chain_with(edit) -> dict:
+def _desk_chain_with(edit, n=2) -> dict:
     from selectorkit.selector import chain_to_json, extract
     from selectorkit.svf import cellwise_svf_from_json
 
     svf = cellwise_svf_from_json(json.loads((ASSETS / "desk_svf.json").read_text()))
-    chain = chain_to_json(extract(svf, 2))
+    chain = chain_to_json(extract(svf, n))
     edit(chain)
     return chain
 
@@ -430,6 +476,14 @@ BAD_PROBLEMS = [
             )
             for field, value in CONTRADICTED_CERTIFICATE_FIELDS
         ],
+        # the level-4 value 7/32 moved to 31/32, 0.72 from F(0.3)
+        (
+            ["eval", "--at", "0.3"],
+            lambda: _desk_chain_with(
+                lambda c: c["steps"][2]["pieces"][0].update(value=[{"num": 31, "exp2": 5}]),
+                n=4,
+            ),
+        ),
         (["solve-di"], lambda: {"svf_file": "absent_svf.json", "x0": [0.5]}),
         (["solve-di"], lambda: {"field": "linear_tube", "x0": "abc"}),
         *[(["solve-di"], lambda problem=problem: problem) for _, problem in BAD_PROBLEMS],
@@ -444,6 +498,7 @@ BAD_PROBLEMS = [
         "chain-no-level", "chain-n-not-int", "chain-svf-not-object",
         "chain-no-steps", "chain-level-beyond-n",
         *[f"chain-contradicted-{field}" for field, _ in CONTRADICTED_CERTIFICATE_FIELDS],
+        "chain-moved-value",
         "problem-svf-file-missing",
         "problem-x0-not-number", *[f"problem-{name}" for name, _ in BAD_PROBLEMS],
         "sets-not-object", "svf-not-object",

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from selectorkit.domain import continuous_extension, make_witness
@@ -42,6 +42,8 @@ from selectorkit.svf import (
 
 from oracles import (
     brute_force_selector,
+    cauchy_defect_reference,
+    extraction_step_reference,
     eval_selector_reference,
     first_part_containing,
     grid_step_reference,
@@ -303,6 +305,112 @@ def test_cauchy_defect_within_budget():
 
 
 # ---------------------------------------------------------------------------
+# cell-aligned exact steps against the cell-by-piece loops
+
+
+def _axis_tiling(draw):
+    """One axis's intervals over [0, 1], as (lo, hi, closed_lo, closed_hi).
+
+    Each inner cut closes the interval below it, the one above it, or is
+    a singleton cell of its own; the outer ends are open or closed.
+    """
+    cuts = sorted(draw(st.sets(st.integers(1, 7), max_size=3)))
+    ends = [F_(0), *(F_(c, 8) for c in cuts), F_(1)]
+    modes = [draw(st.sampled_from(["below", "above", "single"])) for _ in cuts]
+    outer = draw(st.tuples(st.booleans(), st.booleans()))
+    out = []
+    for i, (lo, hi) in enumerate(zip(ends, ends[1:])):
+        clo = outer[0] if i == 0 else modes[i - 1] == "above"
+        chi = outer[1] if i == len(cuts) else modes[i] == "below"
+        out.append((lo, hi, clo, chi))
+        if i < len(cuts) and modes[i] == "single":
+            out.append((hi, hi, True, True))
+    return out
+
+
+@st.composite
+def cellwise_svf_pairs(draw):
+    """Two cellwise SVFs on one random tiling: dims 1-2, beta 1-2, mixed
+    closures, singleton and degenerate cells, one empty cell, and value
+    sets of boxes and points.  The range box sometimes puts values out of
+    the zero start's reach, so extraction can fail with CoverageError."""
+    alpha, beta = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    axes = [_axis_tiling(draw) for _ in range(alpha)]
+    if alpha == 2:
+        assume(len(axes[0]) * len(axes[1]) <= 20)
+    cells = [
+        BasicSet.box(*([a[i] for a in combo] for i in range(4)))
+        for combo in itertools.product(*axes)
+    ]
+    box = BasicSet.box(
+        [a[0][0] for a in axes], [a[-1][1] for a in axes],
+        [a[0][2] for a in axes], [a[-1][3] for a in axes],
+    )
+    empty = BasicSet.box([F_(1, 2)] * alpha, [F_(1, 2)] * alpha, [False] * alpha, [False] * alpha)
+    cells.insert(draw(st.integers(0, len(cells))), empty)
+    lo, hi = draw(st.sampled_from([-1, F_(-1, 4)])), draw(st.sampled_from([1, 2]))
+    coord = st.integers(int(lo * 16), int(hi * 16) - 1).map(lambda c: F_(c, 16))
+
+    def value_set():
+        parts = []
+        for _ in range(draw(st.integers(1, 2))):
+            corner = [draw(coord) for _ in range(beta)]
+            size = [F_(draw(st.integers(0, 4)), 16) for _ in range(beta)]
+            parts.append(BasicSet.closed_box(corner, [c + s for c, s in zip(corner, size)]))
+        return GeneralizedBasicSet.of(parts, dim=beta)
+
+    rmap = AffineRangeMap.of([lo] * beta, [hi] * beta)
+    return tuple(
+        build_cellwise_svf(box, [(c, value_set()) for c in cells], rmap) for _ in range(2)
+    )
+
+
+@given(pair=cellwise_svf_pairs())
+@settings(max_examples=60, deadline=None)
+def test_exact_steps_match_cell_by_piece_reference_hypothesis(pair):
+    f = pair[0]
+    step, ref = None, None
+    for k in range(2, 5):
+        try:
+            want = extraction_step_reference(ref, f, k)
+        except CoverageError as e:
+            with pytest.raises(CoverageError) as got:
+                extraction_step(step, f, k)
+            assert (str(got.value), got.value.region) == (str(e), e.region)
+            return
+        step = extraction_step(step, f, k)
+        assert (step.pieces, step.certificate) == want
+        ref = want[0]
+
+
+@given(pair=cellwise_svf_pairs(), drop=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_exact_cauchy_defect_matches_piece_pair_reference_hypothesis(pair, drop):
+    """On chains spliced from two SVFs over one tiling, so that levels can
+    disagree, and with a cell dropped from the last level when `drop`."""
+    try:
+        a, b = (extract(f, 4) for f in pair)
+    except CoverageError:
+        assume(False)
+    steps = [a.steps[0], b.steps[1], a.steps[2]]
+    if drop:
+        last = steps[-1]
+        (q, r), pieces = last.pieces[-1], last.pieces[:-1]
+        if len(q.parts) > 1:
+            pieces += ((GeneralizedBasicSet(q.dim, q.parts[1:]), r),)
+        steps[-1] = dataclasses.replace(last, pieces=pieces)
+    chain = dataclasses.replace(a, steps=tuple(steps))
+    for k, m in itertools.combinations(range(2, 5), 2):
+        assert cauchy_defect(chain, k, m) == cauchy_defect_reference(chain, k, m)
+
+
+def test_extraction_step_refuses_previous_step_of_another_svf():
+    prev = extraction_step(None, desk_svf(), 2)
+    with pytest.raises(InputError, match="level-2 step holds no piece for cell 0 of the SVF"):
+        extraction_step(prev, three_cell_svf(), 3)
+
+
+# ---------------------------------------------------------------------------
 # evaluation
 
 
@@ -469,9 +577,10 @@ def thirds_svf():
 
 @functools.cache
 def _eval_case(name):
-    """A chain and, per axis, the box faces with a point beyond each, and
-    the other coordinates where the answer can change: piece ends,
-    witness slab ends and grid planes."""
+    """A chain and, per axis, the box faces with a point beyond each and a
+    point between each face and the end of a witness slab that reaches
+    past it, and the other coordinates where the answer can change: piece
+    ends, witness slab ends and grid planes."""
     if name == "exact-json":
         chain, faces, inner = _eval_case("exact")
         return chain_from_json(json.loads(json.dumps(chain_to_json(chain)))), faces, inner
@@ -487,11 +596,15 @@ def _eval_case(name):
     chain = extract(make(), 4)
     box = chain.svf.domain_box
     parts = [p for q, _ in chain.steps[-1].pieces for p in q.parts]
-    for eps in _EVAL_EPS[1:]:
-        parts += chain.final_witness(eps).parts
+    slabs = [p for eps in _EVAL_EPS[1:] for p in chain.final_witness(eps).parts]
+    parts += slabs
     faces, inner = [], []
     for j in range(box.dim):
-        faces.append([box.lo[j] - F_(1, 4), box.lo[j], box.hi[j], box.hi[j] + F_(1, 4)])
+        beyond = {(p.lo[j] + box.lo[j]) / 2 for p in slabs if p.lo[j] < box.lo[j]}
+        beyond |= {(p.hi[j] + box.hi[j]) / 2 for p in slabs if p.hi[j] > box.hi[j]}
+        faces.append(
+            sorted({box.lo[j] - F_(1, 4), box.lo[j], box.hi[j], box.hi[j] + F_(1, 4), *beyond})
+        )
         coords = {c for p in parts for c in (p.lo[j], p.hi[j])}
         if chain.svf.kind == "sampled":
             coords |= set(chain.svf.grid.planes[j])
@@ -519,6 +632,24 @@ def test_eval_matches_engine_reference_hypothesis(name, data):
         for ends, coords in zip(faces, inner)
     ]
     assert eval_selector(chain, x, eps) == eval_selector_reference(chain, x, eps)
+
+
+@pytest.mark.parametrize("name", ["exact", "exact-json", "exact-half-open-2d", "exact-thirds"])
+def test_exact_eval_is_outside_domain_in_witness_slab_beyond_box(name):
+    """M(eps) reaches past the box; there the answer is outside_domain."""
+    chain, _, _ = _eval_case(name)
+    box = chain.svf.domain_box
+    n_points = 0
+    for eps in _EVAL_EPS[1:]:
+        m = chain.final_witness(eps)
+        for p, j in itertools.product(m.parts, range(box.dim)):
+            x = [(lo + hi) / 2 for lo, hi in zip(p.lo, p.hi)]
+            for end, beyond in ((box.lo[j], p.lo[j]), (box.hi[j], p.hi[j])):
+                x[j] = (end + beyond) / 2
+                if x[j] != end and m.contains(x) and not box.closure().contains(x):
+                    n_points += 1
+                    assert eval_selector(chain, x, eps) == EvalResult(None, "outside_domain")
+    assert n_points >= 6
 
 
 @pytest.mark.parametrize("name", ["desk", "grid-robot-3d"])
@@ -782,6 +913,75 @@ def test_chain_from_json_rejects_svf_that_is_no_object():
     obj = json.loads(json.dumps(chain_to_json(extract(three_cell_svf(), 2))))
     obj["svf"] = [1, 2]
     with pytest.raises(InputError, match="'svf'"):
+        chain_from_json(obj)
+
+
+def _piece(obj, level, i):
+    return obj["steps"][level - 2]["pieces"][i]
+
+
+def _split_desk_level3(obj):
+    step = obj["steps"][1]
+    cell1 = step["pieces"][0]["set"]["parts"].pop()
+    value = [{"num": 11, "exp2": 4}]
+    step["pieces"].append({"set": {"dim": 1, "parts": [cell1]}, "value": value})
+    step["n_pieces"] = 2
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (
+            lambda c: _piece(c, 4, 0).update(value=[{"num": 31, "exp2": 5}]),
+            r"level 4 gives piece 0 the value \(31/32\) on cell 0, which is not a level-4 "
+            r"mesh node within 2\*\*-4 of the cell's values and 2\*\*-3 of its level-3 "
+            r"value \(3/16\)",
+        ),
+        # within 2**-4 of 1/4 and 2**-3 of 3/16, but between two mesh nodes
+        (
+            lambda c: _piece(c, 4, 0).update(value=[{"num": 15, "exp2": 6}]),
+            r"level 4 gives piece 0 the value \(15/64\) on cell 0",
+        ),
+        # cell 1 alone at 11/16: within 2**-3 of its value 3/4, but 9/16 from
+        # its level-2 value 1/8
+        (
+            _split_desk_level3,
+            r"level 3 gives piece 1 the value \(11/16\) on cell 1, .* level-2 value \(1/8\)",
+        ),
+        (
+            lambda c: c.update(f1=[{"num": 1, "exp2": 3}]),
+            r"'f1' must be the normalized zero \(0\), not \(1/8\)",
+        ),
+    ],
+    ids=["moved-value", "off-mesh", "gap-too-wide", "f1-not-zero"],
+)
+def test_chain_from_json_redecides_each_value_on_each_cell(edit, match):
+    obj = json.loads(json.dumps(chain_to_json(extract(desk_svf(), 4))))
+    edit(obj)
+    with pytest.raises(InputError, match=match):
+        chain_from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (
+            lambda c: _piece(c, 3, 0)["set"]["parts"][0].update(hi=[{"num": 1, "exp2": 3}]),
+            r"level 3 must hold each of the SVF's 3 non-empty cells once as a part of a "
+            r"piece, not the cells \[None, 2, 1\]",
+        ),
+        (
+            lambda c: _piece(c, 3, 1)["set"]["parts"].append(_piece(c, 3, 0)["set"]["parts"][0]),
+            r"level 3 must .* not the cells \[0, 2, 1, 0\]",
+        ),
+        (lambda c: _piece(c, 3, 0)["set"]["parts"].pop(), r"level 3 must .* not the cells \[0, 1\]"),
+    ],
+    ids=["part-not-a-cell", "cell-in-two-pieces", "cell-missing"],
+)
+def test_chain_from_json_refuses_step_not_aligned_with_cells(edit, match):
+    obj = json.loads(json.dumps(chain_to_json(extract(three_cell_svf(), 4))))
+    edit(obj)
+    with pytest.raises(InputError, match=match):
         chain_from_json(obj)
 
 
