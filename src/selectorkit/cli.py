@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -273,8 +274,15 @@ def cmd_robot_export(args) -> int:
 class _Parser(argparse.ArgumentParser):
     """Usage errors are input errors: one `input error:` line, exit 3.
 
-    Subparsers inherit the class, so this covers every subcommand.
+    Subparsers inherit the class, so this covers every subcommand.  A
+    token that starts with '-' and a digit (or '-.' and a digit) is a
+    value, never an option, so `--at -1/128` and `--x0 -1,1,1` parse as
+    negative coordinates; no option of this program is spelled that way.
     """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         self.exit(3, f"input error: {message}\n")

@@ -7,6 +7,21 @@ generalized basic set is a finite union of basic sets.  The measure is
 overlap-blind: it sums part volumes without subtracting intersections,
 and singletons, box boundaries and the empty set weigh zero.
 
+Open and closed ends are compared by one rule, the folded integer end
+key.  Axis j of a computation is scaled by L_j, the lcm of the end
+denominators on that axis, so an end at v becomes the int n = v * L_j,
+and its closure folds into the key: a lower end is 2n closed and 2n + 1
+open, an upper end 2n closed and 2n - 1 open.  An axis is empty exactly
+when lo > hi, and a meet is the larger lower and the smaller upper key.
+The slabs of q \\ b on an axis are (q.lo, b.lo - 1) below b and
+(b.hi + 1, q.hi) above it: the same end with the opposite closure is
+just -1 or +1.  Set difference, intersection and the countable
+reduction encode their inputs once per call, cut tuples of ints, and
+decode by a per-axis dict from the scaled int back to the inputs' own
+`Fraction` ends, since cutting never makes a new end value.  A single
+box decides emptiness and membership on the cross-multiplied scale
+(`_crossed`), and `AxisKeys.slot` applies the same rule to ranks.
+
 The countable reduction rewrites a sequence of generalized sets into
 pairwise-disjoint subsets covering the same union up to boundary
 points, subtracting parts in the order given by a pairing bijection
@@ -20,6 +35,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import gt
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -109,13 +125,10 @@ class BasicSet:
 
     @property
     def is_empty(self) -> bool:
-        return any(
-            _interval_empty(self.lo[j], self.closed_lo[j], self.hi[j], self.closed_hi[j])
-            for j in range(self.dim)
-        )
+        return any(map(_crossed, self.lo, self.closed_lo, self.hi, self.closed_hi))
 
     def axis_degenerate(self, j: int) -> bool:
-        return self.lo[j] == self.hi[j]
+        return self.lo[j].as_integer_ratio() == self.hi[j].as_integer_ratio()
 
     @property
     def kind(self) -> str:
@@ -139,10 +152,10 @@ class BasicSet:
 
     def contains(self, point: Sequence) -> bool:
         """Whether each coordinate c meets its axis: both [lo, c] and [c, hi] hold c."""
-        for j, c in enumerate(_aspoint(point, self.dim)):
-            if _interval_empty(self.lo[j], self.closed_lo[j], c, True) or _interval_empty(
-                c, True, self.hi[j], self.closed_hi[j]
-            ):
+        for c, lo, clo, hi, chi in zip(
+            _aspoint(point, self.dim), self.lo, self.closed_lo, self.hi, self.closed_hi
+        ):
+            if _crossed(lo, clo, c, True) or _crossed(c, True, hi, chi):
                 return False
         return True
 
@@ -150,42 +163,20 @@ class BasicSet:
 
     def intersect(self, other: "BasicSet") -> "BasicSet":
         _check_dims(self, other)
-        axes = [_meet_axis(self, other, j) for j in range(self.dim)]
-        if any(_interval_empty(*ax) for ax in axes):
-            return BasicSet.empty(self.dim)
-        lo, clo, hi, chi = zip(*axes)
-        return BasicSet(self.dim, lo, hi, clo, chi)
+        frame = _Frame(self.dim, (self, other))
+        meet = _meet(frame.encode(self), frame.encode(other))
+        return BasicSet.empty(self.dim) if _key_empty(meet) else frame.decode(meet)
 
     def intersects(self, other: "BasicSet") -> bool:
-        """Whether the boxes meet, decided axis by axis without building the meet."""
+        """Whether the boxes meet, decided on their keys without building the meet."""
         _check_dims(self, other)
-        for j in range(self.dim):
-            if _interval_empty(*_meet_axis(self, other, j)):
-                return False
-        return True
+        frame = _Frame(self.dim, (self, other))
+        return not _key_empty(_meet(frame.encode(self), frame.encode(other)))
 
     def subtract(self, other: "BasicSet") -> list["BasicSet"]:
         """Guillotine difference; pieces are pairwise disjoint."""
         _check_dims(self, other)
-        meet = []
-        for j in range(self.dim):
-            axis = _meet_axis(self, other, j)
-            if _interval_empty(*axis):
-                return [] if self.is_empty else [self]
-            meet.append(axis)
-        pieces: list[BasicSet] = []
-        cur = self
-        for j, axis in enumerate(meet):
-            # the boxes meet, so self's slabs below and above other on axis j
-            # end at other's ends with the opposite closure; between them lies the meet
-            below = (self.lo[j], self.closed_lo[j], other.lo[j], not other.closed_lo[j])
-            above = (other.hi[j], not other.closed_hi[j], self.hi[j], self.closed_hi[j])
-            for slab in (below, above):
-                if not _interval_empty(*slab):
-                    pieces.append(_replace_axis(cur, j, *slab))
-            cur = _replace_axis(cur, j, *axis)
-        # the all-middle core lies inside `other`: dropped
-        return pieces
+        return _cut(self, (other,))
 
     def faces(self) -> list["BasicSet"]:
         """Boundary of the box as closed degenerate boxes.
@@ -257,34 +248,105 @@ class BasicSet:
         return "x".join(axes)
 
 
-def _interval_empty(lo: Fraction, clo: bool, hi: Fraction, chi: bool) -> bool:
-    """An interval is empty when lo > hi, or lo == hi without both ends closed."""
-    return lo > hi or (lo == hi and not (clo and chi))
+# ---------------------------------------------------------------------------
+# folded integer end keys
 
 
-def _meet_axis(
-    a: BasicSet, b: BasicSet, j: int
-) -> tuple[Fraction, bool, Fraction, bool]:
-    """Axis j of the meet of two boxes as (lo, closed_lo, hi, closed_hi).
+def _crossed(lo, clo: bool, hi, chi: bool) -> bool:
+    """Whether the lower end (lo, clo) lies past the upper end (hi, chi): the
+    folded keys on the scale b*d of lo = a/b and hi = c/d, so an axis is
+    empty, and a coordinate misses an end, exactly when its ends cross."""
+    a, b = lo.as_integer_ratio()
+    c, d = hi.as_integer_ratio()
+    return 2 * a * d + (not clo) > 2 * c * b - (not chi)
 
-    The larger lower end and the smaller upper end win; where both boxes
-    end at the same value, that end is closed only if it is closed in both.
+
+# A box as keys: (lower keys, upper keys), one int per axis each.
+Keys = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+class _Frame:
+    """The folded end keys of one computation's boxes, and back.
+
+    Axis j is scaled by L_j, the lcm of the end denominators on that axis
+    over the boxes given.  Cutting and meeting never make a new end value,
+    so `decode` maps each scaled end back to the input's own `Fraction`
+    by a per-axis dict.
     """
-    a_lo, b_lo = a.lo[j], b.lo[j]
-    if a_lo > b_lo:
-        lo, clo = a_lo, a.closed_lo[j]
-    elif b_lo > a_lo:
-        lo, clo = b_lo, b.closed_lo[j]
-    else:
-        lo, clo = a_lo, a.closed_lo[j] and b.closed_lo[j]
-    a_hi, b_hi = a.hi[j], b.hi[j]
-    if a_hi < b_hi:
-        hi, chi = a_hi, a.closed_hi[j]
-    elif b_hi < a_hi:
-        hi, chi = b_hi, b.closed_hi[j]
-    else:
-        hi, chi = a_hi, a.closed_hi[j] and b.closed_hi[j]
-    return lo, clo, hi, chi
+
+    __slots__ = ("scales", "values")
+
+    def __init__(self, dim: int, boxes: Sequence[BasicSet]):
+        self.scales = [
+            math.lcm(*{v.denominator for b in boxes for v in (b.lo[j], b.hi[j])})
+            for j in range(dim)
+        ]
+        self.values: list[dict[int, Fraction]] = [{} for _ in range(dim)]
+
+    def encode(self, box: BasicSet) -> Keys:
+        lo, hi = [], []
+        for v, clo, w, chi, scale, values in zip(
+            box.lo, box.closed_lo, box.hi, box.closed_hi, self.scales, self.values
+        ):
+            a, b = v.as_integer_ratio()
+            c, d = w.as_integer_ratio()
+            n, m = a * (scale // b), c * (scale // d)
+            values[n] = v
+            values[m] = w
+            lo.append(2 * n + (not clo))
+            hi.append(2 * m - (not chi))
+        return tuple(lo), tuple(hi)
+
+    def decode(self, key: Keys) -> BasicSet:
+        lo, hi = key
+        return BasicSet(
+            len(lo),
+            tuple(values[k >> 1] for values, k in zip(self.values, lo)),
+            tuple(values[(k + 1) >> 1] for values, k in zip(self.values, hi)),
+            tuple(not (k & 1) for k in lo),
+            tuple(not (k & 1) for k in hi),
+        )
+
+    def cut(self, part: BasicSet, key: Keys, boxes: Iterable[Keys]) -> list[BasicSet]:
+        """What is left of part, encoded as key, after removing each box in
+        turn: none of an empty part, and part itself when no box meets it."""
+        kept = [] if _key_empty(key) else [key]
+        for b in boxes:
+            if not kept:
+                break
+            kept = [q for p in kept for q in _minus(p, b)]
+        return [part] if kept == [key] else [self.decode(q) for q in kept]
+
+
+def _key_empty(key: Keys) -> bool:
+    return any(map(gt, *key))
+
+
+def _meet(a: Keys, b: Keys) -> Keys:
+    return tuple(map(max, a[0], b[0])), tuple(map(min, a[1], b[1]))
+
+
+def _minus(p: Keys, b: Keys) -> list[Keys]:
+    """Non-empty key box p minus key box b, as guillotine slabs.
+
+    Axis by axis, the slab of p below b ends at b's lower key - 1 and the
+    slab above starts at b's upper key + 1 (the same value, the opposite
+    closure); p then shrinks to the meet on that axis.  The core inside b
+    is dropped.  Returns [p] when the boxes do not meet.
+    """
+    for lo, hi, blo, bhi in zip(*p, *b):
+        if lo > bhi or blo > hi or blo > bhi:  # b misses p, or is empty
+            return [p]
+    pieces = []
+    lo, hi = list(p[0]), list(p[1])
+    for j, (blo, bhi) in enumerate(zip(*b)):
+        if lo[j] < blo:
+            pieces.append((tuple(lo), (*hi[:j], blo - 1, *hi[j + 1 :])))
+            lo[j] = blo
+        if bhi < hi[j]:
+            pieces.append(((*lo[:j], bhi + 1, *lo[j + 1 :]), tuple(hi)))
+            hi[j] = bhi
+    return pieces
 
 
 @dataclass(frozen=True)
@@ -332,7 +394,9 @@ class AxisKeys:
         between keys (below == upto) lies in the gap, whatever its closure.
         An end at v_i covers v_i's slot when closed, else the gap next to
         it inside the interval: above (side 1) for a lower end, below
-        (side -1) for an upper one.  A point's slot is below + upto.
+        (side -1) for an upper one.  A point's slot is below + upto.  This
+        is the folded end key on the scale of ranks: 2i + 1 plays 2n, and
+        an open end moves one slot inward as 2n + 1 and 2n - 1 do.
         """
         return below + upto + (0 if closed or below == upto else side)
 
@@ -340,13 +404,6 @@ class AxisKeys:
 def _check_dims(a, b) -> None:
     if a.dim != b.dim:
         raise SetAlgebraError(f"dimension mismatch {a.dim} != {b.dim}")
-
-
-def _replace_axis(box: BasicSet, j: int, lo, clo, hi, chi) -> BasicSet:
-    los, his = list(box.lo), list(box.hi)
-    clos, chis = list(box.closed_lo), list(box.closed_hi)
-    los[j], his[j], clos[j], chis[j] = lo, hi, clo, chi
-    return BasicSet(box.dim, tuple(los), tuple(his), tuple(clos), tuple(chis))
 
 
 # ---------------------------------------------------------------------------
@@ -481,21 +538,31 @@ class GeneralizedBasicSet:
             other = GeneralizedBasicSet(self.dim, (other,))
         if not other.parts:
             return self
-        # an empty part meets nothing, and any difference drops it
-        pieces = [
-            q
-            for p in self.parts
-            if not p.is_empty
-            for q in _cut(p, [other.parts[k] for k in other.meeting(p)])
-        ]
+        frame, near = self._meetings(other)
+        pieces: list[BasicSet] = []
+        for p, boxes in zip(self.parts, near):
+            pieces.extend(frame.cut(p, frame.encode(p), boxes))
         return GeneralizedBasicSet(self.dim, tuple(pieces))
 
     def intersect(self, other: "GeneralizedBasicSet | BasicSet") -> "GeneralizedBasicSet":
         """The meets of each part with the parts of other that it meets, in order."""
         if isinstance(other, BasicSet):
             other = GeneralizedBasicSet(self.dim, (other,))
-        parts = [p.intersect(other.parts[k]) for p in self.parts for k in other.meeting(p)]
+        frame, near = self._meetings(other)
+        parts = []
+        for p, boxes in zip(self.parts, near):
+            key = frame.encode(p)
+            parts.extend(frame.decode(_meet(key, b)) for b in boxes)
         return GeneralizedBasicSet(self.dim, tuple(parts))
+
+    def _meetings(self, other: "GeneralizedBasicSet") -> tuple["_Frame", list[list[Keys]]]:
+        """A frame over the parts and the parts of other that meet them, and
+        per part the keys of those, in order; each box is encoded once."""
+        near = [other.meeting(p) for p in self.parts]
+        used = {k: other.parts[k] for ks in near for k in ks}
+        frame = _Frame(self.dim, (*self.parts, *used.values()))
+        keys = {k: frame.encode(b) for k, b in used.items()}
+        return frame, [[keys[k] for k in ks] for ks in near]
 
     def issubset(self, other: "GeneralizedBasicSet") -> bool:
         """Exact containment, closure flags included."""
@@ -513,14 +580,11 @@ GBS = GeneralizedBasicSet
 def _cut(part: BasicSet, boxes: Iterable[BasicSet]) -> list[BasicSet]:
     """The pieces of part left after removing each box in turn.
 
-    Stops once nothing is left; with no box at all the part stands as it is.
+    An empty part leaves none; a part that no box meets stands as it is.
     """
-    pieces = [part]
-    for b in boxes:
-        pieces = [q for p in pieces for q in p.subtract(b)]
-        if not pieces:
-            break
-    return pieces
+    boxes = tuple(boxes)
+    frame = _Frame(part.dim, (part, *boxes))
+    return frame.cut(part, frame.encode(part), map(frame.encode, boxes))
 
 
 def union_with_owners(
@@ -677,23 +741,24 @@ def countable_reduction(xs: SetSequence) -> SetSequence:
 
     Each flattened part has every earlier part (in pairing order)
     subtracted from it; K_n collects the surviving pieces of J_n's
-    parts.  No new endpoints appear and the overlap-blind measure of
-    the union is preserved.
+    parts.  Every part is encoded once and the cuts run on its keys.
+    No new endpoints appear and the overlap-blind measure of the union
+    is preserved.
     """
     order = xs.flat_order()
     dim = xs.dim if xs.items else 1
-    reduced_parts: dict[tuple[int, int], list[BasicSet]] = {}
-    earlier: list[BasicSet] = []
-    for n, m in order:
-        part = xs.items[n].parts[m]
-        reduced_parts[(n, m)] = _cut(part, earlier)
-        earlier.append(part)
-    out_items = []
-    for n, it in enumerate(xs.items):
-        parts = []
-        for m in range(len(it.parts)):
-            parts.extend(reduced_parts[(n, m)])
-        out_items.append(GeneralizedBasicSet(dim, tuple(parts)))
+    parts = [xs.items[n].parts[m] for n, m in order]
+    frame = _Frame(dim, parts)
+    keys = [frame.encode(p) for p in parts]
+    reduced: dict[tuple[int, int], list[BasicSet]] = {}
+    for i, (nm, part, key) in enumerate(zip(order, parts, keys)):
+        reduced[nm] = frame.cut(part, key, keys[:i])
+    out_items = [
+        GeneralizedBasicSet(
+            dim, tuple(q for m in range(len(it.parts)) for q in reduced[(n, m)])
+        )
+        for n, it in enumerate(xs.items)
+    ]
     return SetSequence(tuple(out_items), xs.pairing)
 
 

@@ -163,6 +163,47 @@ def box_subtract_reference(a, b):
     return pieces
 
 
+def intersect_reference(parts, others):
+    """GeneralizedBasicSet.intersect as first written: each part met, in
+    order, with every part of others whose `Fraction` meet is not empty."""
+    from selectorkit.setalg import BasicSet
+
+    out = []
+    for a in parts:
+        for b in others:
+            axes = [_meet_axis(a, b, j) for j in range(a.dim)]
+            if not any(_interval_empty(*ax) for ax in axes):
+                lo, clo, hi, chi = zip(*axes)
+                out.append(BasicSet(a.dim, lo, hi, clo, chi))
+    return out
+
+
+def countable_reduction_reference(xs):
+    """countable_reduction as first written: each part, in pairing order,
+    cut in turn by every earlier part with box_subtract_reference.  An
+    empty part leaves nothing, the first one included."""
+    from selectorkit.setalg import GeneralizedBasicSet, SetSequence
+
+    dim = xs.dim if xs.items else 1
+    reduced, earlier = {}, []
+    for n, m in xs.flat_order():
+        part = xs.items[n].parts[m]
+        empty = any(
+            _interval_empty(part.lo[j], part.closed_lo[j], part.hi[j], part.closed_hi[j])
+            for j in range(part.dim)
+        )
+        pieces = [] if empty else [part]
+        for b in earlier:
+            pieces = [q for p in pieces for q in box_subtract_reference(p, b)]
+        reduced[(n, m)] = pieces
+        earlier.append(part)
+    items = tuple(
+        GeneralizedBasicSet(dim, tuple(q for m in range(len(it.parts)) for q in reduced[(n, m)]))
+        for n, it in enumerate(xs.items)
+    )
+    return SetSequence(items, xs.pairing)
+
+
 def parts_meeting(parts, box):
     """Indices of the parts that intersect box, by a linear scan."""
     return [i for i, p in enumerate(parts) if p.intersects(box)]

@@ -156,6 +156,28 @@ def test_exact_extract_and_eval_artifacts_are_pinned(tmp_path):
     assert got == DESK_EVAL_DIGESTS
 
 
+def test_negative_coordinate_after_a_space_is_a_value(tmp_path):
+    """`--at -1/128` reads as `--at=-1/128` does, not as an option."""
+    import hashlib
+
+    r = run_cli(["--out", "e", "extract", str(ASSETS / "desk_svf.json"), "--n", "4"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    r = run_cli(["--out", "v", "eval", "e/chain.json", "--at", "-1/128"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    got = hashlib.sha256((tmp_path / "v" / "eval.json").read_bytes()).hexdigest()
+    assert got == DESK_EVAL_DIGESTS["-1/128"]
+
+
+def test_negative_start_after_a_space_is_a_value(tmp_path):
+    r = run_cli(
+        ["--out", "s", "robot", "sim", "--controller", "analytic", "--T", "0.05", "--x0", "-1,1,1"],
+        tmp_path,
+    )
+    assert r.returncode == 0, r.stderr
+    first = (tmp_path / "s" / "sim.csv").read_text().splitlines()[1].split(",")
+    assert first[:4] == ["0.0", "-1.0", "1.0", "1.0"]
+
+
 def test_solve_di_names_the_iterate_that_leaves_the_box(tmp_path):
     # from 0.9 the desk field's value 3/4 carries the iterate past x = 1
     (tmp_path / "desk_svf.json").write_bytes((ASSETS / "desk_svf.json").read_bytes())

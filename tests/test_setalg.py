@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from selectorkit.setalg import (
     AxisKeys,
+    _cut,
     BasicSet,
     GeneralizedBasicSet,
     SetAlgebraError,
@@ -32,8 +33,10 @@ from selectorkit.rational import as_fraction
 from oracles import (
     box_subtract_reference,
     contains_reference,
+    countable_reduction_reference,
     first_meeting_pair_reference,
     first_part_containing,
+    intersect_reference,
     parts_meeting,
     rank_index_reference,
     seq_boxes,
@@ -668,6 +671,93 @@ def test_reduction_measure_identity_hypothesis(xs):
     assert sum((it.measure() for it in ks.items), F(0)) == union_measure(seq_boxes(xs))
     for j, k in zip(xs.items, ks.items):
         assert k.issubset(j)
+
+
+# ---------------------------------------------------------------------------
+# hypothesis property: the integer-key kernel against the Fraction references
+
+# thirds, ninths, multiples of 4/33 and eighths in [-1, 2]: the ends of one
+# axis mix denominators, so its scale is their lcm, and negative ends occur
+KERNEL_CORNERS = sorted(
+    {F(k, d) for d in (3, 8, 9) for k in range(-d, 2 * d + 1)}
+    | {F(4 * k, 33) for k in range(-8, 17)}
+)
+KERNEL_WIDTHS = [F(-1, 8), F(0), F(1, 9), F(4, 33), F(1, 3), F(3, 8), F(2, 3), F(1)]
+
+
+@st.composite
+def kernel_parts(draw, dim):
+    """0-4 parts on KERNEL_CORNERS: a width of -1/8 makes an axis empty and
+    0 a degenerate one (empty unless both ends are closed), singletons are
+    drawn outright, and the closure flags are mixed."""
+    flags = st.tuples(*[st.booleans()] * dim)
+    parts = []
+    for _ in range(draw(st.integers(0, 4))):
+        lo = tuple(draw(st.sampled_from(KERNEL_CORNERS)) for _ in range(dim))
+        if draw(st.integers(0, 5)) == 0:
+            parts.append(BasicSet.singleton(lo))
+            continue
+        hi = tuple(a + draw(st.sampled_from(KERNEL_WIDTHS)) for a in lo)
+        parts.append(BasicSet(dim, lo, hi, draw(flags), draw(flags)))
+    return tuple(parts)
+
+
+@st.composite
+def kernel_sequences(draw):
+    """1-4 items of kernel_parts in dimension 1-3, empty parts kept, under
+    either pairing."""
+    dim = draw(st.integers(1, 3))
+    items = tuple(
+        GeneralizedBasicSet(dim, draw(kernel_parts(dim))) for _ in range(draw(st.integers(1, 4)))
+    )
+    return SetSequence(items, draw(st.sampled_from(["cantor", "rowmajor"])))
+
+
+@given(kernel_sequences())
+@settings(max_examples=300, deadline=None)
+def test_reduction_matches_sequential_reference_hypothesis(xs):
+    got, want = countable_reduction(xs), countable_reduction_reference(xs)
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+@given(kernel_sequences())
+@settings(max_examples=200, deadline=None)
+def test_reduction_makes_no_new_endpoints_hypothesis(xs):
+    """Every end of every reduced part is an end of an input part on the
+    same axis: the very `Fraction` object, so none was built."""
+    parts = xs.union_parts()
+    for p in countable_reduction(xs).union_parts():
+        for j in range(xs.dim):
+            ends = [c for q in parts for c in (q.lo[j], q.hi[j])]
+            for c in (p.lo[j], p.hi[j]):
+                assert c in ends
+                assert any(c is e for e in ends)
+
+
+@given(
+    st.integers(1, 3).flatmap(
+        lambda d: st.tuples(st.just(d), kernel_parts(d), kernel_parts(d))
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_intersect_matches_fraction_reference_hypothesis(case):
+    dim, a, b = case
+    got = GeneralizedBasicSet(dim, a).intersect(GeneralizedBasicSet(dim, b))
+    assert got.parts == tuple(intersect_reference(a, b))
+
+
+def test_cut_leaves_nothing_of_an_empty_part():
+    """_cut decides an empty part itself, with boxes to remove or without."""
+    half_open_point = BasicSet.interval(F(1, 3), F(1, 3), True, False)
+    crossed = BasicSet.closed_box([F(1), F(0)], [F(0), F(1)])
+    assert _cut(half_open_point, []) == []
+    assert _cut(half_open_point, [iv(5, 6)]) == []
+    assert _cut(crossed, []) == []
+    assert _cut(BasicSet.empty(2), [BasicSet.closed_box([5, 5], [6, 6])]) == []
+    part = iv(0, 1)
+    assert _cut(part, [])[0] is part
+    assert _cut(part, [iv(2, 3)])[0] is part
 
 
 # ---------------------------------------------------------------------------
