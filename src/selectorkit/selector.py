@@ -221,11 +221,6 @@ class GridStep:
             if w >= 0
         }
 
-    @property
-    def pieces(self) -> tuple[tuple[GeneralizedBasicSet, tuple[Fraction, ...]], ...]:
-        """Same-valued cell runs merged into boxes, built on each access."""
-        return _grid_pieces(self)
-
 
 @dataclass(frozen=True)
 class SelectorChain:
@@ -533,30 +528,6 @@ def _winner_coords(step: GridStep) -> np.ndarray:
     return coords
 
 
-def _grid_pieces(step: GridStep):
-    """Merge same-valued cell runs along the last axis into boxes."""
-    grid = step.grid
-    pieces: dict[int, list[BasicSet]] = {}
-    for r, row in enumerate(step.winner.reshape(-1, grid.shape[-1]).tolist()):
-        pre = unravel(r, grid.shape[:-1])
-        start = 0
-        for val, run in itertools.groupby(row):
-            end = start + len(list(run))
-            if val >= 0:
-                pieces.setdefault(val, []).append(
-                    grid.cells_box(pre + (start,), pre + (end - 1,))
-                )
-            start = end
-    # a box of cells is never empty: GridSpec has positive widths
-    return tuple(
-        (
-            GeneralizedBasicSet(grid.dim, tuple(pieces[val])),
-            mesh_value(step.level, val, step.beta),
-        )
-        for val in sorted(pieces)
-    )
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -697,16 +668,16 @@ def piecewise_constant_finish(
 
 
 def chain_to_json(chain: SelectorChain) -> dict:
+    """The chain as JSON: each step's level and certificate, then its values.
+
+    An exact step writes its pieces, each a set and its mesh value.  A
+    grid step writes `winner`, one flat mesh index per grid cell in
+    row-major order, with -1 where the step is undefined; the cells and
+    mesh values follow from the `svf` block's grid, the level and beta.
+    """
     steps = []
     for step in chain.steps:
         cert = step.certificate
-        pieces = [
-            {
-                "set": gbs_to_json(q),
-                "value": [rational_to_json(c) for c in r],
-            }
-            for q, r in step.pieces
-        ]
         steps.append(
             {
                 "level": step.level,
@@ -717,21 +688,19 @@ def chain_to_json(chain: SelectorChain) -> dict:
                 "witness_budget": rational_to_json(cert.witness_budget),
                 "n_pieces": cert.n_pieces,
                 "dom_measure": rational_to_json(cert.dom_measure),
-                "pieces": pieces,
             }
         )
-    out = {
-        "n": chain.n,
-        "engine": chain.engine,
-        "dom_budget": rational_to_json(chain.dom_budget),
-        "f1": [rational_to_json(c) for c in chain.f1_value],
-        "final_error_bound": chain.final_error_bound,
-        "steps": steps,
-    }
-    if chain.svf.kind == "cellwise":
-        out["svf"] = cellwise_svf_to_json(chain.svf)
+    if chain.engine == "exact":
+        for out, step in zip(steps, chain.steps):
+            out["pieces"] = [
+                {"set": gbs_to_json(q), "value": [rational_to_json(c) for c in r]}
+                for q, r in step.pieces
+            ]
+        svf = cellwise_svf_to_json(chain.svf)
     else:
-        out["svf"] = {
+        for out, step in zip(steps, chain.steps):
+            out["winner"] = step.winner.tolist()
+        svf = {
             "kind": "sampled",
             "tau": chain.svf.tau,
             "grid_shape": list(chain.svf.grid.shape),
@@ -741,7 +710,15 @@ def chain_to_json(chain: SelectorChain) -> dict:
                 "hi": [rational_to_json(c) for c in chain.svf.range_map.hi],
             },
         }
-    return out
+    return {
+        "n": chain.n,
+        "engine": chain.engine,
+        "dom_budget": rational_to_json(chain.dom_budget),
+        "f1": [rational_to_json(c) for c in chain.f1_value],
+        "final_error_bound": chain.final_error_bound,
+        "steps": steps,
+        "svf": svf,
+    }
 
 
 def chain_from_json(obj: dict) -> SelectorChain:

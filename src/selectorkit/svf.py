@@ -345,22 +345,19 @@ class GridSpec:
     def unflat(self, flat: int) -> tuple[int, ...]:
         return unravel(flat, self.shape)
 
-    def cells_box(self, first: tuple[int, ...], last: tuple[int, ...]) -> BasicSet:
-        """The box of cells first..last on every axis.
+    def cell_box(self, idx: tuple[int, ...]) -> BasicSet:
+        """The box of cell idx.
 
-        Closed below; closed above only where `last` is the axis's last
-        cell, so the boxes of disjoint index ranges are disjoint.
+        Closed below; closed above only on the axis's last cell, so the
+        boxes of distinct cells are disjoint.
         """
         return BasicSet(
             self.dim,
-            tuple(planes[i] for planes, i in zip(self.planes, first)),
-            tuple(planes[i + 1] for planes, i in zip(self.planes, last)),
+            tuple(planes[i] for planes, i in zip(self.planes, idx)),
+            tuple(planes[i + 1] for planes, i in zip(self.planes, idx)),
             (True,) * self.dim,
-            tuple(i == n - 1 for i, n in zip(last, self.shape)),
+            tuple(i == n - 1 for i, n in zip(idx, self.shape)),
         )
-
-    def cell_box(self, idx: tuple[int, ...]) -> BasicSet:
-        return self.cells_box(idx, idx)
 
     def grid_planes(self) -> list[tuple[int, Fraction]]:
         return [(j, v) for j, planes in enumerate(self.planes) for v in planes]

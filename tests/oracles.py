@@ -679,60 +679,6 @@ def cell_box_reference(grid, idx):
     return BasicSet.box(lo, hi, [True] * grid.dim, closed_hi)
 
 
-def _mesh_value_reference(level, flat, beta):
-    pitch = Fraction(1, 2 ** (level + 1))
-    n = 2 ** (level + 1) + 1
-    digits = []
-    for _ in range(beta):
-        digits.append(flat % n)
-        flat //= n
-    digits.reverse()
-    return tuple(pitch * d for d in digits)
-
-
-def grid_pieces_reference(step):
-    """selector._grid_pieces with each run's box built by hand, cell by cell."""
-    import numpy as np
-
-    from selectorkit.setalg import BasicSet, GeneralizedBasicSet
-
-    grid = step.grid
-    shape = grid.shape
-    w = step.winner.reshape(shape)
-    pieces = {}
-    widths = grid.widths()
-
-    def cell_lo(idx):
-        return [grid.box.lo[j] + widths[j] * idx[j] for j in range(grid.dim)]
-
-    it = np.ndindex(*shape[:-1]) if grid.dim > 1 else [()]
-    last = shape[-1]
-    for pre in it:
-        run_start, run_val = None, None
-        for i in range(last + 1):
-            val = int(w[pre + (i,)]) if i < last else None
-            if val != run_val or i == last:
-                if run_val is not None and run_val >= 0:
-                    lo = cell_lo(pre + (run_start,))
-                    hi_idx = pre + (i - 1,)
-                    hi = [
-                        grid.box.lo[j] + widths[j] * (hi_idx[j] + 1)
-                        for j in range(grid.dim)
-                    ]
-                    closed_hi = [hi_idx[j] == shape[j] - 1 for j in range(grid.dim)]
-                    pieces.setdefault(run_val, []).append(
-                        BasicSet.box(lo, hi, [True] * grid.dim, closed_hi)
-                    )
-                run_start, run_val = i, val
-    return tuple(
-        (
-            GeneralizedBasicSet.of(pieces[val], dim=grid.dim),
-            _mesh_value_reference(step.level, val, step.beta),
-        )
-        for val in sorted(pieces)
-    )
-
-
 def straddle_mask_reference(grid, sigma):
     """svf._straddle_mask cell by cell: a cell straddles when its corner
     signs disagree or one of them is zero."""

@@ -414,6 +414,21 @@ def _desk_chain_with(edit, n=2) -> dict:
     return chain
 
 
+def test_eval_refuses_sampled_chain(tmp_path):
+    """A grid chain.json (winners per level) is an input error on read."""
+    from fractions import Fraction
+
+    from selectorkit.robot import export_svf
+    from selectorkit.selector import chain_to_json, extract
+
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(chain_to_json(extract(export_svf(2, Fraction(4, 9)), 3))))
+    r = run_cli(["--out", "x", "eval", str(path), "--at", "0,0,0"], tmp_path)
+    assert r.returncode == 3, r.stderr
+    lines = r.stderr.splitlines()
+    assert lines == ["input error: only cellwise chains round-trip through JSON"], r.stderr
+
+
 def _desk_svf_with(edit) -> dict:
     svf = json.loads((ASSETS / "desk_svf.json").read_text())
     edit(svf)

@@ -19,6 +19,7 @@ from selectorkit import selector
 from selectorkit.robot import export_svf
 from selectorkit.selector import (
     EvalResult,
+    GridStep,
     _ball_offsets,
     cauchy_defect,
     chain_from_json,
@@ -30,12 +31,19 @@ from selectorkit.selector import (
     piecewise_constant_finish,
     selector_csv,
 )
-from selectorkit.setalg import BasicSet, GeneralizedBasicSet, SetAlgebraError, SetSequence
+from selectorkit.setalg import (
+    BasicSet,
+    GeneralizedBasicSet,
+    SetAlgebraError,
+    SetSequence,
+    basic_set_from_json,
+)
 from selectorkit.svf import (
     AffineRangeMap,
     GridSpec,
     build_cellwise_svf,
     build_sampled_svf,
+    grid_witness,
     identity_range_map,
     svf_distance,
 )
@@ -579,8 +587,8 @@ def thirds_svf():
 def _eval_case(name):
     """A chain and, per axis, the box faces with a point beyond each and a
     point between each face and the end of a witness slab that reaches
-    past it, and the other coordinates where the answer can change: piece
-    ends, witness slab ends and grid planes."""
+    past it, and the other coordinates where the answer can change: exact
+    piece ends, witness slab ends and grid planes."""
     if name == "exact-json":
         chain, faces, inner = _eval_case("exact")
         return chain_from_json(json.loads(json.dumps(chain_to_json(chain)))), faces, inner
@@ -595,9 +603,10 @@ def _eval_case(name):
     }[name]
     chain = extract(make(), 4)
     box = chain.svf.domain_box
-    parts = [p for q, _ in chain.steps[-1].pieces for p in q.parts]
     slabs = [p for eps in _EVAL_EPS[1:] for p in chain.final_witness(eps).parts]
-    parts += slabs
+    parts = list(slabs)
+    if chain.engine == "exact":  # a grid cell's ends are grid planes, added below
+        parts += [p for q, _ in chain.steps[-1].pieces for p in q.parts]
     faces, inner = [], []
     for j in range(box.dim):
         beyond = {(p.lo[j] + box.lo[j]) / 2 for p in slabs if p.lo[j] < box.lo[j]}
@@ -913,6 +922,43 @@ def test_chain_from_json_rejects_svf_that_is_no_object():
     obj = json.loads(json.dumps(chain_to_json(extract(three_cell_svf(), 2))))
     obj["svf"] = [1, 2]
     with pytest.raises(InputError, match="'svf'"):
+        chain_from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "make, has_undefined",
+    [
+        (lambda: desk_sampled(16), False),
+        (masked_square_sampled, True),
+        (lambda: export_svf(2, F_(4, 9)), False),
+    ],
+    ids=["desk", "masked-2d", "robot-3d"],
+)
+def test_grid_chain_json_writes_each_step_as_its_winners(make, has_undefined):
+    """Each grid step is written as one mesh index per cell, -1 where it is
+    undefined; the grid and beta come from the `svf` block."""
+    chain = extract(make(), 4)
+    obj = json.loads(json.dumps(chain_to_json(chain)))
+    svf = obj["svf"]
+    grid = GridSpec(
+        basic_set_from_json(svf["domain"], len(svf["grid_shape"])), tuple(svf["grid_shape"])
+    )
+    beta = len(svf["range"]["lo"])
+    assert len(obj["steps"]) == len(chain.steps)
+    for s, step in zip(obj["steps"], chain.steps):
+        assert "pieces" not in s
+        assert len(s["winner"]) == grid.n_cells
+        assert (-1 in s["winner"]) == has_undefined
+        rebuilt = GridStep(
+            level=s["level"], winner=np.array(s["winner"]), grid=grid, beta=beta,
+            witness=grid_witness(grid), certificate=step.certificate,
+        )
+        assert rebuilt == step
+
+
+def test_chain_from_json_refuses_sampled_chain():
+    obj = json.loads(json.dumps(chain_to_json(extract(desk_sampled(16), 3))))
+    with pytest.raises(InputError, match="only cellwise chains"):
         chain_from_json(obj)
 
 

@@ -25,18 +25,15 @@ from selectorkit.svf import (
     cellwise_svf_to_json,
     filippov_regularize,
     grid_plane_witness,
-    grid_witness,
     sublevel_domains,
     svf_distance,
     symmetric_range_box,
 )
-from selectorkit.selector import GridStep, _grid_pieces
 from selectorkit.svf import _straddle_mask
 
 from oracles import (
     cell_box_reference,
     cell_of_point_reference,
-    grid_pieces_reference,
     straddle_mask_reference,
     sublevel_reference,
 )
@@ -565,20 +562,3 @@ def test_straddle_mask_matches_reference_hypothesis(grid, data):
         return values
 
     assert np.array_equal(_straddle_mask(grid, sigma), straddle_mask_reference(grid, sigma))
-
-
-@given(grids(), st.integers(1, 2), st.data())
-@settings(max_examples=200, deadline=None)
-def test_grid_pieces_match_reference_hypothesis(grid, beta, data):
-    """Same pieces in the same order from winners with holes and repeats."""
-    winner = np.array(data.draw(st.lists(
-        st.sampled_from([-1, 0, 3, 7, 8]),
-        min_size=grid.n_cells, max_size=grid.n_cells,
-    )), dtype=np.int64)
-    step = GridStep(
-        level=2, winner=winner, grid=grid, beta=beta,
-        witness=grid_witness(grid), certificate=None,
-    )
-    want = grid_pieces_reference(step)
-    assert _grid_pieces(step) == want
-    assert repr(_grid_pieces(step)) == repr(want)
