@@ -215,11 +215,21 @@ def well_containment_margin(
 
 
 def _thinnest_side(m: GeneralizedBasicSet) -> Fraction | None:
-    """Shortest non-degenerate side over M's parts; None if there is none."""
-    sides = [
-        p.hi[j] - p.lo[j] for p in m.parts for j in range(p.dim) if p.hi[j] > p.lo[j]
-    ]
-    return min(sides) if sides else None
+    """Shortest non-degenerate side over M's parts; None if there is none.
+
+    Decided on integer ratios, as `BasicSet.axis_degenerate` decides
+    degeneracy: side hi - lo is (c*b - a*d, b*d) for ends a/b and c/d,
+    and sides are compared cross-multiplied, so only the result is a
+    `Fraction`.
+    """
+    best = None
+    for p in m.parts:
+        for lo, hi in zip(p.lo, p.hi):
+            (a, b), (c, d) = lo.as_integer_ratio(), hi.as_integer_ratio()
+            side = (c * b - a * d, b * d)
+            if side[0] > 0 and (best is None or side[0] * best[1] < best[0] * side[1]):
+                best = side
+    return None if best is None else Fraction(*best)
 
 
 def _separating_faces(m: GeneralizedBasicSet) -> GeneralizedBasicSet:

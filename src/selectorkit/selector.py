@@ -10,8 +10,10 @@ Only mesh points within four pitches of the previous value can pass,
 so both engines enumerate the same lattice ball around it
 (`_ball_offsets`) in lexicographic order, which keeps the tie-break,
 and differ only in the distance test.  The exact engine handles
-cellwise SVFs and decides both tests in rational arithmetic for each
-cell, which it never splits.  The grid engine handles sampled
+cellwise SVFs, which it never splits, and decides both tests exactly on
+one integer scale per cell and level (`_CellScale`): the previous value
+and the ends of the cell's value-set parts are encoded as ints once,
+and each candidate is its digit vector.  The grid engine handles sampled
 SVFs on their cell grid, vectorized in float64, with declared slack
 tau folded into every certificate (acceptance threshold
 2**-k + 2*tau, certified error 2**-k + 3*tau).
@@ -28,6 +30,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
@@ -326,6 +329,11 @@ def _ball_offsets(beta: int) -> list[tuple[int, ...]]:
     < 16.  Walking the offsets in lexicographic order around a fixed
     node follows the row-major mesh order, so the first admissible
     candidate is the lowest mesh index, which is the tie-break.
+
+    The nearest node is taken half to even where the previous value sits
+    midway between two nodes.  The winner does not depend on that choice:
+    the value is half a pitch from either node, so the ball around either
+    one holds every admissible node, and both walks meet the lowest first.
     """
     return [
         o
@@ -352,26 +360,23 @@ def extraction_step(
     budget = as_fraction(budget) if budget is not None else Fraction(1, 2 ** (k + 2))
     f1 = _f1_value(F)
     prev = {cell: (0, f1) for cell, _ in F.cells} if f_prev is None else f_prev.by_cell
-    pitch = mesh_pitch(k)
     top = 2 ** (k + 1)  # largest mesh digit
     offsets = _ball_offsets(F.beta)
 
-    # winner per cell: the first ball candidate admissible from its previous value
-    winners: dict[tuple[Fraction, ...], list[BasicSet]] = {}
+    # winner per cell: the digits of the first ball candidate admissible
+    # from its previous value
+    winners: dict[tuple[int, ...], list[BasicSet]] = {}
     for ci, (cell, _) in enumerate(F.cells):
         if cell.is_empty:
             continue
         if cell not in prev:
             raise InputError(f"the level-{k - 1} step holds no piece for cell {ci} of the SVF")
         pi, v = prev[cell]
-        vals = F.normalized_values(ci)
-        base = [round(c / pitch) for c in v]
+        scale = _CellScale(v, F.normalized_values(ci), k)
+        base = scale.nearest_node()
         for off in offsets:
-            digits = [b + o for b, o in zip(base, off)]
-            if not all(0 <= d <= top for d in digits):
-                continue
-            r = tuple(pitch * d for d in digits)
-            if admissible(r, v, vals, k):
+            digits = tuple(b + o for b, o in zip(base, off))
+            if all(0 <= d <= top for d in digits) and scale.admits(digits):
                 break
         else:
             raise CoverageError(
@@ -379,10 +384,13 @@ def extraction_step(
                 "the value set lies outside the previous approximant's reach",
                 region=GeneralizedBasicSet(F.alpha, (cell,)),
             )
-        winners.setdefault(r, []).append(cell)
+        winners.setdefault(digits, []).append(cell)
 
-    # value tuples sort in mesh-index order; the cells tile the box
-    pieces = tuple((GeneralizedBasicSet(F.alpha, tuple(winners[r])), r) for r in sorted(winners))
+    # digit tuples sort in mesh-index order; the cells tile the box
+    pieces = tuple(
+        (GeneralizedBasicSet(F.alpha, tuple(winners[d])), tuple(Fraction(c, top) for c in d))
+        for d in sorted(winners)
+    )
     cert = StepCertificate.at_level(k, 0.0, budget, len(pieces), F.domain_box.measure())
     return ExactStep(pieces, F.cell_domain, k, cert)
 
@@ -391,16 +399,81 @@ def admissible(r: Sequence[Fraction], prev: Sequence[Fraction], vals, k: int) ->
     """Whether r may be f_k's value on a cell with normalized value set `vals`
     where f_{k-1} is `prev`.
 
-    r must lie within 2**-(k-1) of prev and within 2**-k of vals, both
-    strictly, and be a level-k mesh node.
+    r must be a level-k mesh node in [0, 1]**beta and lie within
+    2**-(k-1) of prev and within 2**-k of vals, both strictly.  r is
+    turned into its mesh digits and both distances are decided on the
+    cell's integer scale (`_CellScale`), the one the exact engine walks.
+    Any other r, one of another length included, is refused.
     """
-    g2, e2 = Fraction(1, 4 ** (k - 1)), Fraction(1, 4**k)
-    return (
-        len(r) == len(prev)
-        and sum((a - b) * (a - b) for a, b in zip(r, prev)) < g2
-        and min(p.dist2_point(r) for p in vals.parts) < e2
-        and all(2 ** (k + 1) % c.denominator == 0 and 0 <= c <= 1 for c in r)
-    )
+    if len(r) != len(prev):
+        return False
+    top, digits = 2 ** (k + 1), []
+    for c in r:
+        num, den = c.as_integer_ratio()
+        if top % den or not 0 <= num <= den:
+            return False
+        digits.append(num * (top // den))
+    return _CellScale(prev, vals, k).admits(digits)
+
+
+class _CellScale:
+    """Admissibility at level k on one cell, decided in ints.
+
+    L is the lcm of 2**(k+1), the denominators of the previous value p
+    and those of the ends of the value set's parts.  p and each part's
+    lo and hi are encoded once as ints on L.  A candidate is its digit
+    vector d, the mesh node d / 2**(k+1), which sits at d * m on L with
+    m = L >> (k+1).  The gap test 4**(k-1) * sum (d_j m - p_j)**2 < L**2
+    and the value test 4**k * sum clamp_j**2 < L**2 for some part, clamp
+    being the distance below lo or above hi, compare against
+    L**2 >> 2(k-1) and L**2 >> 2k, exact since 4**(k+1) divides L**2.  Like
+    `BasicSet.dist2_point`, the value test measures to each part's
+    closure, so closure flags do not enter.
+    """
+
+    __slots__ = ("step", "prev", "boxes", "gap2", "err2")
+
+    def __init__(self, prev: Sequence[Fraction], vals: GeneralizedBasicSet, k: int):
+        ratios = [c.as_integer_ratio() for c in prev]
+        ends = [
+            [(lo.as_integer_ratio(), hi.as_integer_ratio()) for lo, hi in zip(p.lo, p.hi)]
+            for p in vals.parts
+        ]
+        dens = [d for _, d in ratios] + [d for box in ends for end in box for _, d in end]
+        scale = math.lcm(2 ** (k + 1), *dens)
+
+        def on_scale(ratio: tuple[int, int]) -> int:
+            return ratio[0] * (scale // ratio[1])
+
+        self.step = scale >> (k + 1)  # m, one mesh pitch on the scale
+        self.prev = [on_scale(c) for c in ratios]
+        self.boxes = [[(on_scale(lo), on_scale(hi)) for lo, hi in box] for box in ends]
+        self.gap2 = (scale * scale) >> (2 * (k - 1))
+        self.err2 = (scale * scale) >> (2 * k)
+
+    def nearest_node(self) -> list[int]:
+        """The digits of the mesh node nearest the previous value, ties to even."""
+        base = []
+        for p in self.prev:
+            q, rem = divmod(p, self.step)
+            base.append(q + (2 * rem > self.step or (2 * rem == self.step and q & 1)))
+        return base
+
+    def admits(self, digits: Sequence[int]) -> bool:
+        """Whether the level-k node with these mesh digits passes both tests."""
+        xs = [d * self.step for d in digits]
+        if sum((x - p) * (x - p) for x, p in zip(xs, self.prev)) >= self.gap2:
+            return False
+        for box in self.boxes:
+            acc = 0
+            for x, (lo, hi) in zip(xs, box):
+                if x < lo:
+                    acc += (lo - x) * (lo - x)
+                elif x > hi:
+                    acc += (x - hi) * (x - hi)
+            if acc < self.err2:
+                return True
+        return False
 
 
 # ---------------------------------------------------------------------------

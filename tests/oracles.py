@@ -365,6 +365,19 @@ def brute_force_selector(F, n):
     return levels
 
 
+def admissible_reference(r, prev, vals, k):
+    """selector.admissible as first written, in `Fraction`s: r within
+    2**-(k-1) of prev and within 2**-k of the closure of a part of
+    vals, both strictly, and a level-k mesh node in [0, 1]."""
+    g2, e2 = Fraction(1, 4 ** (k - 1)), Fraction(1, 4**k)
+    return (
+        len(r) == len(prev)
+        and sum((a - b) * (a - b) for a, b in zip(r, prev)) < g2
+        and min(p.dist2_point(r) for p in vals.parts) < e2
+        and all(2 ** (k + 1) % c.denominator == 0 and 0 <= c <= 1 for c in r)
+    )
+
+
 def extraction_step_reference(prev, F, k, budget=None):
     """selector.extraction_step as first written: every cell of F against
     every previous piece, each non-empty meet an atom with its own winner.

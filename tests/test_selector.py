@@ -21,6 +21,7 @@ from selectorkit.selector import (
     EvalResult,
     GridStep,
     _ball_offsets,
+    admissible,
     cauchy_defect,
     chain_from_json,
     chain_to_json,
@@ -49,6 +50,7 @@ from selectorkit.svf import (
 )
 
 from oracles import (
+    admissible_reference,
     brute_force_selector,
     cauchy_defect_reference,
     extraction_step_reference,
@@ -389,6 +391,85 @@ def test_exact_steps_match_cell_by_piece_reference_hypothesis(pair):
         step = extraction_step(step, f, k)
         assert (step.pieces, step.certificate) == want
         ref = want[0]
+
+
+# unit offsets in the plane with exact rational length 1, axis-aligned and not
+_UNIT_2D = [(1, 0), (0, -1), (F_(3, 5), F_(4, 5)), (F_(-4, 5), F_(3, 5)), (F_(5, 13), F_(-12, 13))]
+
+
+@st.composite
+def admissible_cases(draw):
+    """(r, prev, vals, k, is_node) for `admissible`, drawn so that exact ties
+    occur: r exactly 2**-(k-1) from prev and exactly 2**-k from a part's
+    corner or face, besides just inside, just outside and anywhere.  Parts
+    are open, closed, mixed, degenerate or singletons; prev may be the
+    non-dyadic normalized zero of a range.  r may be off the mesh, outside
+    [0, 1] or of the wrong length; is_node says it is none of these."""
+    k, beta = draw(st.integers(2, 5)), draw(st.integers(1, 2))
+    top = 2 ** (k + 1)
+    digits = [draw(st.integers(-2, top + 2)) for _ in range(beta)]
+    r = [F_(d, top) for d in digits]
+    on_mesh = draw(st.integers(0, 4)) > 0
+    if not on_mesh:
+        r[0] += F_(draw(st.sampled_from([1, 2])), 3 * top)
+
+    def offset(length):
+        kind = draw(st.sampled_from(["tie", "tie", "under", "over", "free"]))
+        if kind == "free":
+            return [F_(draw(st.integers(-3 * top, 3 * top)), 6 * top) for _ in range(beta)]
+        unit = draw(st.sampled_from(_UNIT_2D)) if beta == 2 else (draw(st.sampled_from([1, -1])),)
+        scale = {"tie": 1, "under": F_(96, 97), "over": F_(98, 97)}[kind]
+        return [length * scale * u for u in unit]
+
+    prev_kind = draw(st.sampled_from(["offset", "offset", "zero", "node"]))
+    if prev_kind == "offset":
+        prev = [c + g for c, g in zip(r, offset(F_(1, 2 ** (k - 1))))]
+    elif prev_kind == "zero":  # the normalized zero of a range [lo, hi]
+        los = [draw(st.sampled_from([F_(-1, 3), F_(-2, 7), -1])) for _ in range(beta)]
+        his = [draw(st.sampled_from([F_(7, 5), 1, F_(2, 9)])) for _ in range(beta)]
+        prev = [-lo / (hi - lo) for lo, hi in zip(los, his)]
+    else:
+        prev = [F_(draw(st.integers(0, top // 2)), top // 2) for _ in range(beta)]
+
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        gap = offset(F_(1, 2**k))  # from r to the part's nearest point q
+        kind = draw(st.sampled_from(["open", "closed", "mixed", "degenerate", "singleton"]))
+        flat = {"singleton": set(range(beta)), "degenerate": {draw(st.integers(0, beta - 1))}}
+        lo, hi = [], []
+        for j, (c, g) in enumerate(zip(r, gap)):
+            widths = [F_(1, top), F_(1, 16), F_(1, 3)]
+            w = 0 if j in flat.get(kind, ()) else draw(st.sampled_from(widths))
+            q = c + g
+            lo.append(q if g > 0 else q - w)
+            hi.append(q if g < 0 else q + w)
+        if kind == "mixed":
+            flags = [[draw(st.booleans()) for _ in range(beta)] for _ in range(2)]
+        else:  # open, closed, or closed on the flat axes only
+            closed = [kind == "closed" or j in flat.get(kind, ()) for j in range(beta)]
+            flags = [closed, closed]
+        parts.append(BasicSet.box(lo, hi, *flags))
+    vals = GeneralizedBasicSet.of(parts, dim=beta)
+
+    length = draw(st.sampled_from(["same"] * 6 + ["short", "long"]))
+    if length == "short":
+        r = r[:-1]
+    elif length == "long":
+        r = r + [F_(0)]
+    is_node = on_mesh and length == "same" and all(0 <= d <= top for d in digits)
+    return tuple(r), tuple(prev), vals, k, is_node
+
+
+@given(case=admissible_cases())
+@settings(max_examples=400, deadline=None)
+def test_admissible_matches_fraction_reference_on_ties_hypothesis(case):
+    """The integer rule decides as the `Fraction` one, exact ties included,
+    and refuses a point that is not a level-k node in [0, 1] without raising."""
+    r, prev, vals, k, is_node = case
+    got = admissible(r, prev, vals, k)
+    assert got == admissible_reference(r, prev, vals, k)
+    if not is_node:
+        assert got is False
 
 
 @given(pair=cellwise_svf_pairs(), drop=st.booleans())
