@@ -1037,6 +1037,76 @@ def test_grid_chain_json_writes_each_step_as_its_winners(make, has_undefined):
         assert rebuilt == step
 
 
+def _grid_probes(svf, n_points=120):
+    """Seeded points over the box and a little past it, each coordinate a grid
+    plane, a plane as a float, a k/1024 fraction or a uniform float."""
+    rng = random.Random(29)
+    box = svf.domain_box
+    points = []
+    for _ in range(n_points):
+        x = []
+        for j in range(box.dim):
+            lo, hi = box.lo[j] - F_(1, 8), box.hi[j] + F_(1, 8)
+            plane = rng.choice(svf.grid.planes[j])
+            x.append(rng.choice([
+                plane,
+                float(plane),
+                lo + (hi - lo) * F_(rng.randint(0, 1024), 1024),
+                rng.uniform(float(lo), float(hi)),
+            ]))
+        points.append(x)
+    return points
+
+
+# sha256 of a grid chain's `chain.json` bytes, of `selector_csv` and of the
+# `eval_selector` answers (their reprs, at three witness budgets) on
+# `_grid_probes`; a change to these bytes must be named
+GRID_DIGESTS = {
+    "desk": {
+        "chain.json": "ded36bf54d879904703726dff20bd747946ec58f334d7ab790f3a8cc2a2f4cf3",
+        "selector_csv": "491dbfaf967c615d2eeb77a0a482e77592c6076ce5e7539b4bd20259be0e515c",
+        "evals": "73a2bcb1d692e88e9a403fdfb2daf85b470dc3a58cf13e05e660e93c8082fea4",
+    },
+    "masked-2d": {
+        "chain.json": "49b06d000995e84ffe244188c3f2d5e8e7e9f3ee1b5682f67cca6de7265559d9",
+        "selector_csv": "1acbca43d62656564b79ee632af4f4fd455a6182d9f008a8a29ee8f2a5c3e774",
+        "evals": "3f79d5303274c477aae961d2b3dd41838414d6deee6a727d8be769b7459d5481",
+    },
+    "robot-3d": {
+        "chain.json": "aaf26a6a5edbcba6ada238146230276d0f6532572fce926e268e41e3e8974dd9",
+        "selector_csv": "bc37b2758bcfac6b0432c8624233e4fd8ef6355edbd24be5e145054ff5b65b41",
+        "evals": "9a2a8ffc6e92f9cceffaace5ccd9a3aace995f3140d5b674c70daa5e7051494a",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "name, make",
+    [
+        ("desk", lambda: desk_sampled(16)),
+        ("masked-2d", masked_square_sampled),
+        ("robot-3d", lambda: export_svf(2, F_(4, 9))),
+    ],
+)
+def test_grid_chain_and_eval_bytes_are_pinned(name, make):
+    import hashlib
+
+    from selectorkit.cli import _json_bytes
+
+    def sha(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    chain = extract(make(), 4)
+    probes = _grid_probes(chain.svf)
+    evals = [eval_selector(chain, x, eps) for eps in (None, F_(1, 7), F_(1, 100)) for x in probes]
+    got = {
+        "chain.json": sha(_json_bytes(chain_to_json(chain))),
+        "selector_csv": sha(selector_csv(chain, probes)),
+        "evals": sha(repr(evals)),
+    }
+    assert got == GRID_DIGESTS[name]
+
+
 def test_chain_from_json_refuses_sampled_chain():
     obj = json.loads(json.dumps(chain_to_json(extract(desk_sampled(16), 3))))
     with pytest.raises(InputError, match="only cellwise chains"):
