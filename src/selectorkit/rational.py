@@ -10,6 +10,7 @@ three ways, say) serialize as ``{"num": n, "den": d}``.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Union
 
@@ -40,6 +41,14 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, dict):
         return rational_from_json(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def as_exact(value: RationalLike) -> float | Fraction:
+    """`as_fraction`'s value, but a finite float as it is: both read their
+    exact value through `as_integer_ratio`, and a float needs no gcd."""
+    if type(value) is Fraction or (type(value) is float and math.isfinite(value)):
+        return value
+    return as_fraction(value)
 
 
 def is_dyadic(q: Fraction) -> bool:

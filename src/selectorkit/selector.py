@@ -23,6 +23,10 @@ normalized coordinates.  Its feasibility at the first constructed
 level (every value set must come within 1/2 of it) is not guaranteed
 by the construction and is checked at runtime; failures abort with the
 uncovered region.
+
+Both engines give a step one form, `Step`: a winning mesh index per
+cell of the SVF, -1 where undefined.  The SVF places points among its
+cells and its one witness M(eps) for every step (`locate`).
 """
 
 from __future__ import annotations
@@ -31,16 +35,16 @@ import csv
 import io
 import itertools
 import math
-from dataclasses import dataclass, field, fields
+from bisect import bisect_right
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .domain import PiecewiseConstantMap, RepresentabilityWitness
 from .errors import CoverageError, InputError, PrecisionError
-from .rational import as_fraction, int_from_json, rational_from_json, rational_to_json
+from .rational import as_exact, as_fraction, int_from_json, rational_from_json, rational_to_json
 from .setalg import (
     BasicSet,
     _aspoint,
@@ -49,16 +53,15 @@ from .setalg import (
     basic_set_to_json,
     gbs_from_json,
     gbs_to_json,
-    union_with_owners,
 )
 from .svf import (
+    INSIDE_WITNESS,
+    OUTSIDE_DOMAIN,
     CellwiseSVF,
-    GridSpec,
     RepresentableSVF,
     SampledSVF,
     cellwise_svf_from_json,
     cellwise_svf_to_json,
-    grid_witness,
     unravel,
 )
 
@@ -80,6 +83,25 @@ def mesh_value(level: int, flat: int, beta: int) -> tuple[Fraction, ...]:
     """The level's mesh node with row-major flat index `flat`."""
     pitch = mesh_pitch(level)
     return tuple(pitch * d for d in unravel(flat, mesh_shape(level, beta)))
+
+
+def mesh_index(level: int, digits: Sequence[int]) -> int:
+    """The row-major flat index of the level's mesh node digits / 2**(level+1)."""
+    n, flat = 2 ** (level + 1) + 1, 0
+    for d in digits:
+        flat = flat * n + d
+    return flat
+
+
+def mesh_digits(level: int, r: Sequence[Fraction]) -> list[int] | None:
+    """The digits of r on the level's mesh, or None when r is no node in [0, 1]**len(r)."""
+    top, digits = 2 ** (level + 1), []
+    for c in r:
+        num, den = c.as_integer_ratio()
+        if top % den or not 0 <= num <= den:
+            return None
+        digits.append(num * (top // den))
+    return digits
 
 
 # ---------------------------------------------------------------------------
@@ -109,120 +131,51 @@ class StepCertificate:
 
 
 @dataclass(frozen=True)
-class ExactStep(PiecewiseConstantMap):
-    """Approximant f_k on a cellwise SVF: its cells grouped by mesh value.
+class Step:
+    """Approximant f_k on the SVF's cells, for both engines.
 
-    The pieces' parts are the SVF's non-empty cells, each once, so the
-    step's domain is the SVF's `cell_domain`, whose witness is M(eps).
+    winner[i] is the flat mesh index of f_k's value on cell i of the SVF,
+    in its cell order (a cellwise SVF's cells, a sampled SVF's grid cells
+    row-major), or -1 where f_k is undefined.  The SVF places points and
+    holds the witness M(eps) of every step.
     """
 
     level: int
+    winner: tuple[int, ...] = field(repr=False)
     certificate: StepCertificate
-    # per admitted eps, by its integer ratio: M(eps) in the closed box, then the pieces
-    _unions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @property
-    def witness(self) -> RepresentabilityWitness:
-        return self.domain.witness
-
-    @cached_property
-    def by_cell(self) -> dict[BasicSet, tuple[int, tuple[Fraction, ...]]]:
-        """Each cell's piece index and value."""
-        return {p: (i, r) for i, (q, r) in enumerate(self.pieces) for p in q.parts}
-
-    def answer(self, x: Point, eps: Fraction) -> tuple[str | None, int | None]:
-        """(reason, None) where f_k is undefined at x, else (None, piece index).
-
-        The first part that holds x decides: a part of M(eps) in the closed
-        box, a piece's part, or none (outside the domain).
-        """
-        key = eps.as_integer_ratio()  # a tuple of ints hashes faster than a Fraction
-        if key not in self._unions:
-            m = self.witness(eps).intersect(self.domain.ambient.closure())
-            self._unions[key] = union_with_owners([m, *(q for q, _ in self.pieces)])
-        union, owner = self._unions[key]
-        k = union.locate(x)
-        if k is None:
-            return EvalResult.OUTSIDE_DOMAIN, None
-        return (EvalResult.INSIDE_WITNESS, None) if owner[k] == 0 else (None, owner[k] - 1)
-
-    def keyed_values(self) -> dict[int, tuple[Fraction, ...]]:
-        """Each piece's value under the key `answer` returns for it."""
-        return {i: r for i, (_, r) in enumerate(self.pieces)}
-
-
-@dataclass(frozen=True, eq=False)
-class GridStep:
-    """Approximant on the sampled SVF's cell grid.
-
-    winner[i] is the flat mesh index of the value on grid cell i, or -1
-    where the approximant is undefined.  Every union of grid cells has
-    its endpoints on the grid planes, so the grid-plane witness serves
-    each step.  Steps are equal when their fields other than the witness
-    are, `winner` compared by value.
-    """
-
-    level: int
-    winner: np.ndarray = field(repr=False)
-    grid: GridSpec
-    beta: int
-    witness: RepresentabilityWitness = field(repr=False)
-    certificate: StepCertificate
-    # per admitted eps, by its integer ratio: the slab ends of M(eps) per axis
-    _slab_keys: dict = field(default_factory=dict, init=False, repr=False)
-
-    def __eq__(self, other):
-        if not isinstance(other, GridStep):
-            return NotImplemented
-        return (self.level, self.grid, self.beta, self.certificate) == (
-            other.level, other.grid, other.beta, other.certificate
-        ) and np.array_equal(self.winner, other.winner)
+    svf: RepresentableSVF = field(repr=False, compare=False)
 
     def value_at(self, x) -> tuple[Fraction, ...] | None:
-        idx = self.grid.cell_of_point(x)
-        if idx is None:
-            return None
-        w = int(self.winner[self.grid.flat(idx)])
-        return None if w < 0 else mesh_value(self.level, w, self.beta)
-
-    @cached_property
-    def _winners(self) -> list[int]:
-        return self.winner.tolist()
+        i = self.svf.cell_index_at(x)
+        w = -1 if i is None else self.winner[i]
+        return None if w < 0 else mesh_value(self.level, w, self.svf.beta)
 
     def answer(self, x: Point, eps: Fraction) -> tuple[str | None, int | None]:
         """(reason, None) where f_k is undefined at x, else (None, mesh index).
 
-        One integer placement per axis among the ends of M(eps)'s slabs
-        decides all three questions: outside the closed box, inside
-        M(eps), and which cell, whose winner may be -1 (undefined).
+        The SVF's `locate` decides outside the closed box, inside M(eps)
+        and which cell, whose winner may be -1 (undefined).
         """
-        key = eps.as_integer_ratio()  # a tuple of ints hashes faster than a Fraction
-        axes = self._slab_keys.get(key)
-        if axes is None:
-            self.witness(eps)  # admits eps only when M(eps) fits its budget
-            axes = self._slab_keys[key] = self.grid.slab_keys(eps)
-        flat, in_slab = 0, False
-        for c, axis, n_cells in zip(x, axes, self.grid.shape):
-            placed = axis.place(c)
-            if placed is None:
-                return EvalResult.OUTSIDE_DOMAIN, None
-            below, upto = placed
-            if below == upto and below & 1:
-                in_slab = True
-            else:
-                flat = flat * n_cells + upto // 2 - 1
-        if in_slab:
-            return EvalResult.INSIDE_WITNESS, None
-        w = self._winners[flat]
-        return (EvalResult.OUTSIDE_DOMAIN, None) if w < 0 else (None, w)
+        reason, i = self.svf.locate(x, eps)
+        if reason is not None:
+            return reason, None
+        w = self.winner[i]
+        return (OUTSIDE_DOMAIN, None) if w < 0 else (None, w)
 
     def keyed_values(self) -> dict[int, tuple[Fraction, ...]]:
-        """Each winning mesh node under the key `answer` returns for it."""
-        return {
-            w: mesh_value(self.level, w, self.beta)
-            for w in np.unique(self.winner).tolist()
-            if w >= 0
-        }
+        """Each winning mesh node under its index (`answer`'s key), in index order."""
+        beta = self.svf.beta
+        return {w: mesh_value(self.level, w, beta) for w in sorted(set(self.winner)) if w >= 0}
+
+    @property
+    def pieces(self) -> tuple[tuple[GeneralizedBasicSet, tuple[Fraction, ...]], ...]:
+        """A cellwise step as pieces: its cells grouped by winner, in mesh-index
+        order, each piece's cells in SVF order, with their mesh node."""
+        cells = [(cell, w) for (cell, _), w in zip(self.svf.cells, self.winner)]
+        return tuple(
+            (GeneralizedBasicSet(self.svf.alpha, tuple(c for c, v in cells if v == w)), r)
+            for w, r in self.keyed_values().items()
+        )
 
 
 @dataclass(frozen=True)
@@ -233,7 +186,7 @@ class SelectorChain:
     n: int
     dom_budget: Fraction
     f1_value: tuple[Fraction, ...]
-    steps: tuple  # ExactStep | GridStep, levels 2..n
+    steps: tuple[Step, ...]  # levels 2..n
 
     @property
     def engine(self) -> str:
@@ -249,7 +202,7 @@ class SelectorChain:
         return float(cert.error_bound) + cert.slack
 
     def final_witness(self, eps) -> GeneralizedBasicSet:
-        return self.steps[-1].witness(eps)
+        return self.svf.witness(eps)
 
     @cached_property
     def final_values(self) -> dict[int, tuple[Fraction, ...]]:
@@ -273,8 +226,8 @@ class EvalResult:
     value: tuple[Fraction, ...] | None
     reason: str | None = None  # "inside_witness" | "outside_domain"
 
-    INSIDE_WITNESS = "inside_witness"
-    OUTSIDE_DOMAIN = "outside_domain"
+    INSIDE_WITNESS = INSIDE_WITNESS
+    OUTSIDE_DOMAIN = OUTSIDE_DOMAIN
 
     @property
     def defined(self) -> bool:
@@ -288,9 +241,7 @@ class EvalResult:
 # extraction entry point
 
 
-def extract(
-    F: RepresentableSVF, n: int, dom_budget=Fraction(1, 16)
-) -> SelectorChain:
+def extract(F: RepresentableSVF, n: int, dom_budget=Fraction(1, 16)) -> SelectorChain:
     """Run the extraction to level n (certified error 2**-n plus slack)."""
     if n < 2:
         raise InputError("extraction level must be at least 2")
@@ -346,32 +297,37 @@ def _ball_offsets(beta: int) -> list[tuple[int, ...]]:
 # exact engine
 
 
-def extraction_step(
-    f_prev: ExactStep | None, F: CellwiseSVF, k: int, budget=None
-) -> ExactStep:
+def extraction_step(f_prev: Step | None, F: CellwiseSVF, k: int, budget=None) -> Step:
     """Exact-engine step k from the previous approximant.
 
     `f_prev` is the step at level k - 1, or None to start from the
     constant f_1.  `budget` is the step's witness budget, 2**-(k+2)
-    unless given.  A cell of F that no piece of `f_prev` holds is an InputError.
+    unless given.  A cell of F that `f_prev` holds no value for, its SVF
+    having another cell at that index, is an InputError.
     """
     if k < 2:
         raise InputError("extraction level must be at least 2")
     budget = as_fraction(budget) if budget is not None else Fraction(1, 2 ** (k + 2))
-    f1 = _f1_value(F)
-    prev = {cell: (0, f1) for cell, _ in F.cells} if f_prev is None else f_prev.by_cell
     top = 2 ** (k + 1)  # largest mesh digit
     offsets = _ball_offsets(F.beta)
+    if f_prev is None:
+        f1 = _f1_value(F)
+    else:
+        prev_cells, values = f_prev.svf.cells, f_prev.keyed_values()
+        piece = {w: i for i, w in enumerate(values)}
 
-    # winner per cell: the digits of the first ball candidate admissible
-    # from its previous value
-    winners: dict[tuple[int, ...], list[BasicSet]] = {}
+    # winner per cell: the first ball candidate admissible from its previous value
+    winner = [-1] * len(F.cells)
     for ci, (cell, _) in enumerate(F.cells):
         if cell.is_empty:
             continue
-        if cell not in prev:
-            raise InputError(f"the level-{k - 1} step holds no piece for cell {ci} of the SVF")
-        pi, v = prev[cell]
+        if f_prev is None:
+            pi, v = 0, f1
+        else:
+            w = f_prev.winner[ci] if ci < len(prev_cells) and prev_cells[ci][0] == cell else -1
+            if w < 0:
+                raise InputError(f"the level-{k - 1} step holds no piece for cell {ci} of the SVF")
+            pi, v = piece[w], values[w]
         scale = _CellScale(v, F.normalized_values(ci), k)
         base = scale.nearest_node()
         for off in offsets:
@@ -384,15 +340,11 @@ def extraction_step(
                 "the value set lies outside the previous approximant's reach",
                 region=GeneralizedBasicSet(F.alpha, (cell,)),
             )
-        winners.setdefault(digits, []).append(cell)
+        winner[ci] = mesh_index(k, digits)
 
-    # digit tuples sort in mesh-index order; the cells tile the box
-    pieces = tuple(
-        (GeneralizedBasicSet(F.alpha, tuple(winners[d])), tuple(Fraction(c, top) for c in d))
-        for d in sorted(winners)
-    )
-    cert = StepCertificate.at_level(k, 0.0, budget, len(pieces), F.domain_box.measure())
-    return ExactStep(pieces, F.cell_domain, k, cert)
+    n_pieces = len(set(winner) - {-1})
+    cert = StepCertificate.at_level(k, 0.0, budget, n_pieces, F.domain_box.measure())
+    return Step(k, tuple(winner), cert, F)
 
 
 def admissible(r: Sequence[Fraction], prev: Sequence[Fraction], vals, k: int) -> bool:
@@ -405,15 +357,8 @@ def admissible(r: Sequence[Fraction], prev: Sequence[Fraction], vals, k: int) ->
     cell's integer scale (`_CellScale`), the one the exact engine walks.
     Any other r, one of another length included, is refused.
     """
-    if len(r) != len(prev):
-        return False
-    top, digits = 2 ** (k + 1), []
-    for c in r:
-        num, den = c.as_integer_ratio()
-        if top % den or not 0 <= num <= den:
-            return False
-        digits.append(num * (top // den))
-    return _CellScale(prev, vals, k).admits(digits)
+    digits = mesh_digits(k, r) if len(r) == len(prev) else None
+    return digits is not None and _CellScale(prev, vals, k).admits(digits)
 
 
 class _CellScale:
@@ -487,7 +432,7 @@ _GRID_TEMP_ELEMS = 8_000_000
 _SLAB_GUARD = 1e-9  # relative margin of the first-digit slab bound
 
 
-def _grid_step(prev_step: GridStep | None, F: SampledSVF, k: int, budget) -> GridStep:
+def _grid_step(prev_step: Step | None, F: SampledSVF, k: int, budget) -> Step:
     beta = F.beta
     pitch = 2.0 ** -(k + 1)
     nodes = mesh_shape(k, beta)
@@ -496,8 +441,10 @@ def _grid_step(prev_step: GridStep | None, F: SampledSVF, k: int, budget) -> Gri
     n_cells = F.grid.n_cells
 
     if prev_step is not None:
-        prev_vals = _winner_coords(prev_step)
-        prev_ok = prev_step.winner >= 0
+        prev_w = np.array(prev_step.winner)  # a cell without a value is not active
+        prev_vals = np.stack(np.unravel_index(np.maximum(prev_w, 0), mesh_shape(k - 1, beta)), -1)
+        prev_vals = prev_vals * 2.0**-k
+        prev_ok = prev_w >= 0
     else:
         prev_vals = np.tile(np.array([float(c) for c in _f1_value(F)]), (n_cells, 1))
         prev_ok = np.ones(n_cells, dtype=bool)
@@ -582,23 +529,7 @@ def _grid_step(prev_step: GridStep | None, F: SampledSVF, k: int, budget) -> Gri
         k, 3.0 * F.tau, budget, len(np.unique(winner[winner >= 0])),
         F.grid.cell_volume * covered,
     )
-    return GridStep(
-        level=k,
-        winner=winner,
-        grid=F.grid,
-        beta=beta,
-        witness=grid_witness(F.grid),
-        certificate=cert,
-    )
-
-
-def _winner_coords(step: GridStep) -> np.ndarray:
-    """Each cell's winning mesh node as float coordinates; NaN where undefined."""
-    w = step.winner
-    digits = np.unravel_index(np.maximum(w, 0), mesh_shape(step.level, step.beta))
-    coords = np.stack(digits, axis=-1) * 2.0 ** -(step.level + 1)
-    coords[w < 0] = np.nan
-    return coords
+    return Step(k, tuple(winner.tolist()), cert, F)
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +548,7 @@ def eval_selector(chain: SelectorChain, x, eps_dom=None) -> EvalResult:
         eps_dom = as_fraction(eps_dom)
         if eps_dom <= 0:
             raise InputError("witness budget must be positive")
-    x = _aspoint(x, chain.svf.domain_box.dim)
+    x = _aspoint(x, chain.svf.domain_box.dim, as_exact)
     reason, key = chain.steps[-1].answer(x, eps_dom)
     if reason is not None:
         return EvalResult(None, reason)
@@ -648,28 +579,26 @@ def cauchy_defect(chain: SelectorChain, k: int, m: int) -> CauchyDefect:
 
     The chain contract makes this region empty on the common domain;
     whatever remains (domain lost between the levels) must fit inside
-    the two steps' witness budgets.
+    the two steps' witness budgets.  Decided per cell in ints on the
+    level-m mesh: f_k's digits times 2**(m-k) against f_m's, their squared
+    distance against the threshold's, 4**(m-k+3).  A cell where f_k has a
+    value and f_m none counts whole.
     """
     if not (2 <= k < m <= chain.n):
         raise InputError("need 2 <= k < m <= n")
     thr = Fraction(1, 2 ** (k - 2))
-    thr2 = thr * thr
-    sk = chain.steps[k - 2]
-    sm = chain.steps[m - 2]
+    sk, sm = chain.steps[k - 2], chain.steps[m - 2]
+    shape_k, shape_m = mesh_shape(k, chain.beta), mesh_shape(m, chain.beta)
+    up, thr2 = 2 ** (m - k), 4 ** (m - k + 3)
     bad = Fraction(0)
-    if chain.engine == "exact":
-        later = sm.by_cell  # a cell that level m lost counts whole
-        for cell, (_, vk) in sk.by_cell.items():
-            if cell not in later or sum((a - b) ** 2 for a, b in zip(vk, later[cell][1])) >= thr2:
-                bad += cell.measure()
-    else:
-        ck = _winner_coords(sk)
-        cm = _winner_coords(sm)
-        both = (sk.winner >= 0) & (sm.winner >= 0)
-        d2 = ((ck - cm) ** 2).sum(axis=1)
-        viol = both & (d2 >= float(thr2))
-        lostmask = (sk.winner >= 0) & (sm.winner < 0)
-        bad = chain.svf.grid.cell_volume * int((viol | lostmask).sum())
+    for i, (wk, wm) in enumerate(zip(sk.winner, sm.winner)):
+        if wk < 0:
+            continue
+        if wm >= 0:
+            dk, dm = unravel(wk, shape_k), unravel(wm, shape_m)
+            if sum((a * up - b) ** 2 for a, b in zip(dk, dm)) < thr2:
+                continue
+        bad += chain.svf.cell_box(i).measure()
     budget = sk.certificate.witness_budget + sm.certificate.witness_budget
     return CauchyDefect(k, m, thr, bad, budget)
 
@@ -711,11 +640,8 @@ def piecewise_constant_finish(
             vs.append(res.value)
     eps = float(chain.steps[-1].certificate.step_gap) + chain.steps[-1].certificate.slack
 
-    def fhat(x: Fraction):
-        k = 0
-        while k + 1 < len(xs) and xs[k + 1] <= x:
-            k += 1
-        return vs[k]
+    def fhat(x: Fraction):  # the value at the last probe at or below x, else the first
+        return vs[max(bisect_right(xs, x) - 1, 0)]
 
     bad_pts = []
     sup_out = 0.0
@@ -731,9 +657,7 @@ def piecewise_constant_finish(
         [BasicSet.interval(x - width, x + width) for x in bad_pts], dim=1
     )
     valid = float(exception.measure()) < eps
-    return FinishReport(
-        tuple(xs), tuple(vs), exception, sup_out, eps, valid
-    )
+    return FinishReport(tuple(xs), tuple(vs), exception, sup_out, eps, valid)
 
 
 # ---------------------------------------------------------------------------
@@ -748,21 +672,10 @@ def chain_to_json(chain: SelectorChain) -> dict:
     row-major order, with -1 where the step is undefined; the cells and
     mesh values follow from the `svf` block's grid, the level and beta.
     """
-    steps = []
-    for step in chain.steps:
-        cert = step.certificate
-        steps.append(
-            {
-                "level": step.level,
-                "mesh_pitch": rational_to_json(cert.mesh_pitch),
-                "error_bound": rational_to_json(cert.error_bound),
-                "slack": cert.slack,
-                "step_gap": rational_to_json(cert.step_gap),
-                "witness_budget": rational_to_json(cert.witness_budget),
-                "n_pieces": cert.n_pieces,
-                "dom_measure": rational_to_json(cert.dom_measure),
-            }
-        )
+    steps = [
+        {k: rational_to_json(v) if isinstance(v, Fraction) else v for k, v in cert.items()}
+        for cert in (asdict(step.certificate) for step in chain.steps)
+    ]
     if chain.engine == "exact":
         for out, step in zip(steps, chain.steps):
             out["pieces"] = [
@@ -772,7 +685,7 @@ def chain_to_json(chain: SelectorChain) -> dict:
         svf = cellwise_svf_to_json(chain.svf)
     else:
         for out, step in zip(steps, chain.steps):
-            out["winner"] = step.winner.tolist()
+            out["winner"] = list(step.winner)
         svf = {
             "kind": "sampled",
             "tau": chain.svf.tau,
@@ -795,7 +708,8 @@ def chain_to_json(chain: SelectorChain) -> dict:
 
 
 def chain_from_json(obj: dict) -> SelectorChain:
-    """Rebuild a chain for evaluation purposes (exact engine only)."""
+    """Rebuild a chain for evaluation purposes (exact engine only), each
+    step read per cell (`_winner_of_pieces`) and re-decided (`_check_cells`)."""
     svf_obj = obj.get("svf", {})
     if not isinstance(svf_obj, dict):
         raise InputError("chain field 'svf' must be an object")
@@ -807,54 +721,48 @@ def chain_from_json(obj: dict) -> SelectorChain:
         dom_budget = rational_from_json(obj["dom_budget"])
         if dom_budget <= 0:
             raise InputError(f"chain field 'dom_budget' must be positive, not {dom_budget}")
-        steps = []
+        read = []
         for s in obj["steps"]:
-            pieces = tuple(
-                (
-                    gbs_from_json(p["set"]),
-                    tuple(rational_from_json(c) for c in p["value"]),
-                )
+            pieces = [
+                (gbs_from_json(p["set"]), tuple(rational_from_json(c) for c in p["value"]))
                 for p in s["pieces"]
-            )
-            cert = StepCertificate(
-                level=int_from_json(s["level"], "level"),
-                mesh_pitch=rational_from_json(s["mesh_pitch"]),
-                error_bound=rational_from_json(s["error_bound"]),
-                slack=float(rational_from_json(s["slack"])),
-                step_gap=rational_from_json(s["step_gap"]),
-                witness_budget=rational_from_json(s["witness_budget"]),
-                n_pieces=int_from_json(s["n_pieces"], "n_pieces"),
-                dom_measure=rational_from_json(s["dom_measure"]),
-            )
-            steps.append(ExactStep(pieces, svf.cell_domain, cert.level, cert))
-        levels = [step.level for step in steps]
+            ]
+            cert = {  # each field read as its annotated type
+                f.name: int_from_json(s[f.name], f.name) if f.type == "int"
+                else float(rational_from_json(s[f.name])) if f.type == "float"
+                else rational_from_json(s[f.name])
+                for f in fields(StepCertificate)
+            }
+            read.append((StepCertificate(**cert), pieces))
+        levels = [cert.level for cert, _ in read]
         if n < 2 or levels != list(range(2, n + 1)):
             raise InputError(
                 f"chain field 'steps' must hold levels 2..n = {n} in order, not {levels}"
             )
-        for step in steps:
-            _check_certificate(step, n, dom_budget)
+        for cert, pieces in read:
+            _check_certificate(cert, len(pieces), svf.domain_box, n, dom_budget)
         f1 = tuple(rational_from_json(c) for c in obj["f1"])
         if f1 != _f1_value(svf):
             raise InputError(
                 f"chain field 'f1' must be the normalized zero {_fmt(_f1_value(svf))}, "
                 f"not {_fmt(f1)}"
             )
+        steps = tuple(
+            Step(cert.level, _winner_of_pieces(svf, cert.level, pieces), cert, svf)
+            for cert, pieces in read
+        )
         _check_cells(svf, f1, steps)
-        return SelectorChain(svf, n, dom_budget, f1, tuple(steps))
+        return SelectorChain(svf, n, dom_budget, f1, steps)
     except KeyError as e:
         raise InputError(f"chain is missing the field {e}") from e
     except TypeError as e:
         raise InputError(f"chain has a field of the wrong type: {e}") from e
 
 
-def _check_certificate(step: ExactStep, n: int, dom_budget: Fraction) -> None:
+def _check_certificate(cert: StepCertificate, n_pieces: int, box: BasicSet, n: int, budget) -> None:
     """InputError naming a certificate field that extraction would not write."""
-    k, cert = step.level, step.certificate
-    want = StepCertificate.at_level(
-        k, 0.0, dom_budget / 2 ** (n - k + 1), len(step.pieces),
-        step.domain.ambient.measure(),
-    )
+    k = cert.level
+    want = StepCertificate.at_level(k, 0.0, budget / 2 ** (n - k + 1), n_pieces, box.measure())
     for f in fields(cert):
         got, expected = getattr(cert, f.name), getattr(want, f.name)
         if got != expected:
@@ -863,27 +771,57 @@ def _check_certificate(step: ExactStep, n: int, dom_budget: Fraction) -> None:
             )
 
 
-def _check_cells(svf: CellwiseSVF, f1: tuple[Fraction, ...], steps) -> None:
-    """InputError unless each step's parts are the SVF's non-empty cells, each once,
-    and `admissible` accepts each cell's value from its value one level down."""
+def _winner_of_pieces(svf: CellwiseSVF, k: int, pieces) -> tuple[int, ...]:
+    """Each cell's mesh index, read from pieces as extraction writes them.
+
+    InputError unless the pieces hold each of the SVF's non-empty cells
+    once as a part, each value is a level-k mesh node, and the values
+    are distinct and listed in mesh-index order: a step that repeats a
+    value or reorders its pieces has no per-cell form.
+    """
     cells = {cell: ci for ci, (cell, _) in enumerate(svf.cells) if not cell.is_empty}
-    prev = dict.fromkeys(cells, f1)
-    for step in steps:
-        k, held = step.level, [cells.get(p) for q, _ in step.pieces for p in q.parts]
-        if None in held or sorted(held) != list(cells.values()):
+    held = [cells.get(p) for q, _ in pieces for p in q.parts]
+    if None in held or sorted(held) != list(cells.values()):
+        raise InputError(
+            f"chain step at level {k} must hold each of the SVF's {len(cells)} non-empty "
+            f"cells once as a part of a piece, not the cells {held}"
+        )
+    winner, order = [-1] * len(svf.cells), []
+    for i, (q, r) in enumerate(pieces):
+        digits = mesh_digits(k, r) if len(r) == svf.beta else None
+        if digits is None and q.parts:
             raise InputError(
-                f"chain step at level {k} must hold each of the SVF's {len(cells)} non-empty "
-                f"cells once as a part of a piece, not the cells {held}"
+                f"chain step at level {k} gives piece {i} the value {_fmt(r)} on cell "
+                f"{cells[q.parts[0]]}, which is not a level-{k} mesh node in [0, 1]**{svf.beta}"
             )
-        for cell, (i, r) in step.by_cell.items():
-            if not admissible(r, prev[cell], svf.normalized_values(cells[cell]), k):
+        w = mesh_index(k, digits) if q.parts else -1
+        for p in q.parts:
+            winner[cells[p]] = w
+        order.append(w)
+    if -1 in order or order != sorted(set(order)):
+        raise InputError(
+            f"chain step at level {k} must list pieces that hold cells, with distinct values "
+            f"in mesh-index order, as extraction writes them, not the mesh indices {order}"
+        )
+    return tuple(winner)
+
+
+def _check_cells(svf: CellwiseSVF, f1: tuple[Fraction, ...], steps: Sequence[Step]) -> None:
+    """InputError unless `admissible` accepts each cell's value from its value
+    one level down; the error names the value's piece, its rank in mesh-index order."""
+    prev = [f1] * len(svf.cells)
+    for step in steps:
+        k, values = step.level, step.keyed_values()
+        piece = {w: i for i, w in enumerate(values)}
+        for ci, w in enumerate(step.winner):
+            if w >= 0 and not admissible(values[w], prev[ci], svf.normalized_values(ci), k):
                 raise InputError(
-                    f"chain step at level {k} gives piece {i} the value {_fmt(r)} on "
-                    f"cell {cells[cell]}, which is not a level-{k} mesh node within 2**-{k} "
-                    f"of the cell's values and 2**-{k - 1} of its level-{k - 1} value "
-                    f"{_fmt(prev[cell])}"
+                    f"chain step at level {k} gives piece {piece[w]} the value "
+                    f"{_fmt(values[w])} on cell {ci}, which is not a level-{k} mesh node "
+                    f"within 2**-{k} of the cell's values and 2**-{k - 1} of its "
+                    f"level-{k - 1} value {_fmt(prev[ci])}"
                 )
-        prev = {cell: r for cell, (_, r) in step.by_cell.items()}
+        prev = [values.get(w) for w in step.winner]
 
 
 def _fmt(r: Sequence[Fraction]) -> str:
@@ -902,16 +840,6 @@ def selector_csv(chain: SelectorChain, points: Sequence[Sequence]) -> str:
     )
     for pt in points:
         res = eval_selector(chain, pt)
-        if res.defined:
-            w.writerow(
-                [repr(float(as_fraction(c))) for c in pt]
-                + [repr(float(c)) for c in res.value]
-                + ["ok"]
-            )
-        else:
-            w.writerow(
-                [repr(float(as_fraction(c))) for c in pt]
-                + [""] * chain.beta
-                + [res.reason]
-            )
+        values = [repr(float(c)) for c in res.value] if res.defined else [""] * chain.beta
+        w.writerow([repr(float(as_fraction(c))) for c in pt] + values + [res.reason or "ok"])
     return buf.getvalue()

@@ -50,8 +50,8 @@ class SetAlgebraError(InputError):
     """Raised on malformed set-algebra inputs."""
 
 
-def _aspoint(x: Sequence, dim: int) -> Point:
-    pt = tuple(as_fraction(c) for c in x)
+def _aspoint(x: Sequence, dim: int, scalar=as_fraction) -> Point:
+    pt = tuple(scalar(c) for c in x)
     if len(pt) != dim:
         raise SetAlgebraError(f"point dimension {len(pt)} != set dimension {dim}")
     return pt

@@ -43,6 +43,9 @@ from .setalg import (
 )
 from .domain import RepresentableDomain, RepresentabilityWitness
 
+INSIDE_WITNESS = "inside_witness"  # `locate`'s reasons where no cell answers
+OUTSIDE_DOMAIN = "outside_domain"
+
 
 # ---------------------------------------------------------------------------
 # range normalization
@@ -134,6 +137,8 @@ class CellwiseSVF:
     domain_box: BasicSet
     range_map: AffineRangeMap
     cells: tuple[tuple[BasicSet, GeneralizedBasicSet], ...]
+    # per admitted eps, by its integer ratio: `locate`'s union and M(eps)'s part count
+    _located: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     kind = "cellwise"
     tau = 0.0
@@ -157,6 +162,32 @@ class CellwiseSVF:
     def cell_domain(self) -> RepresentableDomain:
         """The cells as one domain over the box: every exact step's domain."""
         return RepresentableDomain.from_cells(self._cell_union.parts, self.domain_box, "closure")
+
+    @property
+    def witness(self) -> RepresentabilityWitness:
+        """M(eps) of the cell domain, which serves every union of the cells."""
+        return self.cell_domain.witness
+
+    def locate(self, x, eps: Fraction) -> tuple[str | None, int | None]:
+        """(reason, None) outside the closed box or inside M(eps), else (None, cell index).
+
+        One point location in the union of M(eps) within the closed box,
+        then the cells, built once per eps: the first part holding x decides.
+        """
+        key = eps.as_integer_ratio()  # a tuple of ints hashes faster than a Fraction
+        located = self._located.get(key)
+        if located is None:
+            m = self.witness(eps).intersect(self.domain_box.closure())
+            union = GeneralizedBasicSet(self.alpha, m.parts + self._cell_union.parts)
+            located = self._located[key] = (union, len(m.parts))
+        union, n_witness = located
+        i = union.locate(x)
+        if i is None:
+            return OUTSIDE_DOMAIN, None
+        return (INSIDE_WITNESS, None) if i < n_witness else (None, i - n_witness)
+
+    def cell_box(self, i: int) -> BasicSet:
+        return self.cells[i][0]
 
     def value_set(self, x) -> GeneralizedBasicSet:
         i = self.cell_index_at(x)
@@ -379,6 +410,8 @@ class SampledSVF:
     tau: float  # normalized units
     meta: dict = field(default_factory=dict)
     mask: np.ndarray | None = field(default=None, repr=False)
+    # per admitted eps, by its integer ratio: the slab ends of M(eps) per axis
+    _located: dict = field(default_factory=dict, init=False, repr=False)
 
     kind = "sampled"
 
@@ -406,6 +439,43 @@ class SampledSVF:
 
     def net_raw(self, flat_idx: int) -> np.ndarray:
         return self.nets[flat_idx]
+
+    def cell_index_at(self, x) -> int | None:
+        """The flat index of the grid cell holding x, or None outside the box."""
+        idx = self.grid.cell_of_point(x)
+        return None if idx is None else self.grid.flat(idx)
+
+    @cached_property
+    def witness(self) -> RepresentabilityWitness:
+        """The grid-plane witness, which serves every union of the grid's cells."""
+        return RepresentabilityWitness(lambda eps: grid_plane_witness(self.grid, eps))
+
+    def locate(self, x, eps: Fraction) -> tuple[str | None, int | None]:
+        """(reason, None) outside the closed box or inside M(eps), else (None, flat cell index).
+
+        One integer placement per axis among the ends of M(eps)'s slabs
+        decides all three.  Coordinates are exact rationals read through
+        `as_integer_ratio`, floats included, so none becomes a `Fraction`.
+        """
+        key = eps.as_integer_ratio()  # a tuple of ints hashes faster than a Fraction
+        axes = self._located.get(key)
+        if axes is None:
+            self.witness(eps)  # admits eps only when M(eps) fits its budget
+            axes = self._located[key] = self.grid.slab_keys(eps)
+        flat, in_slab = 0, False
+        for c, axis, n_cells in zip(x, axes, self.grid.shape):
+            placed = axis.place(c)
+            if placed is None:
+                return OUTSIDE_DOMAIN, None
+            below, upto = placed
+            if below == upto and below & 1:
+                in_slab = True
+            else:
+                flat = flat * n_cells + upto // 2 - 1
+        return (INSIDE_WITNESS, None) if in_slab else (None, flat)
+
+    def cell_box(self, i: int) -> BasicSet:
+        return self.grid.cell_box(self.grid.unflat(i))
 
     @cached_property
     def _normalized_stack(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -492,19 +562,15 @@ def svf_distance(F: RepresentableSVF, r: Sequence, x: Sequence) -> float:
     Cellwise: exact box distance to the cell's value set.  Sampled: min
     over the cell's net, within tau (denormalized) of the true value.
     """
-    if F.kind == "cellwise":
-        values = F.value_set(x)  # raises DomainPointError outside
-        d2 = dist2_point_set([as_fraction(c) for c in r], values)
-        return float(np.sqrt(float(d2)))
-    idx = F.grid.cell_of_point(x)
-    if idx is None:
+    i = F.cell_index_at(x)
+    if i is None:
         raise DomainPointError(f"point {x!r} outside the working box")
-    flat = F.grid.flat(idx)
-    if not F.active(flat):
+    if F.kind == "cellwise":
+        return float(np.sqrt(float(dist2_point_set([as_fraction(c) for c in r], F.cells[i][1]))))
+    if not F.active(i):
         raise DomainPointError(f"point {x!r} lies in an excluded cell")
-    net = F.net_raw(flat)
     rv = np.array([float(as_fraction(c)) for c in r])
-    return float(np.linalg.norm(net - rv, axis=-1).min())
+    return float(np.linalg.norm(F.nets[i] - rv, axis=-1).min())
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +612,6 @@ def sublevel_domains(
     if F.kind == "cellwise":
         slack, thr = 0.0, delta * delta
         distances = lambda r: [dist2_point_set(r, values) for _, values in F.cells]
-        cell_box = lambda i: F.cells[i][0]
         domain_of = lambda seq: RepresentableDomain.from_carrier(
             seq, F.domain_box, coverage="closure"
         )
@@ -560,14 +625,13 @@ def sublevel_domains(
             )
         thr = float(delta) + slack
         distances = lambda r: _net_distances(F, r)
-        cell_box = lambda i: F.grid.cell_box(F.grid.unflat(i))
         domain_of = lambda seq: RepresentableDomain(
-            seq, F.domain_box, grid_witness(F.grid), coverage="closure"
+            seq, F.domain_box, F.witness, coverage="closure"
         )
 
     def domain(idxs) -> RepresentableDomain:
         if idxs:
-            return domain_of(SetSequence.of([cell_box(i) for i in idxs], "rowmajor"))
+            return domain_of(SetSequence.of([F.cell_box(i) for i in idxs], "rowmajor"))
         seq = SetSequence((GeneralizedBasicSet.empty(F.alpha),), "rowmajor")
         w = RepresentabilityWitness(lambda eps: GeneralizedBasicSet.empty(F.alpha))
         return RepresentableDomain(seq, F.domain_box, w, coverage="closure")
@@ -588,11 +652,6 @@ def _net_distances(F: SampledSVF, r) -> list[float]:
         float(np.linalg.norm(net - rv, axis=-1).min()) if F.active(i) else math.inf
         for i, net in enumerate(F.nets)
     ]
-
-
-def grid_witness(grid: GridSpec) -> RepresentabilityWitness:
-    """The grid-plane witness, which serves every union of the grid's cells."""
-    return RepresentabilityWitness(lambda eps: grid_plane_witness(grid, eps))
 
 
 def grid_plane_witness(grid: GridSpec, eps) -> GeneralizedBasicSet:

@@ -455,6 +455,38 @@ def cauchy_defect_reference(chain, k, m):
     return CauchyDefect(k, m, thr, bad, budget)
 
 
+def grid_cauchy_defect_reference(chain, k, m):
+    """selector.cauchy_defect's grid branch as first written: each level's
+    winners as float mesh coordinates, a violation where both have a value
+    and d2 >= float(thr2), plus the cells level m lost, times the cell volume."""
+    import numpy as np
+
+    from selectorkit.selector import CauchyDefect, mesh_shape
+
+    def _winner_coords(step):
+        """Each cell's winning mesh node as float coordinates; NaN where undefined."""
+        w = np.array(step.winner)
+        digits = np.unravel_index(np.maximum(w, 0), mesh_shape(step.level, step.svf.beta))
+        coords = np.stack(digits, axis=-1) * 2.0 ** -(step.level + 1)
+        coords[w < 0] = np.nan
+        return coords
+
+    thr = Fraction(1, 2 ** (k - 2))
+    thr2 = thr * thr
+    sk = chain.steps[k - 2]
+    sm = chain.steps[m - 2]
+    wk, wm = np.array(sk.winner), np.array(sm.winner)
+    ck = _winner_coords(sk)
+    cm = _winner_coords(sm)
+    both = (wk >= 0) & (wm >= 0)
+    d2 = ((ck - cm) ** 2).sum(axis=1)
+    viol = both & (d2 >= float(thr2))
+    lostmask = (wk >= 0) & (wm < 0)
+    bad = chain.svf.grid.cell_volume * int((viol | lostmask).sum())
+    budget = sk.certificate.witness_budget + sm.certificate.witness_budget
+    return CauchyDefect(k, m, thr, bad, budget)
+
+
 # ---------------------------------------------------------------------------
 # sublevel families, one cell at a time
 

@@ -521,6 +521,20 @@ BAD_PROBLEMS = [
                 n=4,
             ),
         ),
+        # the level-4 value 7/32 split over two pieces, one per cell
+        (
+            ["eval", "--at", "0.3"],
+            lambda: _desk_chain_with(
+                lambda c: c["steps"][2].update(
+                    n_pieces=2,
+                    pieces=[
+                        {"set": {"dim": 1, "parts": [part]}, "value": c["steps"][2]["pieces"][0]["value"]}
+                        for part in c["steps"][2]["pieces"][0]["set"]["parts"]
+                    ],
+                ),
+                n=4,
+            ),
+        ),
         (["solve-di"], lambda: {"svf_file": "absent_svf.json", "x0": [0.5]}),
         (["solve-di"], lambda: {"field": "linear_tube", "x0": "abc"}),
         *[(["solve-di"], lambda problem=problem: problem) for _, problem in BAD_PROBLEMS],
@@ -535,7 +549,7 @@ BAD_PROBLEMS = [
         "chain-no-level", "chain-n-not-int", "chain-svf-not-object",
         "chain-no-steps", "chain-level-beyond-n",
         *[f"chain-contradicted-{field}" for field, _ in CONTRADICTED_CERTIFICATE_FIELDS],
-        "chain-moved-value",
+        "chain-moved-value", "chain-value-split",
         "problem-svf-file-missing",
         "problem-x0-not-number", *[f"problem-{name}" for name, _ in BAD_PROBLEMS],
         "sets-not-object", "svf-not-object",

@@ -12,14 +12,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from selectorkit.domain import continuous_extension, make_witness
+from selectorkit.domain import PiecewiseConstantMap, continuous_extension, make_witness
 from selectorkit.errors import CoverageError, InputError, PrecisionError
 from selectorkit.rational import rational_from_json, rational_to_json
 from selectorkit import selector
 from selectorkit.robot import export_svf
 from selectorkit.selector import (
     EvalResult,
-    GridStep,
+    Step,
     _ball_offsets,
     admissible,
     cauchy_defect,
@@ -44,7 +44,6 @@ from selectorkit.svf import (
     GridSpec,
     build_cellwise_svf,
     build_sampled_svf,
-    grid_witness,
     identity_range_map,
     svf_distance,
 )
@@ -56,6 +55,7 @@ from oracles import (
     extraction_step_reference,
     eval_selector_reference,
     first_part_containing,
+    grid_cauchy_defect_reference,
     grid_step_reference,
 )
 
@@ -272,8 +272,11 @@ def test_chain_contracts(svf_fn):
                 gap = abs(float(v[0]) - float(vprev[0]))
                 assert gap < 2.0 ** -(k - 1)
     # domain monotone (exact engine keeps full coverage)
+    def carrier(step):
+        return GeneralizedBasicSet.of([p for q, _ in step.pieces for p in q.parts], dim=1)
+
     for a, b in zip(chain.steps, chain.steps[1:]):
-        assert b.domain.carrier_gbs().subtract(a.domain.carrier_gbs()).is_empty
+        assert carrier(b).subtract(carrier(a)).is_empty
 
 
 @pytest.mark.parametrize(
@@ -476,18 +479,17 @@ def test_admissible_matches_fraction_reference_on_ties_hypothesis(case):
 @settings(max_examples=40, deadline=None)
 def test_exact_cauchy_defect_matches_piece_pair_reference_hypothesis(pair, drop):
     """On chains spliced from two SVFs over one tiling, so that levels can
-    disagree, and with a cell dropped from the last level when `drop`."""
+    disagree, and with a cell dropped from the last level when `drop`: the
+    first cell, in SVF order, of its last piece."""
     try:
         a, b = (extract(f, 4) for f in pair)
     except CoverageError:
         assume(False)
     steps = [a.steps[0], b.steps[1], a.steps[2]]
     if drop:
-        last = steps[-1]
-        (q, r), pieces = last.pieces[-1], last.pieces[:-1]
-        if len(q.parts) > 1:
-            pieces += ((GeneralizedBasicSet(q.dim, q.parts[1:]), r),)
-        steps[-1] = dataclasses.replace(last, pieces=pieces)
+        winner = list(steps[-1].winner)
+        winner[winner.index(max(winner))] = -1
+        steps[-1] = dataclasses.replace(steps[-1], winner=tuple(winner))
     chain = dataclasses.replace(a, steps=tuple(steps))
     for k, m in itertools.combinations(range(2, 5), 2):
         assert cauchy_defect(chain, k, m) == cauchy_defect_reference(chain, k, m)
@@ -497,6 +499,68 @@ def test_extraction_step_refuses_previous_step_of_another_svf():
     prev = extraction_step(None, desk_svf(), 2)
     with pytest.raises(InputError, match="level-2 step holds no piece for cell 0 of the SVF"):
         extraction_step(prev, three_cell_svf(), 3)
+
+
+def test_extraction_step_refuses_previous_step_of_svf_with_as_many_other_cells():
+    """Two cells each, cut at 1/2 and at 1/4: a lookup by cell index alone
+    would read the desk step's values as this SVF's."""
+    box = BasicSet.closed_box([0], [1])
+    quarter = build_cellwise_svf(box, [
+        (BasicSet.interval(0, F_(1, 4), True, True), atoms(F_(1, 4))),
+        (BasicSet.interval(F_(1, 4), 1, False, True), atoms(F_(1, 4), F_(3, 4))),
+    ])
+    prev = extraction_step(None, desk_svf(), 2)
+    assert len(prev.winner) == len(quarter.cells) and extraction_step(None, quarter, 2) == prev
+    with pytest.raises(InputError, match="level-2 step holds no piece for cell 0 of the SVF"):
+        extraction_step(prev, quarter, 3)
+    # the desk's cells with other values: the step's value 1/8 on each cell
+    # is read, and 1/16 is the lowest node within 1/8 of the new value 1/8
+    same_cells = build_cellwise_svf(box, [(c, atoms(F_(1, 8))) for c, _ in desk_svf().cells])
+    assert extraction_step(prev, same_cells, 3).winner == (1, 1)
+
+
+def _perturbed(step, seed):
+    """The step with about half its winners moved to random nodes of its mesh
+    and a tenth set to -1."""
+    rng = random.Random(seed)
+    n_nodes = math.prod(selector.mesh_shape(step.level, step.svf.beta))
+    winner = [
+        -1 if r < 0.1 else rng.randrange(n_nodes) if r < 0.55 else w
+        for w, r in ((w, rng.random()) for w in step.winner)
+    ]
+    return dataclasses.replace(step, winner=tuple(winner))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: desk_sampled(16), lambda: masked_square_sampled(), lambda: export_svf(2, F_(4, 9))],
+    ids=["desk", "masked-2d", "robot-3d"],
+)
+def test_grid_cauchy_defect_matches_float_reference(make):
+    """The integer rule on mesh digits decides as the float comparison did, on
+    extracted chains, on chains whose last level lost cells, and on chains
+    with moved winners, so that cells fall on both sides of the threshold and,
+    on the desk and masked grids, exactly on it."""
+    chain = extract(make(), 4)
+    last = chain.steps[-1]
+    lost = dataclasses.replace(
+        last, winner=tuple(-1 if i % 3 == 0 else w for i, w in enumerate(last.winner))
+    )
+    assert -1 in lost.winner
+    chains = [chain, dataclasses.replace(chain, steps=(*chain.steps[:-1], lost))]
+    for seed in range(4):
+        chains.append(
+            dataclasses.replace(
+                chain, steps=tuple(_perturbed(s, 10 * seed + s.level) for s in chain.steps)
+            )
+        )
+    measures = set()
+    for c in chains:
+        for k, m in itertools.combinations(range(2, 5), 2):
+            got = cauchy_defect(c, k, m)
+            assert got == grid_cauchy_defect_reference(c, k, m)
+            measures.add(got.region_measure)
+    assert len(measures) > 3
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +665,7 @@ def test_continuous_extension_of_final_exact_step(svf_fn):
     chain = extract(svf_fn(), 4)
     step = chain.steps[-1]
     for eps in (chain.dom_budget, F_(1, 7)):
-        g = continuous_extension(step, eps)
+        g = continuous_extension(PiecewiseConstantMap(step.pieces, chain.svf.cell_domain), eps)
         assert g.exception.measure() <= eps
         for i in range(257):
             x = [F_(i, 256)]
@@ -915,7 +979,7 @@ def test_grid_engine_dom_monotone_and_gap():
     f = desk_sampled(32)
     chain = extract(f, 5)
     for a, b in zip(chain.steps, chain.steps[1:]):
-        assert ((b.winner >= 0) <= (a.winner >= 0)).all()
+        assert ((np.array(b.winner) >= 0) <= (np.array(a.winner) >= 0)).all()
 
 
 def test_grid_steps_chains_and_sampled_svfs_compare_by_value():
@@ -923,7 +987,7 @@ def test_grid_steps_chains_and_sampled_svfs_compare_by_value():
     assert a.steps[0] is not b.steps[0]
     assert a.steps[0] == b.steps[0] and a == b and a.svf == b.svf
     # an equal pair, then pairs differing only in an array field
-    other = dataclasses.replace(a.steps[0], winner=np.where(a.steps[0].winner == 0, 1, 0))
+    other = dataclasses.replace(a.steps[0], winner=tuple(int(w == 0) for w in a.steps[0].winner))
     assert a.steps[0] != other
     assert extract(desk_sampled(32), 3) != a
     nets = list(a.svf.nets)
@@ -1025,15 +1089,13 @@ def test_grid_chain_json_writes_each_step_as_its_winners(make, has_undefined):
         basic_set_from_json(svf["domain"], len(svf["grid_shape"])), tuple(svf["grid_shape"])
     )
     beta = len(svf["range"]["lo"])
+    assert (grid, beta) == (chain.svf.grid, chain.beta)
     assert len(obj["steps"]) == len(chain.steps)
     for s, step in zip(obj["steps"], chain.steps):
         assert "pieces" not in s
         assert len(s["winner"]) == grid.n_cells
         assert (-1 in s["winner"]) == has_undefined
-        rebuilt = GridStep(
-            level=s["level"], winner=np.array(s["winner"]), grid=grid, beta=beta,
-            witness=grid_witness(grid), certificate=step.certificate,
-        )
+        rebuilt = Step(s["level"], tuple(s["winner"]), step.certificate, chain.svf)
         assert rebuilt == step
 
 
@@ -1177,6 +1239,41 @@ def test_chain_from_json_redecides_each_value_on_each_cell(edit, match):
 )
 def test_chain_from_json_refuses_step_not_aligned_with_cells(edit, match):
     obj = json.loads(json.dumps(chain_to_json(extract(three_cell_svf(), 4))))
+    edit(obj)
+    with pytest.raises(InputError, match=match):
+        chain_from_json(obj)
+
+
+def _reverse_level2(obj):
+    obj["steps"][0]["pieces"].reverse()
+
+
+def _split_level4(obj):
+    """The level-4 value 3/32 of cells 0 and 2 as two pieces, one per cell."""
+    step = obj["steps"][2]
+    first = step["pieces"][0]
+    cell2 = first["set"]["parts"].pop()
+    step["pieces"].insert(1, {"set": {"dim": 1, "parts": [cell2]}, "value": first["value"]})
+    step["n_pieces"] = 3
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (
+            _reverse_level2,
+            r"level 2 must list pieces that hold cells, with distinct values in mesh-index "
+            r"order, as extraction writes them, not the mesh indices \[2, 0\]",
+        ),
+        (_split_level4, r"level 4 must list .* not the mesh indices \[3, 3, 11\]"),
+    ],
+    ids=["pieces-reversed", "value-split"],
+)
+def test_chain_from_json_refuses_step_not_in_canonical_form(edit, match):
+    """A step stored per cell has one piece per value, in mesh-index order;
+    a chain.json with pieces reordered or a value split has no such form."""
+    obj = json.loads(json.dumps(chain_to_json(extract(three_cell_svf(), 4))))
+    chain_from_json(json.loads(json.dumps(obj)))
     edit(obj)
     with pytest.raises(InputError, match=match):
         chain_from_json(obj)
