@@ -51,7 +51,7 @@ class SetAlgebraError(InputError):
 
 
 def _aspoint(x: Sequence, dim: int, scalar=as_fraction) -> Point:
-    pt = tuple(scalar(c) for c in x)
+    pt = tuple(map(scalar, x))
     if len(pt) != dim:
         raise SetAlgebraError(f"point dimension {len(pt)} != set dimension {dim}")
     return pt
