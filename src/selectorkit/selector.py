@@ -51,8 +51,6 @@ from .setalg import (
     GeneralizedBasicSet,
     Point,
     basic_set_to_json,
-    gbs_from_json,
-    gbs_to_json,
 )
 from .svf import (
     INSIDE_WITNESS,
@@ -147,8 +145,7 @@ class Step:
 
     def value_at(self, x) -> tuple[Fraction, ...] | None:
         i = self.svf.cell_index_at(x)
-        w = -1 if i is None else self.winner[i]
-        return None if w < 0 else mesh_value(self.level, w, self.svf.beta)
+        return None if i is None else self.keyed_values.get(self.winner[i])
 
     def answer(self, x: Point, eps: Fraction) -> tuple[str | None, int | None]:
         """(reason, None) where f_k is undefined at x, else (None, mesh index).
@@ -162,8 +159,10 @@ class Step:
         w = self.winner[i]
         return (OUTSIDE_DOMAIN, None) if w < 0 else (None, w)
 
+    @cached_property
     def keyed_values(self) -> dict[int, tuple[Fraction, ...]]:
-        """Each winning mesh node under its index (`answer`'s key), in index order."""
+        """Each winning mesh node under its index (`answer`'s key), in index order,
+        built once per step."""
         beta = self.svf.beta
         return {w: mesh_value(self.level, w, beta) for w in sorted(set(self.winner)) if w >= 0}
 
@@ -174,7 +173,7 @@ class Step:
         cells = [(cell, w) for (cell, _), w in zip(self.svf.cells, self.winner)]
         return tuple(
             (GeneralizedBasicSet(self.svf.alpha, tuple(c for c, v in cells if v == w)), r)
-            for w, r in self.keyed_values().items()
+            for w, r in self.keyed_values.items()
         )
 
 
@@ -215,7 +214,7 @@ class SelectorChain:
         axes = tuple(zip(rmap.lo, rmap.widths()))
         return {
             key: tuple(l + c * w for c, (l, w) in zip(r, axes))
-            for key, r in self.steps[-1].keyed_values().items()
+            for key, r in self.steps[-1].keyed_values.items()
         }
 
 
@@ -313,7 +312,7 @@ def extraction_step(f_prev: Step | None, F: CellwiseSVF, k: int, budget=None) ->
     if f_prev is None:
         f1 = _f1_value(F)
     else:
-        prev_cells, values = f_prev.svf.cells, f_prev.keyed_values()
+        prev_cells, values = f_prev.svf.cells, f_prev.keyed_values
         piece = {w: i for i, w in enumerate(values)}
 
     # winner per cell: the first ball candidate admissible from its previous value
@@ -665,27 +664,22 @@ def piecewise_constant_finish(
 
 
 def chain_to_json(chain: SelectorChain) -> dict:
-    """The chain as JSON: each step's level and certificate, then its values.
+    """The chain as JSON: each step's level, certificate and `winner`.
 
-    An exact step writes its pieces, each a set and its mesh value.  A
-    grid step writes `winner`, one flat mesh index per grid cell in
-    row-major order, with -1 where the step is undefined; the cells and
-    mesh values follow from the `svf` block's grid, the level and beta.
+    `winner` is one flat mesh index per cell of the SVF, in its cell
+    order (a cellwise SVF's cells, a sampled SVF's grid cells row-major),
+    with -1 where the step is undefined; the cells and mesh values follow
+    from the `svf` block, the level and beta.
     """
     steps = [
         {k: rational_to_json(v) if isinstance(v, Fraction) else v for k, v in cert.items()}
         for cert in (asdict(step.certificate) for step in chain.steps)
     ]
+    for out, step in zip(steps, chain.steps):
+        out["winner"] = list(step.winner)
     if chain.engine == "exact":
-        for out, step in zip(steps, chain.steps):
-            out["pieces"] = [
-                {"set": gbs_to_json(q), "value": [rational_to_json(c) for c in r]}
-                for q, r in step.pieces
-            ]
         svf = cellwise_svf_to_json(chain.svf)
     else:
-        for out, step in zip(steps, chain.steps):
-            out["winner"] = list(step.winner)
         svf = {
             "kind": "sampled",
             "tau": chain.svf.tau,
@@ -709,7 +703,8 @@ def chain_to_json(chain: SelectorChain) -> dict:
 
 def chain_from_json(obj: dict) -> SelectorChain:
     """Rebuild a chain for evaluation purposes (exact engine only), each
-    step read per cell (`_winner_of_pieces`) and re-decided (`_check_cells`)."""
+    step's `winner` read per cell (`_winner_from_json`) and re-decided
+    (`_check_cells`)."""
     svf_obj = obj.get("svf", {})
     if not isinstance(svf_obj, dict):
         raise InputError("chain field 'svf' must be an object")
@@ -723,34 +718,30 @@ def chain_from_json(obj: dict) -> SelectorChain:
             raise InputError(f"chain field 'dom_budget' must be positive, not {dom_budget}")
         read = []
         for s in obj["steps"]:
-            pieces = [
-                (gbs_from_json(p["set"]), tuple(rational_from_json(c) for c in p["value"]))
-                for p in s["pieces"]
-            ]
             cert = {  # each field read as its annotated type
                 f.name: int_from_json(s[f.name], f.name) if f.type == "int"
                 else float(rational_from_json(s[f.name])) if f.type == "float"
                 else rational_from_json(s[f.name])
                 for f in fields(StepCertificate)
             }
-            read.append((StepCertificate(**cert), pieces))
+            read.append((StepCertificate(**cert), s["winner"]))
         levels = [cert.level for cert, _ in read]
         if n < 2 or levels != list(range(2, n + 1)):
             raise InputError(
                 f"chain field 'steps' must hold levels 2..n = {n} in order, not {levels}"
             )
-        for cert, pieces in read:
-            _check_certificate(cert, len(pieces), svf.domain_box, n, dom_budget)
+        steps = tuple(
+            Step(cert.level, _winner_from_json(svf, cert.level, winner), cert, svf)
+            for cert, winner in read
+        )
+        for step in steps:
+            _check_certificate(step, svf.domain_box, n, dom_budget)
         f1 = tuple(rational_from_json(c) for c in obj["f1"])
         if f1 != _f1_value(svf):
             raise InputError(
                 f"chain field 'f1' must be the normalized zero {_fmt(_f1_value(svf))}, "
                 f"not {_fmt(f1)}"
             )
-        steps = tuple(
-            Step(cert.level, _winner_of_pieces(svf, cert.level, pieces), cert, svf)
-            for cert, pieces in read
-        )
         _check_cells(svf, f1, steps)
         return SelectorChain(svf, n, dom_budget, f1, steps)
     except KeyError as e:
@@ -759,9 +750,10 @@ def chain_from_json(obj: dict) -> SelectorChain:
         raise InputError(f"chain has a field of the wrong type: {e}") from e
 
 
-def _check_certificate(cert: StepCertificate, n_pieces: int, box: BasicSet, n: int, budget) -> None:
-    """InputError naming a certificate field that extraction would not write."""
-    k = cert.level
+def _check_certificate(step: Step, box: BasicSet, n: int, budget) -> None:
+    """InputError naming a certificate field that extraction would not write;
+    its piece count is the number of the step's distinct winners."""
+    cert, k, n_pieces = step.certificate, step.level, len(step.keyed_values)
     want = StepCertificate.at_level(k, 0.0, budget / 2 ** (n - k + 1), n_pieces, box.measure())
     for f in fields(cert):
         got, expected = getattr(cert, f.name), getattr(want, f.name)
@@ -771,38 +763,23 @@ def _check_certificate(cert: StepCertificate, n_pieces: int, box: BasicSet, n: i
             )
 
 
-def _winner_of_pieces(svf: CellwiseSVF, k: int, pieces) -> tuple[int, ...]:
-    """Each cell's mesh index, read from pieces as extraction writes them.
-
-    InputError unless the pieces hold each of the SVF's non-empty cells
-    once as a part, each value is a level-k mesh node, and the values
-    are distinct and listed in mesh-index order: a step that repeats a
-    value or reorders its pieces has no per-cell form.
-    """
-    cells = {cell: ci for ci, (cell, _) in enumerate(svf.cells) if not cell.is_empty}
-    held = [cells.get(p) for q, _ in pieces for p in q.parts]
-    if None in held or sorted(held) != list(cells.values()):
+def _winner_from_json(svf: CellwiseSVF, k: int, winner) -> tuple[int, ...]:
+    """A step's `winner` as extraction writes it: a list of one int per cell
+    of the SVF, a level-k mesh index on each non-empty cell and -1 on each
+    empty one; InputError naming the level and the cell otherwise."""
+    if not isinstance(winner, list) or len(winner) != len(svf.cells):
+        got = len(winner) if isinstance(winner, list) else f"the {type(winner).__name__} {winner!r}"
         raise InputError(
-            f"chain step at level {k} must hold each of the SVF's {len(cells)} non-empty "
-            f"cells once as a part of a piece, not the cells {held}"
+            f"chain step at level {k} must list a winner for each of the SVF's "
+            f"{len(svf.cells)} cells, not {got}"
         )
-    winner, order = [-1] * len(svf.cells), []
-    for i, (q, r) in enumerate(pieces):
-        digits = mesh_digits(k, r) if len(r) == svf.beta else None
-        if digits is None and q.parts:
+    top = (2 ** (k + 1) + 1) ** svf.beta
+    for ci, ((cell, _), w) in enumerate(zip(svf.cells, winner)):
+        if type(w) is not int or not (w == -1 if cell.is_empty else 0 <= w < top):
+            want = "-1, the cell being empty" if cell.is_empty else f"an index below {top}"
             raise InputError(
-                f"chain step at level {k} gives piece {i} the value {_fmt(r)} on cell "
-                f"{cells[q.parts[0]]}, which is not a level-{k} mesh node in [0, 1]**{svf.beta}"
+                f"chain step at level {k} gives cell {ci} the winner {w!r}, not {want}"
             )
-        w = mesh_index(k, digits) if q.parts else -1
-        for p in q.parts:
-            winner[cells[p]] = w
-        order.append(w)
-    if -1 in order or order != sorted(set(order)):
-        raise InputError(
-            f"chain step at level {k} must list pieces that hold cells, with distinct values "
-            f"in mesh-index order, as extraction writes them, not the mesh indices {order}"
-        )
     return tuple(winner)
 
 
@@ -811,7 +788,7 @@ def _check_cells(svf: CellwiseSVF, f1: tuple[Fraction, ...], steps: Sequence[Ste
     one level down; the error names the value's piece, its rank in mesh-index order."""
     prev = [f1] * len(svf.cells)
     for step in steps:
-        k, values = step.level, step.keyed_values()
+        k, values = step.level, step.keyed_values
         piece = {w: i for i, w in enumerate(values)}
         for ci, w in enumerate(step.winner):
             if w >= 0 and not admissible(values[w], prev[ci], svf.normalized_values(ci), k):

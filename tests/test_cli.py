@@ -124,7 +124,7 @@ def test_solve_di_artifacts_are_pinned(tmp_path):
 # sha256 of the exact-engine artifacts of `extract assets/desk_svf.json --n 4`
 # and of `eval.json` at points of that chain; a change to these bytes must be named
 DESK_EXTRACT_DIGESTS = {
-    "chain.json": "dc99af559c89f85bbb4d121471f7bf707521572135843ee5da769510cc2eb7b2",
+    "chain.json": "e9c67fb18db1dff4b58b69d0645fdd62fc7c796e77b830522d1e752b6d899887",
     "selector_section.csv": "211b5370220eae452ac314f3bacc21e950176d3fcd9f9188bc2f078268ccb35c",
 }
 DESK_EVAL_DIGESTS = {
@@ -404,14 +404,46 @@ def test_bad_robot_input_is_input_error(tmp_path, args):
     assert "Traceback" not in r.stderr
 
 
-def _desk_chain_with(edit, n=2) -> dict:
+def _desk_chain_with(edit, n=2, empty_cell=False) -> dict:
+    """The desk chain.json at level n, edited; with `empty_cell`, of the desk
+    SVF with an empty cell inserted second."""
     from selectorkit.selector import chain_to_json, extract
     from selectorkit.svf import cellwise_svf_from_json
 
-    svf = cellwise_svf_from_json(json.loads((ASSETS / "desk_svf.json").read_text()))
-    chain = chain_to_json(extract(svf, n))
+    svf = json.loads((ASSETS / "desk_svf.json").read_text())
+    if empty_cell:
+        svf["cells"].insert(1, {"cell": {"kind": "empty"}, "values": svf["cells"][0]["values"]})
+    chain = chain_to_json(extract(cellwise_svf_from_json(svf), n))
     edit(chain)
     return chain
+
+
+def _as_parent_format(chain: dict) -> None:
+    """Each step's winners rewritten as the pieces that chain.json held before
+    it held winners: the cells grouped by value, in mesh-index order."""
+    from selectorkit.rational import rational_to_json
+    from selectorkit.selector import chain_from_json
+    from selectorkit.setalg import gbs_to_json
+
+    for out, step in zip(chain["steps"], chain_from_json(chain).steps):
+        out["pieces"] = [
+            {"set": gbs_to_json(q), "value": [rational_to_json(c) for c in r]}
+            for q, r in step.pieces
+        ]
+        del out["winner"]
+
+
+def test_parent_format_desk_chain_is_rebuilt_byte_for_byte():
+    """`_as_parent_format` of the desk chain at n = 4 is the chain.json that
+    `extract --n 4` wrote before steps were written as winners."""
+    import hashlib
+
+    from selectorkit.cli import _json_bytes
+
+    text = _json_bytes(_desk_chain_with(_as_parent_format, n=4))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "dc99af559c89f85bbb4d121471f7bf707521572135843ee5da769510cc2eb7b2"
+    )
 
 
 def test_eval_refuses_sampled_chain(tmp_path):
@@ -445,6 +477,23 @@ CONTRADICTED_CERTIFICATE_FIELDS = [
     ("n_pieces", 99),
     ("dom_measure", {"num": 1, "exp2": 1}),
     ("witness_budget", {"num": 1, "exp2": 4}),
+]
+
+
+def _set_level2_winner(i, w):
+    return lambda c: c["steps"][0]["winner"].__setitem__(i, w)
+
+
+# edits of the level-2 winners of the desk chain with an empty cell second,
+# [1, -1, 1], to lists that extraction never writes
+BAD_WINNERS = [
+    ("short", lambda c: c["steps"][0]["winner"].pop()),
+    ("not-list", lambda c: c["steps"][0].update(winner=1)),
+    ("bool", _set_level2_winner(0, True)),
+    ("float", _set_level2_winner(0, 1.0)),
+    ("past-mesh", _set_level2_winner(0, 9)),
+    ("undefined-on-cell", _set_level2_winner(2, -1)),
+    ("on-empty-cell", _set_level2_winner(1, 1)),
 ]
 
 
@@ -513,28 +562,16 @@ BAD_PROBLEMS = [
             )
             for field, value in CONTRADICTED_CERTIFICATE_FIELDS
         ],
-        # the level-4 value 7/32 moved to 31/32, 0.72 from F(0.3)
+        # the level-4 value 7/32 of both cells moved to 31/32, 0.72 from F(0.3)
         (
             ["eval", "--at", "0.3"],
-            lambda: _desk_chain_with(
-                lambda c: c["steps"][2]["pieces"][0].update(value=[{"num": 31, "exp2": 5}]),
-                n=4,
-            ),
+            lambda: _desk_chain_with(lambda c: c["steps"][2].update(winner=[31, 31]), n=4),
         ),
-        # the level-4 value 7/32 split over two pieces, one per cell
-        (
-            ["eval", "--at", "0.3"],
-            lambda: _desk_chain_with(
-                lambda c: c["steps"][2].update(
-                    n_pieces=2,
-                    pieces=[
-                        {"set": {"dim": 1, "parts": [part]}, "value": c["steps"][2]["pieces"][0]["value"]}
-                        for part in c["steps"][2]["pieces"][0]["set"]["parts"]
-                    ],
-                ),
-                n=4,
-            ),
-        ),
+        *[
+            (["eval", "--at", "0.3"], lambda edit=edit: _desk_chain_with(edit, empty_cell=True))
+            for _, edit in BAD_WINNERS
+        ],
+        (["eval", "--at", "0.3"], lambda: _desk_chain_with(_as_parent_format, n=4)),
         (["solve-di"], lambda: {"svf_file": "absent_svf.json", "x0": [0.5]}),
         (["solve-di"], lambda: {"field": "linear_tube", "x0": "abc"}),
         *[(["solve-di"], lambda problem=problem: problem) for _, problem in BAD_PROBLEMS],
@@ -549,7 +586,8 @@ BAD_PROBLEMS = [
         "chain-no-level", "chain-n-not-int", "chain-svf-not-object",
         "chain-no-steps", "chain-level-beyond-n",
         *[f"chain-contradicted-{field}" for field, _ in CONTRADICTED_CERTIFICATE_FIELDS],
-        "chain-moved-value", "chain-value-split",
+        "chain-moved-value", *[f"chain-winner-{name}" for name, _ in BAD_WINNERS],
+        "chain-parent-format",
         "problem-svf-file-missing",
         "problem-x0-not-number", *[f"problem-{name}" for name, _ in BAD_PROBLEMS],
         "sets-not-object", "svf-not-object",

@@ -653,7 +653,7 @@ def test_eval_rejects_nonpositive_witness_budget():
 def test_final_values_equal_per_value_denormalize(make_chain):
     chain = make_chain()
     denormalize = chain.svf.range_map.denormalize
-    want = {k: denormalize(r) for k, r in chain.steps[-1].keyed_values().items()}
+    want = {k: denormalize(r) for k, r in chain.steps[-1].keyed_values.items()}
     assert len(want) > 1 and chain.final_values == want
 
 
@@ -1012,6 +1012,34 @@ def test_chain_json_roundtrip_eval():
         assert eval_selector(back, x) == eval_selector(chain, x)
 
 
+# the keys of a step in chain.json, for both engines
+STEP_KEYS = {f.name for f in dataclasses.fields(selector.StepCertificate)} | {"winner"}
+
+
+@given(pair=cellwise_svf_pairs())
+@settings(max_examples=40, deadline=None)
+def test_exact_chain_json_round_trips_hypothesis(pair):
+    """chain.json reads back to the same chain and dumps to the same bytes;
+    each step writes its certificate and one winner per cell, -1 on the
+    empty cell.  The SVF is compared by its bytes: its empty cell reads
+    back as `BasicSet.empty`, a box that compares unequal to the drawn one."""
+    from selectorkit.cli import _json_bytes
+
+    f = pair[0]
+    try:
+        chain = extract(f, 4)
+    except CoverageError:
+        assume(False)
+    text = _json_bytes(chain_to_json(chain))
+    back = chain_from_json(json.loads(text))
+    assert dataclasses.replace(back, svf=chain.svf) == chain
+    assert _json_bytes(chain_to_json(back)) == text
+    empty = [i for i, (cell, _) in enumerate(f.cells) if cell.is_empty]
+    for s in json.loads(text)["steps"]:
+        assert set(s) == STEP_KEYS
+        assert len(s["winner"]) == len(f.cells) and [s["winner"][i] for i in empty] == [-1]
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -1092,7 +1120,7 @@ def test_grid_chain_json_writes_each_step_as_its_winners(make, has_undefined):
     assert (grid, beta) == (chain.svf.grid, chain.beta)
     assert len(obj["steps"]) == len(chain.steps)
     for s, step in zip(obj["steps"], chain.steps):
-        assert "pieces" not in s
+        assert set(s) == STEP_KEYS
         assert len(s["winner"]) == grid.n_cells
         assert (-1 in s["winner"]) == has_undefined
         rebuilt = Step(s["level"], tuple(s["winner"]), step.certificate, chain.svf)
@@ -1175,37 +1203,26 @@ def test_chain_from_json_refuses_sampled_chain():
         chain_from_json(obj)
 
 
-def _piece(obj, level, i):
-    return obj["steps"][level - 2]["pieces"][i]
-
-
-def _split_desk_level3(obj):
-    step = obj["steps"][1]
-    cell1 = step["pieces"][0]["set"]["parts"].pop()
-    value = [{"num": 11, "exp2": 4}]
-    step["pieces"].append({"set": {"dim": 1, "parts": [cell1]}, "value": value})
-    step["n_pieces"] = 2
-
-
 @pytest.mark.parametrize(
     "edit, match",
     [
+        # the level-4 value 7/32 of both cells moved to 31/32, 0.72 from F(0.3)
         (
-            lambda c: _piece(c, 4, 0).update(value=[{"num": 31, "exp2": 5}]),
+            lambda c: c["steps"][2].update(winner=[31, 31]),
             r"level 4 gives piece 0 the value \(31/32\) on cell 0, which is not a level-4 "
             r"mesh node within 2\*\*-4 of the cell's values and 2\*\*-3 of its level-3 "
             r"value \(3/16\)",
         ),
-        # within 2**-4 of 1/4 and 2**-3 of 3/16, but between two mesh nodes
+        # one past the last of the level-4 mesh's 33 nodes
         (
-            lambda c: _piece(c, 4, 0).update(value=[{"num": 15, "exp2": 6}]),
-            r"level 4 gives piece 0 the value \(15/64\) on cell 0",
+            lambda c: c["steps"][2].update(winner=[33, 33]),
+            r"level 4 gives cell 0 the winner 33, not an index below 33",
         ),
-        # cell 1 alone at 11/16: within 2**-3 of its value 3/4, but 9/16 from
-        # its level-2 value 1/8
+        # the level-3 value 3/16 of both cells moved to 11/16, 9/16 from
+        # their level-2 value 1/8
         (
-            _split_desk_level3,
-            r"level 3 gives piece 1 the value \(11/16\) on cell 1, .* level-2 value \(1/8\)",
+            lambda c: c["steps"][1].update(winner=[11, 11]),
+            r"level 3 gives piece 0 the value \(11/16\) on cell 0, .* level-2 value \(1/8\)",
         ),
         (
             lambda c: c.update(f1=[{"num": 1, "exp2": 3}]),
@@ -1221,59 +1238,45 @@ def test_chain_from_json_redecides_each_value_on_each_cell(edit, match):
         chain_from_json(obj)
 
 
+def _with_empty_cell(f):
+    """f with an empty cell inserted second, with the values of f's first."""
+    empty = BasicSet.box([F_(1, 4)], [F_(1, 4)], [False], [False])
+    cells = [f.cells[0], (empty, f.cells[0][1]), *f.cells[1:]]
+    return build_cellwise_svf(f.domain_box, cells, f.range_map)
+
+
+def _set_winner(level, i, w):
+    return lambda c: c["steps"][level - 2]["winner"].__setitem__(i, w)
+
+
 @pytest.mark.parametrize(
     "edit, match",
     [
         (
-            lambda c: _piece(c, 3, 0)["set"]["parts"][0].update(hi=[{"num": 1, "exp2": 3}]),
-            r"level 3 must hold each of the SVF's 3 non-empty cells once as a part of a "
-            r"piece, not the cells \[None, 2, 1\]",
+            lambda c: c["steps"][1]["winner"].pop(),
+            r"level 3 must list a winner for each of the SVF's 4 cells, not 3",
         ),
         (
-            lambda c: _piece(c, 3, 1)["set"]["parts"].append(_piece(c, 3, 0)["set"]["parts"][0]),
-            r"level 3 must .* not the cells \[0, 2, 1, 0\]",
+            lambda c: c["steps"][1].update(winner={"0": 1}),
+            r"level 3 must list a winner for each of the SVF's 4 cells, not the dict \{'0': 1\}",
         ),
-        (lambda c: _piece(c, 3, 0)["set"]["parts"].pop(), r"level 3 must .* not the cells \[0, 1\]"),
+        (_set_winner(3, 0, True), r"level 3 gives cell 0 the winner True, not an index below 17"),
+        (_set_winner(3, 2, 3.0), r"level 3 gives cell 2 the winner 3.0, not an index below 17"),
+        (_set_winner(3, 3, 17), r"level 3 gives cell 3 the winner 17, not an index below 17"),
+        (_set_winner(4, 0, -1), r"level 4 gives cell 0 the winner -1, not an index below 33"),
+        (_set_winner(2, 1, 0), r"level 2 gives cell 1 the winner 0, not -1, the cell being empty"),
+        (lambda c: c["steps"][2].pop("winner"), r"chain is missing the field 'winner'"),
     ],
-    ids=["part-not-a-cell", "cell-in-two-pieces", "cell-missing"],
+    ids=[
+        "cell-missing", "not-a-list", "bool", "float", "past-mesh",
+        "undefined-on-cell", "value-on-empty-cell", "no-winner",
+    ],
 )
 def test_chain_from_json_refuses_step_not_aligned_with_cells(edit, match):
-    obj = json.loads(json.dumps(chain_to_json(extract(three_cell_svf(), 4))))
-    edit(obj)
-    with pytest.raises(InputError, match=match):
-        chain_from_json(obj)
-
-
-def _reverse_level2(obj):
-    obj["steps"][0]["pieces"].reverse()
-
-
-def _split_level4(obj):
-    """The level-4 value 3/32 of cells 0 and 2 as two pieces, one per cell."""
-    step = obj["steps"][2]
-    first = step["pieces"][0]
-    cell2 = first["set"]["parts"].pop()
-    step["pieces"].insert(1, {"set": {"dim": 1, "parts": [cell2]}, "value": first["value"]})
-    step["n_pieces"] = 3
-
-
-@pytest.mark.parametrize(
-    "edit, match",
-    [
-        (
-            _reverse_level2,
-            r"level 2 must list pieces that hold cells, with distinct values in mesh-index "
-            r"order, as extraction writes them, not the mesh indices \[2, 0\]",
-        ),
-        (_split_level4, r"level 4 must list .* not the mesh indices \[3, 3, 11\]"),
-    ],
-    ids=["pieces-reversed", "value-split"],
-)
-def test_chain_from_json_refuses_step_not_in_canonical_form(edit, match):
-    """A step stored per cell has one piece per value, in mesh-index order;
-    a chain.json with pieces reordered or a value split has no such form."""
-    obj = json.loads(json.dumps(chain_to_json(extract(three_cell_svf(), 4))))
-    chain_from_json(json.loads(json.dumps(obj)))
+    """A step holds one mesh index per cell of the SVF, an int on the level's
+    mesh on each non-empty cell and -1 on each empty one."""
+    obj = json.loads(json.dumps(chain_to_json(extract(_with_empty_cell(three_cell_svf()), 4))))
+    assert obj["steps"][0]["winner"][1] == -1
     edit(obj)
     with pytest.raises(InputError, match=match):
         chain_from_json(obj)
