@@ -695,6 +695,70 @@ def robot_subgradients(x, theta_grid: int):
     return v_best, minimizers, gradients(minimizers)
 
 
+def simulate_reference(config, chain=None):
+    """`robot.simulate` as a numpy-array loop, as first written.
+
+    The state is a 3-array stepped by `x + dt * array(...)` and the
+    analytic controller takes the batched `_gradients` kernel at
+    theta* = atan2(x2, x1) (theta = 0 near the x3 axis) on one row.
+    """
+    import numpy as np
+
+    from selectorkit.robot import (
+        DENOM_FLOOR,
+        WORKING_HALFWIDTH,
+        SimResult,
+        _gradients,
+        clf_values,
+        control_law,
+        disk_feedback,
+    )
+    from selectorkit.selector import eval_selector
+
+    def analytic(x):
+        x1, x2 = float(x[0]), float(x[1])
+        theta = float(np.arctan2(x2, x1)) if x1 * x1 + x2 * x2 > DENOM_FLOOR**2 else 0.0
+        g = _gradients(x.reshape(1, 3), np.zeros(1, dtype=np.intp), np.array([theta]))[1]
+        return g[0] if len(g) else np.zeros(3)
+
+    n_steps = round(config.T / config.dt_control)
+    substeps = round(config.dt_control / config.dt_internal)
+    x = np.array(config.x0, dtype=float)
+    times, states, controls = [0.0], [x.copy()], []
+    u, witness_hits, truncated = (0.0, 0.0), 0, False
+    for k in range(n_steps):
+        if config.controller == "analytic":
+            u = disk_feedback(control_law(analytic(x), x))
+        else:
+            res = eval_selector(chain, [float(c) for c in x])
+            if res.defined:
+                u = disk_feedback(control_law(res.as_floats(), x))
+            else:
+                witness_hits += 1
+        controls.append(u)
+        for _ in range(substeps):
+            x1, x2, _ = x
+            x = x + config.dt_internal * np.array([u[0], u[1], -x2 * u[0] + x1 * u[1]])
+        times.append((k + 1) * config.dt_control)
+        states.append(x.copy())
+        if np.abs(x).max() > WORKING_HALFWIDTH:
+            truncated = True
+            break
+    controls.append(u)
+    arr_u = np.array(controls)
+    states = np.array(states)
+    return SimResult(
+        times=np.array(times),
+        states=states,
+        controls=arr_u,
+        clf=clf_values(states),
+        control_variation=float(np.abs(np.diff(arr_u, axis=0)).sum()),
+        witness_hits=witness_hits,
+        truncated=truncated,
+        config=config,
+    )
+
+
 # ---------------------------------------------------------------------------
 # grid geometry and overlap checks, as first written
 

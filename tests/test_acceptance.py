@@ -374,6 +374,21 @@ def test_criterion_robot_sim_selector(robot_chain):
         )
 
 
+# sha256 of `sim_csv` for the selector controller on the robot_chain fixture
+# at T = 10 from (1, 1, 1); a change to these bytes must be named
+ROBOT_SIM_SELECTOR_CSV = "75674278cdfef7a00db431cf96bb7460b02b02afec5249a1a6964edbf61d47f7"
+
+
+def test_robot_sim_selector_csv_is_pinned(robot_chain):
+    import hashlib
+
+    from selectorkit.robot import sim_csv
+
+    _, chain = robot_chain
+    text = sim_csv(simulate(SimConfig(controller="selector", T=10.0), chain=chain))
+    assert hashlib.sha256(text.encode()).hexdigest() == ROBOT_SIM_SELECTOR_CSV
+
+
 def test_robot_sim_control_variation_reported(robot_chain):
     # comparison reported, not asserted
     _, chain = robot_chain

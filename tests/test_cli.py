@@ -210,6 +210,26 @@ def test_robot_sim_analytic(tmp_path):
     assert (tmp_path / "s" / "sim.csv").read_text().startswith("t,x1,x2,x3,u1,u2,V")
 
 
+# sha256 of the artifacts of `robot sim --controller analytic` at the CLI
+# defaults (x0 = 1,1,1, T = 10, dt = 0.01); a change to these bytes must be named
+ROBOT_SIM_ANALYTIC_DIGESTS = {
+    "sim.csv": "4dddefd2abc8122d95fd00f3e97e913fb04ffad85b725e5c201ccc6411fc0512",
+    "sim_metadata.json": "4270b2ffa0c8853ddea59eea79003f457e19d8421321e273a10df1b9001378ce",
+}
+
+
+def test_robot_sim_analytic_artifacts_are_pinned(tmp_path):
+    import hashlib
+
+    r = run_cli(["--out", "s", "robot", "sim", "--controller", "analytic"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    got = {
+        name: hashlib.sha256((tmp_path / "s" / name).read_bytes()).hexdigest()
+        for name in ROBOT_SIM_ANALYTIC_DIGESTS
+    }
+    assert got == ROBOT_SIM_ANALYTIC_DIGESTS
+
+
 def test_malformed_json_is_input_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import robot_subgradients
+from oracles import robot_subgradients, simulate_reference
 from selectorkit.errors import InputError, PrecisionError
 from selectorkit.robot import (
     THETA_GRID,
@@ -452,6 +452,40 @@ def test_simulate_selector_requires_chain():
 def test_sim_internal_step_must_divide():
     with pytest.raises(InputError):
         SimConfig(dt_internal=0.003)
+
+
+# seeded starts for the closed loop: on the plane x3 = 0, on the x3 axis,
+# at the origin, one outside the working box (truncates after one step)
+SIM_STARTS = [
+    *map(tuple, np.random.default_rng(31).uniform(-1.5, 1.5, (4, 3)).tolist()),
+    (0.7, -0.4, 0.0),
+    (0.0, 0.0, 0.8),
+    (0.0, 0.0, -0.3),
+    (0.0, 0.0, 0.0),
+    (0.5, -0.5, 2.2),
+]
+
+
+def _same_result(got, want):
+    for name in ("times", "states", "controls", "clf"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    assert got.control_variation.hex() == want.control_variation.hex()
+    assert (got.witness_hits, got.truncated, got.config) == (
+        want.witness_hits, want.truncated, want.config,
+    )
+
+
+def test_simulate_matches_array_loop_bit_for_bit():
+    chain = extract(small_svf(), 4)
+    truncated = 0
+    for x0 in SIM_STARTS:
+        for controller in ("analytic", "selector"):
+            cfg = SimConfig(controller=controller, x0=x0, T=1.0)
+            res = simulate(cfg, chain)
+            _same_result(res, simulate_reference(cfg, chain))
+            truncated += res.truncated
+    assert truncated == 2  # the start outside the box, under both controllers
 
 
 def test_sim_csv_and_plot_script():
