@@ -207,14 +207,25 @@ class SelectorChain:
     def final_values(self) -> dict[int, tuple[Fraction, ...]]:
         """The final step's values denormalized to the range, all computed at once.
 
-        Each axis's low end and width are taken once for every value;
-        the result equals `range_map.denormalize` of each value.
+        A level-k mesh node's coordinate is d / 2**(k+1) for its digit d, so
+        its denormalized value l + d * w / 2**(k+1) on an axis with low end l
+        and width w is (a + d * b) / s for ints a, b and s fixed per axis.
+        Each coordinate is one `Fraction` of those ints; the result equals
+        `range_map.denormalize` of each winner's `mesh_value`.
         """
+        step = self.steps[-1]
+        top = 2 ** (step.level + 1)
         rmap = self.svf.range_map
-        axes = tuple(zip(rmap.lo, rmap.widths()))
+        axes = []
+        for l, w in zip(rmap.lo, rmap.widths()):
+            m = math.lcm(l.denominator, w.denominator)
+            a, b = l.numerator * (m // l.denominator), w.numerator * (m // w.denominator)
+            axes.append((a * top, b, m * top))
+        shape = mesh_shape(step.level, self.beta)
         return {
-            key: tuple(l + c * w for c, (l, w) in zip(r, axes))
-            for key, r in self.steps[-1].keyed_values.items()
+            key: tuple(Fraction(a + d * b, s) for d, (a, b, s) in zip(unravel(key, shape), axes))
+            for key in sorted(set(step.winner))
+            if key >= 0
         }
 
 

@@ -29,7 +29,7 @@ from selectorkit.domain import (
 from selectorkit.inclusion import filippov_iterate, linear_tube_problem
 from selectorkit.robot import (
     SimConfig,
-    _gradients_at,
+    _gradients,
     export_svf,
     simulate,
 )
@@ -423,7 +423,7 @@ def test_criterion_gradient_check():
             d = x[0] * math.cos(t) + x[1] * math.sin(t) + math.sqrt(abs(x[2]))
             if abs(d) < 0.05 or abs(x[2]) < 0.05:
                 continue
-            g = _gradients_at(x, np.array([t]))[0]
+            g = _gradients(x.reshape(1, 3), np.zeros(1, dtype=np.intp), np.array([t]))[1][0]
             h = 1e-6
             fd = np.array(
                 [(f(x + h * e, t) - f(x - h * e, t)) / (2 * h) for e in np.eye(3)]

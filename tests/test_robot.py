@@ -3,14 +3,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import robot_subgradients, simulate_reference
 from selectorkit.errors import InputError, PrecisionError
 from selectorkit.robot import (
+    DENOM_FLOOR,
     THETA_GRID,
     SimConfig,
+    _gradients,
     analytic_subgradient,
     clf_value,
     clf_values,
@@ -145,8 +147,6 @@ def test_disassembled_origin():
 
 
 def test_gradient_vs_central_differences():
-    from selectorkit.robot import _gradients_at
-
     rng = np.random.default_rng(0)
 
     def f(x, t):
@@ -164,7 +164,7 @@ def test_gradient_vs_central_differences():
         d = x[0] * math.cos(t) + x[1] * math.sin(t) + math.sqrt(abs(x[2]))
         if abs(d) < 0.05 or abs(x[2]) < 0.05:
             continue
-        g = _gradients_at(x, np.array([t]))[0]
+        g = _gradients(x.reshape(1, 3), np.zeros(1, dtype=np.intp), np.array([t]))[1][0]
         h = 1e-6
         fd = np.array(
             [(f(x + h * e, t) - f(x - h * e, t)) / (2 * h) for e in np.eye(3)]
@@ -192,6 +192,38 @@ def test_envelope_consistency():
         ds = disassembled_subgradients(x)
         d = np.linalg.norm(ds - za, axis=1).min()
         assert d < 0.2 * (1 + np.linalg.norm(za))
+
+
+# coordinates on the scale of DENOM_FLOOR put the branch denominator
+# d = x1 cos t + x2 sin t + sqrt|x3| near the floor, on either side of it
+planar = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-2.5, 2.5),
+    st.floats(-2, 2).map(lambda s: s * DENOM_FLOOR),
+)
+axial = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-2.5, 2.5),
+    st.floats(-4, 4).map(lambda s: s * DENOM_FLOOR**2),
+)
+
+
+@given(st.tuples(planar, planar, axial))
+@example((0.0, 0.0, 0.0))
+@example((0.5, -0.3, 0.0))  # x3 = 0
+@example((0.0, 0.0, -0.8))  # the x3 axis, theta = 0
+@example((3e-7, 4e-7, 1e-12))  # theta*, d = 1.5e-6 just above the floor
+@example((-1e-7, 0.0, 1e-14))  # theta = 0, d = 0
+@example((-6e-7, 0.0, 1e-12))  # theta = 0, d = 4e-7 below the floor
+@example((-DENOM_FLOOR, 0.0, 1e-300))  # theta = 0, |d| equal to the floor
+@settings(max_examples=400, deadline=None)
+def test_analytic_subgradient_is_the_kernel_at_theta_star(x):
+    x1, x2, _ = x
+    theta = float(np.arctan2(x2, x1)) if x1 * x1 + x2 * x2 > DENOM_FLOOR**2 else 0.0
+    _, g = _gradients(np.array([x]), np.zeros(1, dtype=np.intp), np.array([theta]))
+    want = g[0].tolist() if len(g) else [0.0, 0.0, 0.0]
+    got = analytic_subgradient(x)
+    assert [c.hex() for c in got] == [c.hex() for c in want]
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +479,15 @@ def test_simulate_selector_smoke():
 def test_simulate_selector_requires_chain():
     with pytest.raises(InputError):
         simulate(SimConfig(controller="selector"))
+
+
+@pytest.mark.parametrize(
+    "x0, name",
+    [((1.0, 1.0, float("nan")), "x3"), ((float("-inf"), 0.0, 0.0), "x1")],
+)
+def test_sim_config_refuses_non_finite_start(x0, name):
+    with pytest.raises(InputError, match=f"x0's coordinate {name} must be finite"):
+        SimConfig(x0=x0, T=0.05)
 
 
 def test_sim_internal_step_must_divide():

@@ -647,14 +647,20 @@ def test_eval_rejects_nonpositive_witness_budget():
         lambda: extract(offmesh_beta2_svf(), 4),
         lambda: extract(beta3_svf(), 3),
         lambda: extract(export_svf(2, F_(4, 9)), 4),
+        lambda: extract(desk_sampled(16), 4),
+        lambda: extract(masked_square_sampled(), 4),
     ],
-    ids=["exact-beta2", "exact-beta3", "robot-grid"],
+    ids=["exact-beta2", "exact-beta3", "robot-grid", "desk-grid", "masked-2d-grid"],
 )
 def test_final_values_equal_per_value_denormalize(make_chain):
     chain = make_chain()
-    denormalize = chain.svf.range_map.denormalize
-    want = {k: denormalize(r) for k, r in chain.steps[-1].keyed_values.items()}
-    assert len(want) > 1 and chain.final_values == want
+    step, denormalize = chain.steps[-1], chain.svf.range_map.denormalize
+    want = {
+        w: denormalize(mesh_value(step.level, w, chain.beta))
+        for w in sorted(set(step.winner))
+        if w >= 0
+    }
+    assert want and chain.final_values == want  # the desk grid chain has one value
 
 
 @pytest.mark.parametrize(
