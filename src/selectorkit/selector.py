@@ -11,12 +11,12 @@ so both engines enumerate the same lattice ball around it
 (`_ball_offsets`) in lexicographic order, which keeps the tie-break,
 and differ only in the distance test.  The exact engine handles
 cellwise SVFs, which it never splits, and decides both tests exactly on
-one integer scale per cell and level (`_CellScale`): the previous value
-and the ends of the cell's value-set parts are encoded as ints once,
-and each candidate is its digit vector.  The grid engine handles sampled
-SVFs on their cell grid, vectorized in float64, with declared slack
-tau folded into every certificate (acceptance threshold
-2**-k + 2*tau, certified error 2**-k + 3*tau).
+one integer scale per cell and level (`_CellScale`): the previous value,
+the previous winner's mesh digits, and the ends of the cell's value-set
+parts are encoded as ints once, and each candidate is its digit vector.
+The grid engine handles sampled SVFs on their cell grid, vectorized in
+float64, with declared slack tau folded into every certificate
+(acceptance threshold 2**-k + 2*tau, certified error 2**-k + 3*tau).
 
 The initial approximant is the real-space zero vector expressed in
 normalized coordinates.  Its feasibility at the first constructed
@@ -26,7 +26,9 @@ uncovered region.
 
 Both engines give a step one form, `Step`: a winning mesh index per
 cell of the SVF, -1 where undefined.  The SVF places points among its
-cells and its one witness M(eps) for every step (`locate`).
+cells and its one witness M(eps) for every step (`locate`).  Every
+reader of a step decodes its winners to mesh digits; `Fraction` nodes
+are built only where a value leaves the package.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from .svf import (
     SampledSVF,
     cellwise_svf_from_json,
     cellwise_svf_to_json,
+    ravel,
     unravel,
 )
 
@@ -78,28 +81,15 @@ def mesh_shape(level: int, beta: int) -> tuple[int, ...]:
 
 
 def mesh_value(level: int, flat: int, beta: int) -> tuple[Fraction, ...]:
-    """The level's mesh node with row-major flat index `flat`."""
-    pitch = mesh_pitch(level)
-    return tuple(pitch * d for d in unravel(flat, mesh_shape(level, beta)))
+    """The level's mesh node with row-major flat index `flat`: its digits
+    over 2**(level+1)."""
+    top = 2 ** (level + 1)
+    return tuple(Fraction(d, top) for d in unravel(flat, mesh_shape(level, beta)))
 
 
-def mesh_index(level: int, digits: Sequence[int]) -> int:
-    """The row-major flat index of the level's mesh node digits / 2**(level+1)."""
-    n, flat = 2 ** (level + 1) + 1, 0
-    for d in digits:
-        flat = flat * n + d
-    return flat
-
-
-def mesh_digits(level: int, r: Sequence[Fraction]) -> list[int] | None:
-    """The digits of r on the level's mesh, or None when r is no node in [0, 1]**len(r)."""
-    top, digits = 2 ** (level + 1), []
-    for c in r:
-        num, den = c.as_integer_ratio()
-        if top % den or not 0 <= num <= den:
-            return None
-        digits.append(num * (top // den))
-    return digits
+def _piece_rank(winner: Sequence[int], w: int) -> int:
+    """The rank of winner w among a step's distinct winners, in mesh-index order."""
+    return len({v for v in winner if 0 <= v < w})
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +135,8 @@ class Step:
 
     def value_at(self, x) -> tuple[Fraction, ...] | None:
         i = self.svf.cell_index_at(x)
-        return None if i is None else self.keyed_values.get(self.winner[i])
+        w = -1 if i is None else self.winner[i]
+        return None if w < 0 else mesh_value(self.level, w, self.svf.beta)
 
     def answer(self, x: Point, eps: Fraction) -> tuple[str | None, int | None]:
         """(reason, None) where f_k is undefined at x, else (None, mesh index).
@@ -159,21 +150,17 @@ class Step:
         w = self.winner[i]
         return (OUTSIDE_DOMAIN, None) if w < 0 else (None, w)
 
-    @cached_property
-    def keyed_values(self) -> dict[int, tuple[Fraction, ...]]:
-        """Each winning mesh node under its index (`answer`'s key), in index order,
-        built once per step."""
-        beta = self.svf.beta
-        return {w: mesh_value(self.level, w, beta) for w in sorted(set(self.winner)) if w >= 0}
-
     @property
     def pieces(self) -> tuple[tuple[GeneralizedBasicSet, tuple[Fraction, ...]], ...]:
         """A cellwise step as pieces: its cells grouped by winner, in mesh-index
         order, each piece's cells in SVF order, with their mesh node."""
         cells = [(cell, w) for (cell, _), w in zip(self.svf.cells, self.winner)]
         return tuple(
-            (GeneralizedBasicSet(self.svf.alpha, tuple(c for c, v in cells if v == w)), r)
-            for w, r in self.keyed_values.items()
+            (
+                GeneralizedBasicSet(self.svf.alpha, tuple(c for c, v in cells if v == w)),
+                mesh_value(self.level, w, self.svf.beta),
+            )
+            for w in sorted(set(self.winner) - {-1})
         )
 
 
@@ -281,20 +268,20 @@ def _f1_value(F: RepresentableSVF) -> tuple[Fraction, ...]:
 
 
 def _ball_offsets(beta: int) -> list[tuple[int, ...]]:
-    """Mesh-digit offsets that can hold an admissible value, lexicographic.
+    """Mesh-digit offsets that can hold an admitted value, lexicographic.
 
-    An admissible value at level k lies within gap 2**-(k-1), four
+    An admitted value at level k lies within gap 2**-(k-1), four
     pitches, of the previous value, which sits at most half a pitch per
-    axis from its nearest node.  So every admissible node is that node
+    axis from its nearest node.  So every admitted node is that node
     plus an offset o in [-4, 4]**beta with sum max(|o_j| - 1/2, 0)**2
     < 16.  Walking the offsets in lexicographic order around a fixed
-    node follows the row-major mesh order, so the first admissible
+    node follows the row-major mesh order, so the first admitted
     candidate is the lowest mesh index, which is the tie-break.
 
     The nearest node is taken half to even where the previous value sits
     midway between two nodes.  The winner does not depend on that choice:
     the value is half a pitch from either node, so the ball around either
-    one holds every admissible node, and both walks meet the lowest first.
+    one holds every admitted node, and both walks meet the lowest first.
     """
     return [
         o
@@ -320,24 +307,24 @@ def extraction_step(f_prev: Step | None, F: CellwiseSVF, k: int, budget=None) ->
     budget = as_fraction(budget) if budget is not None else Fraction(1, 2 ** (k + 2))
     top = 2 ** (k + 1)  # largest mesh digit
     offsets = _ball_offsets(F.beta)
+    nodes = mesh_shape(k, F.beta)
     if f_prev is None:
-        f1 = _f1_value(F)
+        f1 = [c.as_integer_ratio() for c in _f1_value(F)]
     else:
-        prev_cells, values = f_prev.svf.cells, f_prev.keyed_values
-        piece = {w: i for i, w in enumerate(values)}
+        prev_cells, prev_nodes = f_prev.svf.cells, mesh_shape(k - 1, F.beta)
 
-    # winner per cell: the first ball candidate admissible from its previous value
+    # winner per cell: the first ball candidate admitted from its previous value
     winner = [-1] * len(F.cells)
     for ci, (cell, _) in enumerate(F.cells):
         if cell.is_empty:
             continue
         if f_prev is None:
-            pi, v = 0, f1
+            w, v = -1, f1
         else:
             w = f_prev.winner[ci] if ci < len(prev_cells) and prev_cells[ci][0] == cell else -1
             if w < 0:
                 raise InputError(f"the level-{k - 1} step holds no piece for cell {ci} of the SVF")
-            pi, v = piece[w], values[w]
+            v = [(d, 2**k) for d in unravel(w, prev_nodes)]
         scale = _CellScale(v, F.normalized_values(ci), k)
         base = scale.nearest_node()
         for off in offsets:
@@ -345,36 +332,27 @@ def extraction_step(f_prev: Step | None, F: CellwiseSVF, k: int, budget=None) ->
             if all(0 <= d <= top for d in digits) and scale.admits(digits):
                 break
         else:
+            pi = 0 if f_prev is None else _piece_rank(f_prev.winner, w)
             raise CoverageError(
                 f"no mesh point at level {k} serves cell {ci} from piece {pi}; "
                 "the value set lies outside the previous approximant's reach",
                 region=GeneralizedBasicSet(F.alpha, (cell,)),
             )
-        winner[ci] = mesh_index(k, digits)
+        winner[ci] = ravel(digits, nodes)
 
     n_pieces = len(set(winner) - {-1})
     cert = StepCertificate.at_level(k, 0.0, budget, n_pieces, F.domain_box.measure())
     return Step(k, tuple(winner), cert, F)
 
 
-def admissible(r: Sequence[Fraction], prev: Sequence[Fraction], vals, k: int) -> bool:
-    """Whether r may be f_k's value on a cell with normalized value set `vals`
-    where f_{k-1} is `prev`.
-
-    r must be a level-k mesh node in [0, 1]**beta and lie within
-    2**-(k-1) of prev and within 2**-k of vals, both strictly.  r is
-    turned into its mesh digits and both distances are decided on the
-    cell's integer scale (`_CellScale`), the one the exact engine walks.
-    Any other r, one of another length included, is refused.
-    """
-    digits = mesh_digits(k, r) if len(r) == len(prev) else None
-    return digits is not None and _CellScale(prev, vals, k).admits(digits)
-
-
 class _CellScale:
     """Admissibility at level k on one cell, decided in ints.
 
-    L is the lcm of 2**(k+1), the denominators of the previous value p
+    A level-k value r is admitted from the previous value p when r is
+    within 2**-(k-1) of p and within 2**-k of the cell's normalized value
+    set, both strictly.  p comes as integer ratios (num, den), the
+    previous step's digits over 2**k or f_1's `as_integer_ratio()`.
+    L is the lcm of 2**(k+1), the denominators of p
     and those of the ends of the value set's parts.  p and each part's
     lo and hi are encoded once as ints on L.  A candidate is its digit
     vector d, the mesh node d / 2**(k+1), which sits at d * m on L with
@@ -388,20 +366,19 @@ class _CellScale:
 
     __slots__ = ("step", "prev", "boxes", "gap2", "err2")
 
-    def __init__(self, prev: Sequence[Fraction], vals: GeneralizedBasicSet, k: int):
-        ratios = [c.as_integer_ratio() for c in prev]
+    def __init__(self, prev: Sequence[tuple[int, int]], vals: GeneralizedBasicSet, k: int):
         ends = [
             [(lo.as_integer_ratio(), hi.as_integer_ratio()) for lo, hi in zip(p.lo, p.hi)]
             for p in vals.parts
         ]
-        dens = [d for _, d in ratios] + [d for box in ends for end in box for _, d in end]
+        dens = [d for _, d in prev] + [d for box in ends for end in box for _, d in end]
         scale = math.lcm(2 ** (k + 1), *dens)
 
         def on_scale(ratio: tuple[int, int]) -> int:
             return ratio[0] * (scale // ratio[1])
 
         self.step = scale >> (k + 1)  # m, one mesh pitch on the scale
-        self.prev = [on_scale(c) for c in ratios]
+        self.prev = [on_scale(c) for c in prev]
         self.boxes = [[(on_scale(lo), on_scale(hi)) for lo, hi in box] for box in ends]
         self.gap2 = (scale * scale) >> (2 * (k - 1))
         self.err2 = (scale * scale) >> (2 * k)
@@ -476,7 +453,7 @@ def _grid_step(prev_step: Step | None, F: SampledSVF, k: int, budget) -> Step:
 
     # First-digit slab bound: a candidate with first digit d0 lies at least
     # |d0*pitch - n_0| from net point n, so no d0 with slab2 >= accept2
-    # holds an admissible candidate.  Pruning must keep every candidate
+    # holds an admitted candidate.  Pruning must keep every candidate
     # that the float test below admits.  That test computes d_net2 as
     # |c|^2 + |n|^2 - 2 c.n, with rounding error below
     # (beta + 2) * 2**-53 * (|c| + |n|)^2, under 1e-14 for coordinates in
@@ -487,7 +464,7 @@ def _grid_step(prev_step: Step | None, F: SampledSVF, k: int, budget) -> Step:
     prune2 = accept2 * (1 + _SLAB_GUARD) + rounding2
 
     # walk each cell's kept offsets in lexicographic blocks and retire the
-    # cell at its first hit, which is its lowest-index admissible candidate
+    # cell at its first hit, which is its lowest-index admitted candidate
     active = np.nonzero(prev_ok)[0]
     chunk = max(1, _GRID_TEMP_ELEMS // (_OFFSET_BLOCK * m_max + len(offsets)))
     for lo in range(0, len(active), chunk):
@@ -764,7 +741,7 @@ def chain_from_json(obj: dict) -> SelectorChain:
 def _check_certificate(step: Step, box: BasicSet, n: int, budget) -> None:
     """InputError naming a certificate field that extraction would not write;
     its piece count is the number of the step's distinct winners."""
-    cert, k, n_pieces = step.certificate, step.level, len(step.keyed_values)
+    cert, k, n_pieces = step.certificate, step.level, len(set(step.winner) - {-1})
     want = StepCertificate.at_level(k, 0.0, budget / 2 ** (n - k + 1), n_pieces, box.measure())
     for f in fields(cert):
         got, expected = getattr(cert, f.name), getattr(want, f.name)
@@ -795,21 +772,30 @@ def _winner_from_json(svf: CellwiseSVF, k: int, winner) -> tuple[int, ...]:
 
 
 def _check_cells(svf: CellwiseSVF, f1: tuple[Fraction, ...], steps: Sequence[Step]) -> None:
-    """InputError unless `admissible` accepts each cell's value from its value
-    one level down; the error names the value's piece, its rank in mesh-index order."""
-    prev = [f1] * len(svf.cells)
+    """InputError unless `_CellScale.admits` each cell's winner digits from
+    its value one level down, as integer ratios; the error names the value's
+    piece, its rank in mesh-index order.
+
+    `_winner_from_json` has bounded every index, so the digits lie on the
+    level's mesh, and every non-empty cell holds a winner at every level."""
+    prev = [[c.as_integer_ratio() for c in f1]] * len(svf.cells)
     for step in steps:
-        k, values = step.level, step.keyed_values
-        piece = {w: i for i, w in enumerate(values)}
+        k, nodes, top = step.level, mesh_shape(step.level, svf.beta), 2 ** (step.level + 1)
+        values = [None] * len(svf.cells)
         for ci, w in enumerate(step.winner):
-            if w >= 0 and not admissible(values[w], prev[ci], svf.normalized_values(ci), k):
+            if w < 0:
+                continue
+            digits = unravel(w, nodes)
+            if not _CellScale(prev[ci], svf.normalized_values(ci), k).admits(digits):
                 raise InputError(
-                    f"chain step at level {k} gives piece {piece[w]} the value "
-                    f"{_fmt(values[w])} on cell {ci}, which is not a level-{k} mesh node "
-                    f"within 2**-{k} of the cell's values and 2**-{k - 1} of its "
-                    f"level-{k - 1} value {_fmt(prev[ci])}"
+                    f"chain step at level {k} gives piece {_piece_rank(step.winner, w)} the "
+                    f"value {_fmt(mesh_value(k, w, svf.beta))} on cell {ci}, which is not a "
+                    f"level-{k} mesh node within 2**-{k} of the cell's values and "
+                    f"2**-{k - 1} of its level-{k - 1} value "
+                    f"{_fmt([Fraction(*c) for c in prev[ci]])}"
                 )
-        prev = [values.get(w) for w in step.winner]
+            values[ci] = [(d, top) for d in digits]
+        prev = values
 
 
 def _fmt(r: Sequence[Fraction]) -> str:

@@ -412,7 +412,8 @@ def _check_dims(a, b) -> None:
 
 @dataclass(frozen=True)
 class GeneralizedBasicSet:
-    """Finite union of basic sets; empties are normalized away."""
+    """Finite union of basic sets; `of` drops empty parts, the plain
+    constructor keeps them."""
 
     dim: int
     parts: tuple[BasicSet, ...]
@@ -437,7 +438,9 @@ class GeneralizedBasicSet:
 
     @property
     def is_empty(self) -> bool:
-        return not self.parts
+        """Whether the set has no point: the plain constructor may keep empty
+        parts (a cellwise SVF's cell union holds each cell at its index)."""
+        return all(p.is_empty for p in self.parts)
 
     def measure(self) -> Fraction:
         """Overlap-blind: plain sum of part volumes."""

@@ -212,7 +212,8 @@ def build_cellwise_svf(
 
     Cells must tile the working box disjointly and every value set must
     be inhabited.  Value sets get their closure flags forced shut
-    (representable values are closed sets).
+    (representable values are closed sets).  An empty cell is stored as
+    `BasicSet.empty`, the box its JSON form reads back as.
     """
     dim = domain_box.dim
     closed_cells = []
@@ -222,7 +223,7 @@ def build_cellwise_svf(
         closed_vals = GeneralizedBasicSet.of(
             [p.closure() for p in values.parts], dim=values.dim
         )
-        closed_cells.append((cell, closed_vals))
+        closed_cells.append((BasicSet.empty(dim) if cell.is_empty else cell, closed_vals))
     pair = first_meeting_pair([GeneralizedBasicSet(dim, (c,)) for c, _ in closed_cells])
     if pair is not None:
         raise InputError("cells {} and {} overlap".format(*pair))
@@ -259,6 +260,15 @@ def unravel(flat: int, shape: Sequence[int]) -> tuple[int, ...]:
         flat //= n
     idx.reverse()
     return tuple(idx)
+
+
+def ravel(idx: Sequence[int], shape: Sequence[int]) -> int:
+    """The row-major flat index of `idx` in an array of the given shape,
+    the inverse of `unravel`."""
+    flat = 0
+    for i, n in zip(idx, shape):
+        flat = flat * n + i
+    return flat
 
 
 @dataclass(frozen=True)
@@ -368,10 +378,7 @@ class GridSpec:
         )
 
     def flat(self, idx: tuple[int, ...]) -> int:
-        out = 0
-        for j in range(self.dim):
-            out = out * self.shape[j] + idx[j]
-        return out
+        return ravel(idx, self.shape)
 
     def unflat(self, flat: int) -> tuple[int, ...]:
         return unravel(flat, self.shape)

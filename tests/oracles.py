@@ -366,7 +366,7 @@ def brute_force_selector(F, n):
 
 
 def admissible_reference(r, prev, vals, k):
-    """selector.admissible as first written, in `Fraction`s: r within
+    """The admissibility rule as first written, in `Fraction`s: r within
     2**-(k-1) of prev and within 2**-k of the closure of a part of
     vals, both strictly, and a level-k mesh node in [0, 1]."""
     g2, e2 = Fraction(1, 4 ** (k - 1)), Fraction(1, 4**k)

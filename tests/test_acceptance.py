@@ -304,18 +304,19 @@ def test_criterion_desk_extraction():
 
 @pytest.fixture(scope="module")
 def robot_chain():
+    """The robot SVF, its chain at n = 4, and the seconds the export and
+    the extraction took together."""
+    t0 = time.time()
     svf = export_svf(box_halfwidth=2.0, resolution=F_(4, 33))
     chain = extract(svf, 4)
-    return svf, chain
+    return svf, chain, time.time() - t0
 
 
 def test_criterion_robot_extraction(robot_chain):
     with criterion("Robot selector extraction (eps = 1/16)", 600.0):
-        t0 = time.time()
-        svf = export_svf(box_halfwidth=2.0, resolution=F_(4, 33))
+        svf, chain, elapsed = robot_chain
+        print(f"  export + extract: {elapsed:.1f}s")
         assert svf.tau <= 2.0**-5, "resolution does not admit n = 4"
-        chain = extract(svf, 4)
-        elapsed = time.time() - t0
         assert chain.steps[-1].level == 4
         assert chain.steps[-1].certificate.error_bound == F_(1, 16)
         assert elapsed < 600.0
@@ -357,7 +358,7 @@ def test_criterion_robot_sim_analytic_terminal():
 
 def test_criterion_robot_sim_selector(robot_chain):
     with criterion("Robot sim, selector: V descent and terminal ball", 60.0):
-        _, chain = robot_chain
+        _, chain, _ = robot_chain
         res = simulate(SimConfig(controller="selector"), chain=chain)
         v_ok, terminal_ok, terminal = _check_sim(res)
         print(f"  selector control TV = {res.control_variation:.2f}")
@@ -384,14 +385,14 @@ def test_robot_sim_selector_csv_is_pinned(robot_chain):
 
     from selectorkit.robot import sim_csv
 
-    _, chain = robot_chain
+    _, chain, _ = robot_chain
     text = sim_csv(simulate(SimConfig(controller="selector", T=10.0), chain=chain))
     assert hashlib.sha256(text.encode()).hexdigest() == ROBOT_SIM_SELECTOR_CSV
 
 
 def test_robot_sim_control_variation_reported(robot_chain):
     # comparison reported, not asserted
-    _, chain = robot_chain
+    _, chain, _ = robot_chain
     res_a = simulate(SimConfig(controller="analytic", T=2.0))
     res_s = simulate(SimConfig(controller="selector", T=2.0), chain=chain)
     print(
@@ -489,7 +490,7 @@ def test_criterion_end_to_end_determinism(tmp_path, robot_chain):
         assert (tmp_path / "s1" / "sim.csv").read_bytes() == (
             tmp_path / "s2" / "sim.csv"
         ).read_bytes()
-        _, chain = robot_chain
+        _, chain, _ = robot_chain
         from selectorkit.robot import sim_csv
 
         runs = [

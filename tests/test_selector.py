@@ -21,7 +21,7 @@ from selectorkit.selector import (
     EvalResult,
     Step,
     _ball_offsets,
-    admissible,
+    _CellScale,
     cauchy_defect,
     chain_from_json,
     chain_to_json,
@@ -45,7 +45,9 @@ from selectorkit.svf import (
     build_cellwise_svf,
     build_sampled_svf,
     identity_range_map,
+    ravel,
     svf_distance,
+    unravel,
 )
 
 from oracles import (
@@ -402,19 +404,16 @@ _UNIT_2D = [(1, 0), (0, -1), (F_(3, 5), F_(4, 5)), (F_(-4, 5), F_(3, 5)), (F_(5,
 
 @st.composite
 def admissible_cases(draw):
-    """(r, prev, vals, k, is_node) for `admissible`, drawn so that exact ties
-    occur: r exactly 2**-(k-1) from prev and exactly 2**-k from a part's
-    corner or face, besides just inside, just outside and anywhere.  Parts
-    are open, closed, mixed, degenerate or singletons; prev may be the
-    non-dyadic normalized zero of a range.  r may be off the mesh, outside
-    [0, 1] or of the wrong length; is_node says it is none of these."""
+    """(digits, prev, vals, k) for `_CellScale.admits`, drawn so that exact
+    ties occur: the level-k node r = digits / 2**(k+1) exactly 2**-(k-1)
+    from prev and exactly 2**-k from a part's corner or face, besides just
+    inside, just outside and anywhere.  Parts are open, closed, mixed,
+    degenerate or singletons; prev may be the non-dyadic normalized zero
+    of a range.  The digits lie in [0, 2**(k+1)], as every reader's do."""
     k, beta = draw(st.integers(2, 5)), draw(st.integers(1, 2))
     top = 2 ** (k + 1)
-    digits = [draw(st.integers(-2, top + 2)) for _ in range(beta)]
+    digits = [draw(st.integers(0, top)) for _ in range(beta)]
     r = [F_(d, top) for d in digits]
-    on_mesh = draw(st.integers(0, 4)) > 0
-    if not on_mesh:
-        r[0] += F_(draw(st.sampled_from([1, 2])), 3 * top)
 
     def offset(length):
         kind = draw(st.sampled_from(["tie", "tie", "under", "over", "free"]))
@@ -453,26 +452,18 @@ def admissible_cases(draw):
             flags = [closed, closed]
         parts.append(BasicSet.box(lo, hi, *flags))
     vals = GeneralizedBasicSet.of(parts, dim=beta)
-
-    length = draw(st.sampled_from(["same"] * 6 + ["short", "long"]))
-    if length == "short":
-        r = r[:-1]
-    elif length == "long":
-        r = r + [F_(0)]
-    is_node = on_mesh and length == "same" and all(0 <= d <= top for d in digits)
-    return tuple(r), tuple(prev), vals, k, is_node
+    return tuple(digits), tuple(prev), vals, k
 
 
 @given(case=admissible_cases())
 @settings(max_examples=400, deadline=None)
 def test_admissible_matches_fraction_reference_on_ties_hypothesis(case):
-    """The integer rule decides as the `Fraction` one, exact ties included,
-    and refuses a point that is not a level-k node in [0, 1] without raising."""
-    r, prev, vals, k, is_node = case
-    got = admissible(r, prev, vals, k)
+    """The integer rule on a node's digits decides as the `Fraction` one on
+    the node, exact ties included."""
+    digits, prev, vals, k = case
+    got = _CellScale([c.as_integer_ratio() for c in prev], vals, k).admits(digits)
+    r = tuple(F_(d, 2 ** (k + 1)) for d in digits)
     assert got == admissible_reference(r, prev, vals, k)
-    if not is_node:
-        assert got is False
 
 
 @given(pair=cellwise_svf_pairs(), drop=st.booleans())
@@ -1025,10 +1016,9 @@ STEP_KEYS = {f.name for f in dataclasses.fields(selector.StepCertificate)} | {"w
 @given(pair=cellwise_svf_pairs())
 @settings(max_examples=40, deadline=None)
 def test_exact_chain_json_round_trips_hypothesis(pair):
-    """chain.json reads back to the same chain and dumps to the same bytes;
-    each step writes its certificate and one winner per cell, -1 on the
-    empty cell.  The SVF is compared by its bytes: its empty cell reads
-    back as `BasicSet.empty`, a box that compares unequal to the drawn one."""
+    """chain.json reads back to an equal chain, its SVF and empty cell
+    included, and dumps to the same bytes; each step writes its
+    certificate and one winner per cell, -1 on the empty cell."""
     from selectorkit.cli import _json_bytes
 
     f = pair[0]
@@ -1038,7 +1028,7 @@ def test_exact_chain_json_round_trips_hypothesis(pair):
         assume(False)
     text = _json_bytes(chain_to_json(chain))
     back = chain_from_json(json.loads(text))
-    assert dataclasses.replace(back, svf=chain.svf) == chain
+    assert back == chain
     assert _json_bytes(chain_to_json(back)) == text
     empty = [i for i, (cell, _) in enumerate(f.cells) if cell.is_empty]
     for s in json.loads(text)["steps"]:
@@ -1242,6 +1232,62 @@ def test_chain_from_json_redecides_each_value_on_each_cell(edit, match):
     edit(obj)
     with pytest.raises(InputError, match=match):
         chain_from_json(obj)
+
+
+@given(pair=cellwise_svf_pairs(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_chain_from_json_redecides_a_moved_winner_hypothesis(pair, data):
+    """One cell's winner at level k moved to another in-range index, with
+    the step's piece count kept consistent: `chain_from_json` accepts the
+    chain exactly when the `Fraction` rule admits the moved value at level
+    k, and the cell's level-(k+1) value from it.  Otherwise it raises the
+    InputError (exit 3 in the CLI) that names the first failing level,
+    the piece, the value, the cell and its value one level down."""
+    f = pair[0]
+    try:
+        chain = extract(f, 4)
+    except CoverageError:
+        assume(False)
+    ci = data.draw(st.sampled_from([i for i, (c, _) in enumerate(f.cells) if not c.is_empty]))
+    k = data.draw(st.integers(2, 4))
+    old, nodes = chain.steps[k - 2].winner[ci], selector.mesh_shape(k, f.beta)
+    if data.draw(st.booleans()):  # a near node, often still admissible
+        step = st.integers(-2, 2)
+        digits = [min(max(d + data.draw(step), 0), n - 1) for d, n in zip(unravel(old, nodes), nodes)]
+        w = ravel(digits, nodes)
+        assume(w != old)
+    else:
+        w = data.draw(st.integers(0, math.prod(nodes) - 2))
+        w += w >= old
+    obj = json.loads(json.dumps(chain_to_json(chain)))
+    winner = obj["steps"][k - 2]["winner"]
+    winner[ci] = w
+    obj["steps"][k - 2]["n_pieces"] = len(set(winner) - {-1})
+
+    def value(level):  # the cell's value at a level, after the move
+        return mesh_value(level, obj["steps"][level - 2]["winner"][ci], f.beta)
+
+    vals = f.normalized_values(ci)
+    prev = chain.f1_value if k == 2 else value(k - 1)
+    fails = [
+        (level, r, p)
+        for level, r, p in [(k, value(k), prev), (k + 1, value(k + 1) if k < 4 else None, value(k))]
+        if level <= 4 and not admissible_reference(r, p, vals, level)
+    ]
+    if not fails:
+        assert chain_from_json(obj).steps[k - 2].winner[ci] == w
+        return
+    level, r, p = fails[0]
+    at = obj["steps"][level - 2]["winner"]
+    piece = len({v for v in at if 0 <= v < at[ci]})
+    fmt = lambda t: "(" + ", ".join(str(c) for c in t) + ")"
+    with pytest.raises(InputError) as got:
+        chain_from_json(obj)
+    assert str(got.value) == (
+        f"chain step at level {level} gives piece {piece} the value {fmt(r)} on cell {ci}, "
+        f"which is not a level-{level} mesh node within 2**-{level} of the cell's values "
+        f"and 2**-{level - 1} of its level-{level - 1} value {fmt(p)}"
+    )
 
 
 def _with_empty_cell(f):

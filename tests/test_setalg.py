@@ -760,6 +760,15 @@ def test_cut_leaves_nothing_of_an_empty_part():
     assert _cut(part, [iv(2, 3)])[0] is part
 
 
+def test_union_of_empty_parts_is_empty():
+    """A generalized set built with the plain constructor from empty parts
+    only has no point, whatever it is compared with."""
+    only_empty = GeneralizedBasicSet(1, (BasicSet.empty(1),))
+    assert only_empty.is_empty
+    assert only_empty.issubset(GeneralizedBasicSet.empty(1))
+    assert only_empty.issubset(GeneralizedBasicSet.of([iv(5, 6)]))
+
+
 # ---------------------------------------------------------------------------
 # JSON round trips
 
