@@ -319,7 +319,7 @@ def extraction_step(f_prev: Step | None, F: CellwiseSVF, k: int, budget=None) ->
         if cell.is_empty:
             continue
         if f_prev is None:
-            w, v = -1, f1
+            v = f1
         else:
             w = f_prev.winner[ci] if ci < len(prev_cells) and prev_cells[ci][0] == cell else -1
             if w < 0:

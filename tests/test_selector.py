@@ -1250,10 +1250,10 @@ def test_chain_from_json_redecides_a_moved_winner_hypothesis(pair, data):
         assume(False)
     ci = data.draw(st.sampled_from([i for i, (c, _) in enumerate(f.cells) if not c.is_empty]))
     k = data.draw(st.integers(2, 4))
-    old, nodes = chain.steps[k - 2].winner[ci], selector.mesh_shape(k, f.beta)
+    old, nodes, top = chain.steps[k - 2].winner[ci], selector.mesh_shape(k, f.beta), 2 ** (k + 1)
     if data.draw(st.booleans()):  # a near node, often still admissible
-        step = st.integers(-2, 2)
-        digits = [min(max(d + data.draw(step), 0), n - 1) for d, n in zip(unravel(old, nodes), nodes)]
+        near = st.integers(-2, 2)
+        digits = [min(max(d + data.draw(near), 0), top) for d in unravel(old, nodes)]
         w = ravel(digits, nodes)
         assume(w != old)
     else:
@@ -1269,11 +1269,8 @@ def test_chain_from_json_redecides_a_moved_winner_hypothesis(pair, data):
 
     vals = f.normalized_values(ci)
     prev = chain.f1_value if k == 2 else value(k - 1)
-    fails = [
-        (level, r, p)
-        for level, r, p in [(k, value(k), prev), (k + 1, value(k + 1) if k < 4 else None, value(k))]
-        if level <= 4 and not admissible_reference(r, p, vals, level)
-    ]
+    checks = [(k, value(k), prev)] + ([(k + 1, value(k + 1), value(k))] if k < 4 else [])
+    fails = [(level, r, p) for level, r, p in checks if not admissible_reference(r, p, vals, level)]
     if not fails:
         assert chain_from_json(obj).steps[k - 2].winner[ci] == w
         return
