@@ -13,7 +13,8 @@ and differ only in the distance test.  The exact engine handles
 cellwise SVFs, which it never splits, and decides both tests exactly on
 one integer scale per cell and level (`_CellScale`): the previous value,
 the previous winner's mesh digits, and the ends of the cell's value-set
-parts are encoded as ints once, and each candidate is its digit vector.
+parts, normalized through the range map's `int_axes`, are encoded as
+ints once, and each candidate is its digit vector.
 The grid engine handles sampled SVFs on their cell grid, vectorized in
 float64, with declared slack tau folded into every certificate
 (acceptance threshold 2**-k + 2*tau, certified error 2**-k + 3*tau).
@@ -40,7 +41,7 @@ import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
@@ -195,19 +196,14 @@ class SelectorChain:
         """The final step's values denormalized to the range, all computed at once.
 
         A level-k mesh node's coordinate is d / 2**(k+1) for its digit d, so
-        its denormalized value l + d * w / 2**(k+1) on an axis with low end l
-        and width w is (a + d * b) / s for ints a, b and s fixed per axis.
+        its denormalized value on an axis with low end a / s and width b / s
+        (`AffineRangeMap.int_axes`) is (a * 2**(k+1) + d * b) / (s * 2**(k+1)).
         Each coordinate is one `Fraction` of those ints; the result equals
         `range_map.denormalize` of each winner's `mesh_value`.
         """
         step = self.steps[-1]
         top = 2 ** (step.level + 1)
-        rmap = self.svf.range_map
-        axes = []
-        for l, w in zip(rmap.lo, rmap.widths()):
-            m = math.lcm(l.denominator, w.denominator)
-            a, b = l.numerator * (m // l.denominator), w.numerator * (m // w.denominator)
-            axes.append((a * top, b, m * top))
+        axes = [(a * top, b, s * top) for a, b, s in self.svf.range_map.int_axes]
         shape = mesh_shape(step.level, self.beta)
         return {
             key: tuple(Fraction(a + d * b, s) for d, (a, b, s) in zip(unravel(key, shape), axes))
@@ -267,7 +263,8 @@ def _f1_value(F: RepresentableSVF) -> tuple[Fraction, ...]:
 # candidate ball
 
 
-def _ball_offsets(beta: int) -> list[tuple[int, ...]]:
+@cache
+def _ball_offsets(beta: int) -> tuple[tuple[int, ...], ...]:
     """Mesh-digit offsets that can hold an admitted value, lexicographic.
 
     An admitted value at level k lies within gap 2**-(k-1), four
@@ -282,12 +279,13 @@ def _ball_offsets(beta: int) -> list[tuple[int, ...]]:
     midway between two nodes.  The winner does not depend on that choice:
     the value is half a pitch from either node, so the ball around either
     one holds every admitted node, and both walks meet the lowest first.
+    Built once per beta.
     """
-    return [
+    return tuple(
         o
         for o in itertools.product(range(-4, 5), repeat=beta)
         if sum(max(2 * abs(c) - 1, 0) ** 2 for c in o) < 64
-    ]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -308,24 +306,10 @@ def extraction_step(f_prev: Step | None, F: CellwiseSVF, k: int, budget=None) ->
     top = 2 ** (k + 1)  # largest mesh digit
     offsets = _ball_offsets(F.beta)
     nodes = mesh_shape(k, F.beta)
-    if f_prev is None:
-        f1 = [c.as_integer_ratio() for c in _f1_value(F)]
-    else:
-        prev_cells, prev_nodes = f_prev.svf.cells, mesh_shape(k - 1, F.beta)
 
     # winner per cell: the first ball candidate admitted from its previous value
     winner = [-1] * len(F.cells)
-    for ci, (cell, _) in enumerate(F.cells):
-        if cell.is_empty:
-            continue
-        if f_prev is None:
-            v = f1
-        else:
-            w = f_prev.winner[ci] if ci < len(prev_cells) and prev_cells[ci][0] == cell else -1
-            if w < 0:
-                raise InputError(f"the level-{k - 1} step holds no piece for cell {ci} of the SVF")
-            v = [(d, 2**k) for d in unravel(w, prev_nodes)]
-        scale = _CellScale(v, F.normalized_values(ci), k)
+    for ci, w, scale in _cell_scales(F, k, f_prev):
         base = scale.nearest_node()
         for off in offsets:
             digits = tuple(b + o for b, o in zip(base, off))
@@ -336,7 +320,7 @@ def extraction_step(f_prev: Step | None, F: CellwiseSVF, k: int, budget=None) ->
             raise CoverageError(
                 f"no mesh point at level {k} serves cell {ci} from piece {pi}; "
                 "the value set lies outside the previous approximant's reach",
-                region=GeneralizedBasicSet(F.alpha, (cell,)),
+                region=GeneralizedBasicSet(F.alpha, (F.cells[ci][0],)),
             )
         winner[ci] = ravel(digits, nodes)
 
@@ -345,17 +329,37 @@ def extraction_step(f_prev: Step | None, F: CellwiseSVF, k: int, budget=None) ->
     return Step(k, tuple(winner), cert, F)
 
 
+def _cell_scales(F: CellwiseSVF, k: int, f_prev: Step | None):
+    """The per-cell set-up of extraction and the load check: per non-empty
+    cell of F, (ci, w, scale), w being f_prev's winner on cell ci (None at
+    level 2) and scale the cell's `_CellScale` from f_1 or w's digits."""
+    axes = F.range_map.int_axes
+    w, prev = None, [(-a, b) for a, b, _ in axes]  # f_1, the normalized zero -lo / width
+    if f_prev is not None:
+        prev_cells, prev_nodes = f_prev.svf.cells, mesh_shape(k - 1, F.beta)
+    for ci, (cell, values) in enumerate(F.cells):
+        if cell.is_empty:
+            continue
+        if f_prev is not None:
+            w = f_prev.winner[ci] if ci < len(prev_cells) and prev_cells[ci][0] == cell else -1
+            if w < 0:
+                raise InputError(f"the level-{k - 1} step holds no piece for cell {ci} of the SVF")
+            prev = [(d, 2**k) for d in unravel(w, prev_nodes)]
+        yield ci, w, _CellScale(prev, values, axes, k)
+
+
 class _CellScale:
     """Admissibility at level k on one cell, decided in ints.
 
     A level-k value r is admitted from the previous value p when r is
     within 2**-(k-1) of p and within 2**-k of the cell's normalized value
-    set, both strictly.  p comes as integer ratios (num, den), the
-    previous step's digits over 2**k or f_1's `as_integer_ratio()`.
-    L is the lcm of 2**(k+1), the denominators of p
-    and those of the ends of the value set's parts.  p and each part's
-    lo and hi are encoded once as ints on L.  A candidate is its digit
-    vector d, the mesh node d / 2**(k+1), which sits at d * m on L with
+    set, both strictly.  p comes as normalized integer ratios (num, den),
+    the previous step's digits over 2**k or f_1's.  The value set comes in
+    range coordinates: an end n/d on an axis (a, b, s) of the range map's
+    `int_axes` normalizes to (n*s - a*d) / (d*b).  L is the lcm of 2**(k+1)
+    and the denominators of p and of those ratios; p and each part's lo and
+    hi are encoded once as ints on L.  A candidate is its digit vector d,
+    the mesh node d / 2**(k+1), which sits at d * m on L with
     m = L >> (k+1).  The gap test 4**(k-1) * sum (d_j m - p_j)**2 < L**2
     and the value test 4**k * sum clamp_j**2 < L**2 for some part, clamp
     being the distance below lo or above hi, compare against
@@ -366,10 +370,14 @@ class _CellScale:
 
     __slots__ = ("step", "prev", "boxes", "gap2", "err2")
 
-    def __init__(self, prev: Sequence[tuple[int, int]], vals: GeneralizedBasicSet, k: int):
+    def __init__(self, prev: Sequence[tuple[int, int]], values: GeneralizedBasicSet, axes, k: int):
+        def normalized(end: Fraction, a: int, b: int, s: int) -> tuple[int, int]:
+            n, d = end.as_integer_ratio()
+            return n * s - a * d, d * b
+
         ends = [
-            [(lo.as_integer_ratio(), hi.as_integer_ratio()) for lo, hi in zip(p.lo, p.hi)]
-            for p in vals.parts
+            [(normalized(lo, *ax), normalized(hi, *ax)) for lo, hi, ax in zip(q.lo, q.hi, axes)]
+            for q in values.parts
         ]
         dens = [d for _, d in prev] + [d for box in ends for end in box for _, d in end]
         scale = math.lcm(2 ** (k + 1), *dens)
@@ -730,7 +738,7 @@ def chain_from_json(obj: dict) -> SelectorChain:
                 f"chain field 'f1' must be the normalized zero {_fmt(_f1_value(svf))}, "
                 f"not {_fmt(f1)}"
             )
-        _check_cells(svf, f1, steps)
+        _check_cells(svf, steps)
         return SelectorChain(svf, n, dom_budget, f1, steps)
     except KeyError as e:
         raise InputError(f"chain is missing the field {e}") from e
@@ -771,31 +779,28 @@ def _winner_from_json(svf: CellwiseSVF, k: int, winner) -> tuple[int, ...]:
     return tuple(winner)
 
 
-def _check_cells(svf: CellwiseSVF, f1: tuple[Fraction, ...], steps: Sequence[Step]) -> None:
+def _check_cells(svf: CellwiseSVF, steps: Sequence[Step]) -> None:
     """InputError unless `_CellScale.admits` each cell's winner digits from
-    its value one level down, as integer ratios; the error names the value's
-    piece, its rank in mesh-index order.
+    its value one level down, the scales set up as extraction sets them up
+    (`_cell_scales`); the error names the value's piece, its rank in
+    mesh-index order.
 
     `_winner_from_json` has bounded every index, so the digits lie on the
     level's mesh, and every non-empty cell holds a winner at every level."""
-    prev = [[c.as_integer_ratio() for c in f1]] * len(svf.cells)
+    f_prev = None
     for step in steps:
-        k, nodes, top = step.level, mesh_shape(step.level, svf.beta), 2 ** (step.level + 1)
-        values = [None] * len(svf.cells)
-        for ci, w in enumerate(step.winner):
-            if w < 0:
-                continue
-            digits = unravel(w, nodes)
-            if not _CellScale(prev[ci], svf.normalized_values(ci), k).admits(digits):
+        k, nodes = step.level, mesh_shape(step.level, svf.beta)
+        for ci, w_prev, scale in _cell_scales(svf, k, f_prev):
+            w = step.winner[ci]
+            if not scale.admits(unravel(w, nodes)):
+                was = _f1_value(svf) if f_prev is None else mesh_value(k - 1, w_prev, svf.beta)
                 raise InputError(
                     f"chain step at level {k} gives piece {_piece_rank(step.winner, w)} the "
                     f"value {_fmt(mesh_value(k, w, svf.beta))} on cell {ci}, which is not a "
                     f"level-{k} mesh node within 2**-{k} of the cell's values and "
-                    f"2**-{k - 1} of its level-{k - 1} value "
-                    f"{_fmt([Fraction(*c) for c in prev[ci]])}"
+                    f"2**-{k - 1} of its level-{k - 1} value {_fmt(was)}"
                 )
-            values[ci] = [(d, top) for d in digits]
-        prev = values
+        f_prev = step
 
 
 def _fmt(r: Sequence[Fraction]) -> str:

@@ -11,8 +11,8 @@ domains):
   cell centers and all downstream certificates carry the tau slack.
 
 Range values are normalized into [0,1]^beta through a stored affine
-map; every public operation takes and returns original-range
-coordinates and normalizes at the boundary.
+map, read in ints through its one integer form (`int_axes`); every
+public operation takes and returns original-range coordinates.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .setalg import (
     BasicSet,
     GeneralizedBasicSet,
     SetSequence,
+    _aspoint,
     basic_set_from_json,
     basic_set_to_json,
     dist2_point_set,
@@ -85,24 +86,22 @@ class AffineRangeMap:
             l + as_fraction(c) * (h - l) for c, l, h in zip(r, self.lo, self.hi)
         )
 
-    def normalize_array(self, ys: np.ndarray) -> np.ndarray:
-        lo = np.array([float(c) for c in self.lo])
-        w = np.array([float(h - l) for l, h in zip(self.lo, self.hi)])
-        return (ys - lo) / w
+    @cached_property
+    def int_axes(self) -> tuple[tuple[int, int, int], ...]:
+        """Per axis (a, b, s): lo = a / s and width = b / s in ints, s the lcm
+        of their denominators; every integer reading of the map starts here."""
+        axes = []
+        for l, w in zip(self.lo, self.widths()):
+            s = math.lcm(l.denominator, w.denominator)
+            axes.append((l.numerator * (s // l.denominator), w.numerator * (s // w.denominator), s))
+        return tuple(axes)
 
-    def normalize_gbs(self, s: GeneralizedBasicSet) -> GeneralizedBasicSet:
-        parts = []
-        for p in s.parts:
-            parts.append(
-                BasicSet(
-                    p.dim,
-                    self.normalize(p.lo),
-                    self.normalize(p.hi),
-                    p.closed_lo,
-                    p.closed_hi,
-                )
-            )
-        return GeneralizedBasicSet.of(parts, dim=s.dim)
+    def normalize_array(self, ys: np.ndarray) -> np.ndarray:
+        """(ys - lo) / width in float64, lo and width rounded once each
+        (int true division rounds correctly, as `float` of a `Fraction` does)."""
+        lo = np.array([a / s for a, _, s in self.int_axes])
+        w = np.array([b / s for _, b, s in self.int_axes])
+        return (ys - lo) / w
 
 
 def identity_range_map(beta: int) -> AffineRangeMap:
@@ -194,13 +193,6 @@ class CellwiseSVF:
         if i is None:
             raise DomainPointError(f"point {x!r} outside the working box")
         return self.cells[i][1]
-
-    def normalized_values(self, i: int) -> GeneralizedBasicSet:
-        return self._normalized_values[i]
-
-    @cached_property
-    def _normalized_values(self) -> tuple[GeneralizedBasicSet, ...]:
-        return tuple(self.range_map.normalize_gbs(values) for _, values in self.cells)
 
 
 def build_cellwise_svf(
@@ -342,8 +334,8 @@ class GridSpec:
 
     def cell_of_point(self, x) -> tuple[int, ...] | None:
         idx = []
-        for j, axis in enumerate(self._plane_keys):
-            placed = axis.place(as_fraction(x[j]))
+        for j, (c, axis) in enumerate(zip(_aspoint(x, self.dim), self._plane_keys)):
+            placed = axis.place(c)
             if placed is None:
                 return None
             # cells are [plane_i, plane_i+1); the top plane closes the last cell
@@ -576,7 +568,7 @@ def svf_distance(F: RepresentableSVF, r: Sequence, x: Sequence) -> float:
         return float(np.sqrt(float(dist2_point_set([as_fraction(c) for c in r], F.cells[i][1]))))
     if not F.active(i):
         raise DomainPointError(f"point {x!r} lies in an excluded cell")
-    rv = np.array([float(as_fraction(c)) for c in r])
+    rv = np.array([float(c) for c in _aspoint(r, F.beta)])
     return float(np.linalg.norm(F.nets[i] - rv, axis=-1).min())
 
 
@@ -724,10 +716,7 @@ def filippov_regularize(
             nets.append(v2[i][None, :])
     if range_map is None:
         range_map = symmetric_range_box(np.concatenate(nets))
-    svf = SampledSVF(grid, range_map, tuple(nets), 0.0)
-    seg_len = np.linalg.norm(
-        svf.range_map.normalize_array(v1) - svf.range_map.normalize_array(v2), axis=-1
-    )
+    seg_len = np.linalg.norm(range_map.normalize_array(v1) - range_map.normalize_array(v2), axis=-1)
     tau = float(seg_len.max() / hull_steps) if len(seg_len) else 0.0
     return SampledSVF(grid, range_map, tuple(nets), tau)
 

@@ -352,7 +352,7 @@ def brute_force_selector(F, n):
             for ci in range(len(F.cells)):
                 if ci in assign or ci not in f_prev:
                     continue
-                vals = F.normalized_values(ci)
+                vals = normalized_values_reference(F, ci)
                 c_ok = dist2_point_set(r, vals) < eps2
                 pv = f_prev[ci]
                 d_ok = sum((a - b) * (a - b) for a, b in zip(r, pv)) < gap2
@@ -363,6 +363,20 @@ def brute_force_selector(F, n):
         levels.append(assign)
         f_prev = assign
     return levels
+
+
+def normalized_values_reference(F, ci):
+    """Cell ci's value set mapped onto [0, 1]**beta in `Fraction`s: each
+    part's ends through `range_map.normalize`, its closure flags kept."""
+    from selectorkit.setalg import BasicSet, GeneralizedBasicSet
+
+    values = F.cells[ci][1]
+    rmap = F.range_map
+    parts = [
+        BasicSet(p.dim, rmap.normalize(p.lo), rmap.normalize(p.hi), p.closed_lo, p.closed_hi)
+        for p in values.parts
+    ]
+    return GeneralizedBasicSet.of(parts, dim=values.dim)
 
 
 def admissible_reference(r, prev, vals, k):
@@ -402,7 +416,7 @@ def extraction_step_reference(prev, F, k, budget=None):
     winners = {}
     for ci, (cell, _) in enumerate(F.cells):
         cell_g = GeneralizedBasicSet.of([cell], dim=F.alpha)
-        vals = F.normalized_values(ci).parts
+        vals = normalized_values_reference(F, ci).parts
         for pi, (q, v) in enumerate(prev):
             region = cell_g.intersect(q)
             if region.is_empty:

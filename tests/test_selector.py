@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from selectorkit.domain import PiecewiseConstantMap, continuous_extension, make_witness
 from selectorkit.errors import CoverageError, InputError, PrecisionError
-from selectorkit.rational import rational_from_json, rational_to_json
+from selectorkit.rational import as_fraction, rational_from_json, rational_to_json
 from selectorkit import selector
 from selectorkit.robot import export_svf
 from selectorkit.selector import (
@@ -59,6 +59,7 @@ from oracles import (
     first_part_containing,
     grid_cauchy_defect_reference,
     grid_step_reference,
+    normalized_values_reference,
 )
 
 F_ = Fraction
@@ -179,7 +180,8 @@ def test_ball_offsets_hold_every_node_within_gap():
     gap2 = F_(1, 2 ** (k - 1)) ** 2
     for beta in (1, 2):
         offsets = _ball_offsets(beta)
-        assert offsets == sorted(offsets)
+        assert offsets is _ball_offsets(beta) and type(offsets) is tuple
+        assert list(offsets) == sorted(offsets)
         for _ in range(50):
             v = tuple(F_(rng.randint(0, 999), 999) for _ in range(beta))
             base = [round(c / pitch) for c in v]
@@ -404,13 +406,21 @@ _UNIT_2D = [(1, 0), (0, -1), (F_(3, 5), F_(4, 5)), (F_(-4, 5), F_(3, 5)), (F_(5,
 
 @st.composite
 def admissible_cases(draw):
-    """(digits, prev, vals, k) for `_CellScale.admits`, drawn so that exact
-    ties occur: the level-k node r = digits / 2**(k+1) exactly 2**-(k-1)
-    from prev and exactly 2**-k from a part's corner or face, besides just
-    inside, just outside and anywhere.  Parts are open, closed, mixed,
-    degenerate or singletons; prev may be the non-dyadic normalized zero
-    of a range.  The digits lie in [0, 2**(k+1)], as every reader's do."""
+    """(digits, prev, vals, rmap, k) for `_CellScale.admits`, drawn so that
+    exact ties occur: the level-k node r = digits / 2**(k+1) exactly
+    2**-(k-1) from prev and exactly 2**-k from a part's corner or face,
+    besides just inside, just outside and anywhere.  Parts are open,
+    closed, mixed, degenerate or singletons, in normalized coordinates.
+    rmap is a range map with dyadic, non-dyadic or float-valued ends; prev
+    may be its normalized zero.  The digits lie in [0, 2**(k+1)], as every
+    reader's do."""
     k, beta = draw(st.integers(2, 5)), draw(st.integers(1, 2))
+    ends = [
+        (draw(st.sampled_from([0, F_(-1, 3), F_(-2, 7), -1, F_(-5, 3), 0.1])),
+         draw(st.sampled_from([1, F_(7, 5), F_(2, 9), F_(10, 3), 2.3])))
+        for _ in range(beta)
+    ]
+    rmap = AffineRangeMap.of([l for l, _ in ends], [as_fraction(l) + w for l, w in ends])
     top = 2 ** (k + 1)
     digits = [draw(st.integers(0, top)) for _ in range(beta)]
     r = [F_(d, top) for d in digits]
@@ -426,10 +436,8 @@ def admissible_cases(draw):
     prev_kind = draw(st.sampled_from(["offset", "offset", "zero", "node"]))
     if prev_kind == "offset":
         prev = [c + g for c, g in zip(r, offset(F_(1, 2 ** (k - 1))))]
-    elif prev_kind == "zero":  # the normalized zero of a range [lo, hi]
-        los = [draw(st.sampled_from([F_(-1, 3), F_(-2, 7), -1])) for _ in range(beta)]
-        his = [draw(st.sampled_from([F_(7, 5), 1, F_(2, 9)])) for _ in range(beta)]
-        prev = [-lo / (hi - lo) for lo, hi in zip(los, his)]
+    elif prev_kind == "zero":
+        prev = list(rmap.normalize([0] * beta))
     else:
         prev = [F_(draw(st.integers(0, top // 2)), top // 2) for _ in range(beta)]
 
@@ -452,16 +460,22 @@ def admissible_cases(draw):
             flags = [closed, closed]
         parts.append(BasicSet.box(lo, hi, *flags))
     vals = GeneralizedBasicSet.of(parts, dim=beta)
-    return tuple(digits), tuple(prev), vals, k
+    return tuple(digits), tuple(prev), vals, rmap, k
 
 
 @given(case=admissible_cases())
 @settings(max_examples=400, deadline=None)
 def test_admissible_matches_fraction_reference_on_ties_hypothesis(case):
-    """The integer rule on a node's digits decides as the `Fraction` one on
-    the node, exact ties included."""
-    digits, prev, vals, k = case
-    got = _CellScale([c.as_integer_ratio() for c in prev], vals, k).admits(digits)
+    """The integer rule on a node's digits and the value set in range
+    coordinates decides as the `Fraction` one on the node and the normalized
+    value set, exact ties included."""
+    digits, prev, vals, rmap, k = case
+    raw = GeneralizedBasicSet.of(
+        [BasicSet.box(rmap.denormalize(p.lo), rmap.denormalize(p.hi), p.closed_lo, p.closed_hi)
+         for p in vals.parts],
+        dim=vals.dim,
+    )
+    got = _CellScale([c.as_integer_ratio() for c in prev], raw, rmap.int_axes, k).admits(digits)
     r = tuple(F_(d, 2 ** (k + 1)) for d in digits)
     assert got == admissible_reference(r, prev, vals, k)
 
@@ -1267,7 +1281,7 @@ def test_chain_from_json_redecides_a_moved_winner_hypothesis(pair, data):
     def value(level):  # the cell's value at a level, after the move
         return mesh_value(level, obj["steps"][level - 2]["winner"][ci], f.beta)
 
-    vals = f.normalized_values(ci)
+    vals = normalized_values_reference(f, ci)
     prev = chain.f1_value if k == 2 else value(k - 1)
     checks = [(k, value(k), prev)] + ([(k + 1, value(k + 1), value(k))] if k < 4 else [])
     fails = [(level, r, p) for level, r, p in checks if not admissible_reference(r, p, vals, level)]

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from selectorkit.errors import (
@@ -14,7 +14,7 @@ from selectorkit.errors import (
     PrecisionError,
 )
 from selectorkit.domain import decide_clauses, well_containment_margin
-from selectorkit.setalg import BasicSet, GeneralizedBasicSet
+from selectorkit.setalg import BasicSet, GeneralizedBasicSet, SetAlgebraError
 from selectorkit.svf import (
     AffineRangeMap,
     GridSpec,
@@ -343,6 +343,25 @@ def test_sublevel_family_matches_per_cell_reference(make, strict):
         assert repr(got.verify(F(1, 10))) == repr(want.verify(F(1, 10)))
 
 
+@pytest.mark.parametrize(
+    "make", [_cellwise_2d, _sampled_2d], ids=["cellwise-2d", "sampled-2d-mask"]
+)
+def test_point_queries_refuse_a_point_of_the_wrong_dimension(make):
+    """Both SVF kinds refuse a domain point or a range point with too many
+    or too few coordinates, as the cellwise path always did."""
+    svf = make()[0]
+    x = [0.75, 0.25]
+    assert svf.cell_index_at(x) is not None
+    for bad in ([0.75, 0.25, 123], [0.75]):
+        with pytest.raises(SetAlgebraError, match="point dimension"):
+            svf.cell_index_at(bad)
+        with pytest.raises(SetAlgebraError, match="point dimension"):
+            svf_distance(svf, [0] * svf.beta, bad)
+    for r in ([0] * (svf.beta + 1), [0] * (svf.beta - 1)):
+        with pytest.raises(SetAlgebraError, match="point dimension"):
+            svf_distance(svf, r, x)
+
+
 def test_cell_of_point_on_and_beside_every_plane():
     """Bisection over the planes agrees with floor((c - lo) / w), top plane clamped."""
     grid = GridSpec(BasicSet.closed_box([-2, 0], [2, F(1, 3)]), (9, 4))
@@ -471,6 +490,39 @@ def test_range_map_roundtrip():
     rm = AffineRangeMap.of([-2, 0], [2, 8])
     y = (F(1, 3), F(5))
     assert rm.denormalize(rm.normalize(y)) == y
+
+
+_RANGE_ENDS = st.one_of(
+    st.fractions(min_value=-50, max_value=50, max_denominator=10**6),
+    st.floats(min_value=-50, max_value=50),
+)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_int_axes_agree_with_the_fraction_map_hypothesis(data):
+    """Each axis's (a, b, s) is its lo and width over one lcm, so normalize
+    and denormalize read from it agree on rational points, and
+    `normalize_array` has the bits of (ys - float(lo)) / float(hi - lo), on
+    maps with non-dyadic and float-valued ends."""
+    beta = data.draw(st.integers(1, 3))
+    ends = [
+        sorted(data.draw(st.lists(_RANGE_ENDS, min_size=2, max_size=2, unique_by=F)))
+        for _ in range(beta)
+    ]
+    assume(all(F(hi) - F(lo) > F(1, 10**6) for lo, hi in ends))  # no float overflow
+    rm = AffineRangeMap.of([lo for lo, _ in ends], [hi for _, hi in ends])
+    for (a, b, s), lo, w in zip(rm.int_axes, rm.lo, rm.widths()):
+        assert (F(a, s), F(b, s), s) == (lo, w, math.lcm(lo.denominator, w.denominator))
+    rationals = st.fractions(min_value=-100, max_value=100, max_denominator=1000)
+    y = [data.draw(rationals) for _ in range(beta)]
+    assert rm.normalize(y) == tuple(F(c * s - a, b) for c, (a, b, s) in zip(y, rm.int_axes))
+    assert rm.denormalize(y) == tuple(F(a + c * b, s) for c, (a, b, s) in zip(y, rm.int_axes))
+    rows = st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=beta, max_size=beta)
+    ys = np.array(data.draw(st.lists(rows, min_size=1, max_size=4)))
+    lo = np.array([float(c) for c in rm.lo])
+    width = np.array([float(h - l) for l, h in zip(rm.lo, rm.hi)])
+    assert rm.normalize_array(ys).tobytes() == ((ys - lo) / width).tobytes()
 
 
 def test_json_roundtrip():
