@@ -334,12 +334,12 @@ class GridSpec:
 
     def cell_of_point(self, x) -> tuple[int, ...] | None:
         idx = []
-        for j, (c, axis) in enumerate(zip(_aspoint(x, self.dim), self._plane_keys)):
+        for c, axis, n in zip(_aspoint(x, self.dim), self._plane_keys, self.shape):
             placed = axis.place(c)
             if placed is None:
                 return None
             # cells are [plane_i, plane_i+1); the top plane closes the last cell
-            idx.append(min(placed[1], self.shape[j]) - 1)
+            idx.append(min(placed[1], n) - 1)
         return tuple(idx)
 
     def slab_half_widths(self, eps: Fraction) -> tuple[Fraction, ...]:
