@@ -2,7 +2,8 @@
 
 Set corners are exact rationals; the algebra never rounds.  The wire
 format encodes dyadic rationals as ``{"num": n, "exp2": k}`` (value
-``n / 2**k``).  Plain JSON numbers are accepted too: ints exactly,
+``n / 2**k``, k in 0..1074, which covers the exact value of every
+finite float).  Plain JSON numbers are accepted too: ints exactly,
 floats via their exact binary value (every finite float is dyadic).
 Values produced internally that are not dyadic (witness budgets split
 three ways, say) serialize as ``{"num": n, "den": d}``.
@@ -17,6 +18,8 @@ from typing import Union
 from .errors import InputError
 
 RationalLike = Union[int, float, str, Fraction, dict]
+
+MAX_EXP2 = 1074  # largest wire exponent: 2**-1074 is the least subnormal float
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -69,13 +72,14 @@ def rational_from_json(obj: object) -> Fraction:
     """Decode the wire format; InputError when obj is not a rational."""
     if isinstance(obj, dict):
         try:
-            if "exp2" in obj:
-                return Fraction(int(obj["num"]), 2 ** int(obj["exp2"]))
-            if "den" in obj:
+            if "exp2" not in obj:
                 return Fraction(int(obj["num"]), int(obj["den"]))
+            num, exp2 = int(obj["num"]), int(obj["exp2"])
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
             raise InputError(f"malformed rational object {obj!r}") from e
-        raise InputError(f"malformed rational object {obj!r}")
+        if not 0 <= exp2 <= MAX_EXP2:
+            raise InputError(f"rational field 'exp2' is {exp2}, outside 0..{MAX_EXP2}")
+        return Fraction(num, 2**exp2)
     if isinstance(obj, (int, float)) and not isinstance(obj, bool):
         try:
             return as_fraction(obj)

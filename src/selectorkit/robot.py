@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .selector import SelectorChain, eval_selector
+from .selector import SelectorChain, final_answer
 from .setalg import BasicSet
 from .svf import GridSpec, SampledSVF, directed_deviation, symmetric_range_box
 
@@ -409,8 +409,9 @@ def simulate(config: SimConfig, chain: SelectorChain | None = None) -> SimResult
     (closed-form branch or chain value), form w = control_law(zeta, x)
     and hold u = w / |w| over the sampling interval, u = 0 when w = 0:
     the minimizer of <zeta, f(x, u)> over the closed unit disk.  The
-    selector controller holds the previous control on Undefined answers
-    (witness hits).  States escaping the working box truncate the run.
+    selector controller reads the chain's value as `eval_selector` would,
+    from the chain's float table (`final_floats`), and holds the
+    previous control on Undefined answers (witness hits).  States escaping the working box truncate the run.
     The control never reads V, so V(x(t)) is computed after the loop,
     in one batched call over the recorded states.
 
@@ -439,9 +440,9 @@ def simulate(config: SimConfig, chain: SelectorChain | None = None) -> SimResult
         if config.controller == "analytic":
             u = disk_feedback(control_law(analytic_subgradient(x), x))
         else:
-            res = eval_selector(chain, list(x))
-            if res.defined:
-                u = disk_feedback(control_law(res.as_floats(), x))
+            reason, key = final_answer(chain, x)
+            if reason is None:
+                u = disk_feedback(control_law(chain.final_floats[key], x))
             else:
                 witness_hits += 1  # hold previous control
         controls.append(u)

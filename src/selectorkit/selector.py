@@ -18,6 +18,10 @@ ints once, and each candidate is its digit vector.
 The grid engine handles sampled SVFs on their cell grid, vectorized in
 float64, with declared slack tau folded into every certificate
 (acceptance threshold 2**-k + 2*tau, certified error 2**-k + 3*tau).
+It walks the ball as its runs of one first digit, in order: each run
+is tested at once for the cells still without a winner whose
+first-digit slab lies within reach of their net, and a cell's first
+hit is its lowest admitted index.
 
 The initial approximant is the real-space zero vector expressed in
 normalized coordinates.  Its feasibility at the first constructed
@@ -210,6 +214,13 @@ class SelectorChain:
             for key in sorted(set(step.winner))
             if key >= 0
         }
+
+    @cached_property
+    def final_floats(self) -> dict[int, tuple[float, ...]]:
+        """`final_values` as floats, converted once for a closed loop that
+        reads them at every step; `float` of a `Fraction` is correctly
+        rounded, so each tuple has the bits of `EvalResult.as_floats`."""
+        return {key: tuple(map(float, value)) for key, value in self.final_values.items()}
 
 
 @dataclass(frozen=True)
@@ -420,9 +431,7 @@ class _CellScale:
 # grid engine
 
 
-_OFFSET_BLOCK = 32  # ball candidates tested per pass
-# per chunk of cells: a pass's candidates x net points, plus the int16
-# index of the ball offsets each cell keeps
+# per chunk of cells: the longest run's candidates x net points
 _GRID_TEMP_ELEMS = 8_000_000
 _SLAB_GUARD = 1e-9  # relative margin of the first-digit slab bound
 
@@ -446,12 +455,10 @@ def _grid_step(prev_step: Step | None, F: SampledSVF, k: int, budget) -> Step:
     if F.mask is not None:
         prev_ok = prev_ok & F.mask
 
+    # the ball's offsets in runs of one first digit, in ball order
     offsets = np.array(_ball_offsets(beta))
-    # the ball's distinct first-digit offsets, each offset's index among
-    # them, and how many offsets share each
-    first_offsets, first_of, n_first = np.unique(
-        offsets[:, 0], return_inverse=True, return_counts=True
-    )
+    first_offsets, run_starts = np.unique(offsets[:, 0], return_index=True)
+    runs = np.split(offsets, run_starts[1:])
     winner = np.full(n_cells, -1, dtype=np.int64)
     accept2 = eps_accept * eps_accept
     gap2 = gap * gap
@@ -471,46 +478,49 @@ def _grid_step(prev_step: Step | None, F: SampledSVF, k: int, budget) -> Step:
     rounding2 = (beta + 3) * 2.0**-52 * (np.sqrt(beta) + np.sqrt(nn_all.max())) ** 2
     prune2 = accept2 * (1 + _SLAB_GUARD) + rounding2
 
-    # walk each cell's kept offsets in lexicographic blocks and retire the
-    # cell at its first hit, which is its lowest-index admitted candidate
+    # visit the runs in ball order, each for the open cells whose slab
+    # bound keeps it; a cell closes at its first hit, which is its
+    # lowest-index admitted candidate
     active = np.nonzero(prev_ok)[0]
-    chunk = max(1, _GRID_TEMP_ELEMS // (_OFFSET_BLOCK * m_max + len(offsets)))
+    chunk = max(1, _GRID_TEMP_ELEMS // (max(map(len, runs)) * m_max))
     for lo in range(0, len(active), chunk):
         cells = active[lo : lo + chunk]
         nets_chunk = padded_all[cells]
         prev_chunk = prev_vals[cells]  # (b, beta)
         base = np.rint(prev_chunk / pitch).astype(np.int64)
         nn_chunk = nn_all[cells]  # (b, m)
-        d0 = base[:, :1] + first_offsets  # (b, 9) first digits
+        d0 = base[:, :1] + first_offsets  # (b, runs) first digits
         slab2 = ((d0[:, :, None] * pitch - nets_chunk[:, None, :, 0]) ** 2).min(axis=2)
-        keep = (slab2 < prune2) & (d0 >= 0) & (d0 < nodes[0])  # (b, 9)
-        n_keep = (keep * n_first).sum(axis=1)
-        # each row's kept offsets first, in ball order
-        order = np.argsort(~keep[:, first_of], axis=1, kind="stable").astype(np.int16)
-        todo = np.arange(len(cells))  # chunk rows still without a winner
-        for p_lo in range(0, len(offsets), _OFFSET_BLOCK):
-            todo = todo[n_keep[todo] > p_lo]  # rows with kept offsets left
-            if not len(todo):
-                break
-            prev, nets_pad = prev_chunk[todo], nets_chunk[todo]
-            idx = order[todo, p_lo : p_lo + _OFFSET_BLOCK]
-            kept = p_lo + np.arange(idx.shape[1]) < n_keep[todo, None]
-            digits = base[todo, None, :] + offsets[idx]
-            valid = kept & ((digits >= 0) & (digits < nodes)).all(axis=2)
+        keep = (slab2 < prune2) & (d0 >= 0) & (d0 < nodes[0])  # (b, runs)
+        is_open = np.ones(len(cells), dtype=bool)
+        for r, run in enumerate(runs):
+            rows = np.flatnonzero(is_open & keep[:, r])
+            if not len(rows):
+                continue
+            digits = base[rows, None, :] + run  # (rows, run, beta), no gather
             coords = digits * pitch
-            d_prev2 = ((coords - prev[:, None, :]) ** 2).sum(axis=2)
-            # |c - n|^2 = |c|^2 + |n|^2 - 2 c.n via batched matmul, avoiding
-            # the (b, C, m, beta) broadcast temporary; 2 c.n is formed in place
-            cc = (coords**2).sum(axis=2)  # (b, C)
-            cross2 = coords @ nets_pad.transpose(0, 2, 1)  # (b, C, m)
-            cross2 *= 2.0
-            d_net2 = (cc[:, :, None] + nn_chunk[todo][:, None, :] - cross2).min(axis=2)
-            ok = valid & (d_prev2 < gap2) & (d_net2 < accept2)
+            # per-axis sums over axes 0..beta-1 in order, the bits of
+            # numpy's sum over a short last axis
+            ok, d_prev2, cc = True, 0.0, 0.0
+            for j in range(beta):
+                ok = ok & (digits[..., j] >= 0) & (digits[..., j] < nodes[j])
+                d_prev2 = d_prev2 + (coords[..., j] - prev_chunk[rows, j, None]) ** 2
+                cc = cc + coords[..., j] ** 2
+            # |c - n|^2 = |c|^2 + |n|^2 - 2 c.n via batched matmul, taken as
+            # n @ c^T on a view of c (the bits of c @ n^T), then its min
+            # over net points one contiguous (rows, run) slice at a time
+            cross2 = nets_chunk[rows] @ coords.transpose(0, 2, 1)
+            cross2 *= 2.0  # (rows, m, run)
+            nn = nn_chunk[rows]
+            d_net2 = cc + nn[:, :1] - cross2[:, 0]
+            for i in range(1, m_max):
+                np.minimum(d_net2, cc + nn[:, i, None] - cross2[:, i], out=d_net2)
+            ok &= (d_prev2 < gap2) & (d_net2 < accept2)
             hit = ok.any(axis=1)
             first = np.argmax(ok[hit], axis=1)
-            winner[cells[todo[hit]]] = np.ravel_multi_index(digits[hit, first].T, nodes)
-            todo = todo[~hit]
-        uncovered = np.flatnonzero(winner[cells] < 0)
+            winner[cells[rows[hit]]] = np.ravel_multi_index(digits[hit, first].T, nodes)
+            is_open[rows[hit]] = False
+        uncovered = np.flatnonzero(is_open)
         if len(uncovered):
             flat = int(cells[uncovered[0]])
             raise CoverageError(
@@ -537,17 +547,22 @@ def eval_selector(chain: SelectorChain, x, eps_dom=None) -> EvalResult:
     Undefined outside the closed working box, then inside the final
     step's witness M(eps_dom), then wherever that step has no value.
     """
+    reason, key = final_answer(chain, x, eps_dom)
+    if reason is not None:
+        return EvalResult(None, reason)
+    return EvalResult(chain.final_values[key])
+
+
+def final_answer(chain: SelectorChain, x, eps_dom=None) -> tuple[str | None, int | None]:
+    """`eval_selector`'s decision at x: (reason, None) where it is
+    undefined, else (None, the key of its value in `final_values`)."""
     if eps_dom is None:
         eps_dom = chain.dom_budget  # positive: extract and chain_from_json refuse others
     else:
         eps_dom = as_fraction(eps_dom)
         if eps_dom <= 0:
             raise InputError("witness budget must be positive")
-    x = _aspoint(x, chain.svf.domain_box.dim, as_exact)
-    reason, key = chain.steps[-1].answer(x, eps_dom)
-    if reason is not None:
-        return EvalResult(None, reason)
-    return EvalResult(chain.final_values[key])
+    return chain.steps[-1].answer(_aspoint(x, chain.svf.domain_box.dim, as_exact), eps_dom)
 
 
 # ---------------------------------------------------------------------------

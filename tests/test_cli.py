@@ -657,3 +657,39 @@ def test_eval_refuses_chain_with_nonpositive_dom_budget(tmp_path, budget):
     r = run_cli(["--out", "x", "eval", str(path), "--at", "0.3"], tmp_path)
     assert r.returncode == 3, r.stderr
     assert r.stderr.startswith("input error:") and "'dom_budget'" in r.stderr, r.stderr
+
+
+def _with_range_lo(obj, lo):
+    obj["range"]["lo"] = [lo]
+    return obj
+
+
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        (["extract"], lambda: _desk_svf_with(lambda s: _with_range_lo(s, {"num": -1, "exp2": 20000}))),
+        (
+            ["eval", "--at", "0.3"],
+            lambda: _desk_chain_with(lambda c: _with_range_lo(c["svf"], {"num": -1, "exp2": 3_000_000})),
+        ),
+    ],
+    ids=["svf-range-end", "chain-range-end"],
+)
+def test_wire_exponent_beyond_float_range_is_input_error(tmp_path, command, content):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content()))
+    r = run_cli(["--out", "x", command[0], str(path), *command[1:]], tmp_path)
+    assert r.returncode == 3, r.stderr
+    assert r.stderr.startswith("input error:") and "'exp2'" in r.stderr, r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_wire_exponent_bound_keeps_every_float():
+    from fractions import Fraction
+
+    from selectorkit.rational import rational_from_json, rational_to_json
+
+    for x in (5e-324, 2.2250738585072014e-308, 0.1, 1.5, 1.7976931348623157e308):
+        q = Fraction(x)
+        assert rational_from_json(json.loads(json.dumps(rational_to_json(q)))) == q
+    assert rational_to_json(Fraction(5e-324)) == {"num": 1, "exp2": 1074}

@@ -16,7 +16,7 @@ from selectorkit.domain import PiecewiseConstantMap, continuous_extension, make_
 from selectorkit.errors import CoverageError, InputError, PrecisionError
 from selectorkit.rational import as_fraction, rational_from_json, rational_to_json
 from selectorkit import selector
-from selectorkit.robot import export_svf
+from selectorkit.robot import MAX_NET, export_svf
 from selectorkit.selector import (
     EvalResult,
     Step,
@@ -926,7 +926,8 @@ def sampled_svfs(draw):
     n = draw(st.integers(2, 5))
     tau = draw(st.floats(0.0, 2.0 ** -(n + 1)))
     grid = GridSpec(BasicSet.closed_box([0] * len(shape), [1] * len(shape)), shape)
-    max_points = draw(st.sampled_from([1, 4]))  # single points or several
+    # single points, several, or as many as the robot export keeps
+    max_points = draw(st.sampled_from([1, 4, MAX_NET]))
     nets = [rng.uniform(-1, 1, (rng.integers(1, max_points + 1), beta)) for _ in range(grid.n_cells)]
     if draw(st.booleans()):
         # anchored at 0 with values up to 0.6 per axis: some cells unreachable
@@ -984,6 +985,32 @@ def test_slab_guard_keeps_a_winner_the_bare_bound_drops():
     want = grid_step_reference(None, svf, 2)
     assert mesh_value(2, int(want[0]), 2) == (F_(1, 8), F_(1, 8))
     assert np.array_equal(extract(svf, 2).steps[0].winner, want)
+
+
+def test_grid_walk_reaches_the_last_first_digit_run():
+    # f_1 sits at (3/64, 3/64), off the level-2 node (0, 0); net point B
+    # keeps the runs of first digits 0..3 but lies beyond the gap from all
+    # of their candidates, and net point A admits only the node (4/8, 0),
+    # in the run of first-digit offset +4
+    lo = F_(-3, 64)
+    nets = np.array([[0.72, 0.0], [0.2, 0.95]]) + float(lo)
+    grid = GridSpec(BasicSet.closed_box([0], [1]), (1,))
+    svf = build_sampled_svf(
+        grid, lambda c: [nets], tau=0.0, range_map=AffineRangeMap.of([lo] * 2, [lo + 1] * 2)
+    )
+    accept2 = 2.0**-4
+    first = svf.padded_nets[0, :, 0]
+    assert all(((d0 / 8 - first) ** 2).min() < accept2 for d0 in range(4))
+    want = grid_step_reference(None, svf, 2)
+    assert unravel(int(want[0]), (9, 9)) == (4, 0)
+    assert np.array_equal(extract(svf, 2).steps[0].winner, want)
+
+
+def test_robot_grid_winners_match_full_walk_at_every_level():
+    svf = export_svf(2, F_(4, 11))
+    want, err = _reference_winners(svf, 4)
+    assert err is None
+    assert all(np.array_equal(s.winner, w) for s, w in zip(extract(svf, 4).steps, want))
 
 
 def test_grid_engine_dom_monotone_and_gap():
