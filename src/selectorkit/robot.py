@@ -411,9 +411,10 @@ def simulate(config: SimConfig, chain: SelectorChain | None = None) -> SimResult
     the minimizer of <zeta, f(x, u)> over the closed unit disk.  The
     selector controller reads the chain's value as `eval_selector` would,
     from the chain's float table (`final_floats`), and holds the
-    previous control on Undefined answers (witness hits).  States escaping the working box truncate the run.
-    The control never reads V, so V(x(t)) is computed after the loop,
-    in one batched call over the recorded states.
+    previous control on Undefined answers (witness hits).  States
+    escaping the working box truncate the run.  The control never reads
+    V, so V(x(t)) is computed after the loop, in one batched call over
+    the recorded states.
 
     The state is three Python floats; an Euler substep makes the IEEE
     operations of x + h * array([u1, u2, -x2 u1 + x1 u2]) in the same

@@ -661,7 +661,6 @@ def test_eval_refuses_chain_with_nonpositive_dom_budget(tmp_path, budget):
 
 def _with_range_lo(obj, lo):
     obj["range"]["lo"] = [lo]
-    return obj
 
 
 @pytest.mark.parametrize(
