@@ -69,12 +69,22 @@ def _budgets(eps: Fraction, n: int) -> list[Fraction]:
     return [eps * Fraction(1, 2 ** (i + 1)) for i in range(n)]
 
 
-def _slab_margin(budget: Fraction, extent: BasicSet, pin: int, cap: Fraction) -> Fraction:
+def slab_margin(budget: Fraction, extent: BasicSet, pin: int, cap: Fraction) -> Fraction:
+    """Half-width h <= cap, 1/2 of a slab around x[pin] over extent, whose volume at
+    most 2h * prod over the other axes of (width + 1) fits the budget."""
     other = Fraction(1)
     for j in range(extent.dim):
         if j != pin:
             other *= (extent.hi[j] - extent.lo[j]) + 1
     return min(Fraction(1, 2), cap, budget / (2 * other))
+
+
+def slab_box(pin: int, value: Fraction, extent: BasicSet, half: Fraction) -> BasicSet:
+    """The open box around the plane x[pin] = value over extent, grown by half."""
+    lo = [c - half for c in extent.lo]
+    hi = [c + half for c in extent.hi]
+    lo[pin], hi[pin] = value - half, value + half
+    return BasicSet.open_box(lo, hi)
 
 
 def make_witness(
@@ -129,13 +139,10 @@ def _witness_and_certificate(
 
     parts = []
     for (pin, value, extent), budget, cap in zip(groups, budgets, caps):
-        m = _slab_margin(budget, extent, pin, cap)
+        m = slab_margin(budget, extent, pin, cap)
         if m <= 0:
             raise WitnessError("witness margin vanished")
-        lo = [extent.lo[j] - m for j in range(dim)]
-        hi = [extent.hi[j] + m for j in range(dim)]
-        lo[pin], hi[pin] = value - m, value + m
-        parts.append(BasicSet.open_box(lo, hi))
+        parts.append(slab_box(pin, value, extent, m))
     max_m = max((p.hi[0] - p.lo[0]) for p in parts) if parts else Fraction(0)
     clip = ambient.inflate(max_m)
     witness = GeneralizedBasicSet.of([p.intersect(clip) for p in parts], dim=dim)

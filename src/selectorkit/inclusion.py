@@ -45,15 +45,17 @@ class DIProblem:
     declared net radius `tau`, a net of fewer than m points padded by
     repeating its last point.  The reference curve g comes with its
     derivative oracle; kappa and p are the Lipschitz modulus and defect
-    functions of the tube theorem.
+    functions of the tube theorem.  Each of these four oracles takes the
+    whole time grid at once: `g(times)` and `g_dot(times)` return (n, d)
+    arrays, `kappa(times)` and `p(times)` an (n,) array or one scalar.
     """
 
     field_net: NetOracle
     x0: np.ndarray
-    g: Callable[[float], np.ndarray]
-    g_dot: Callable[[float], np.ndarray]
-    kappa: Callable[[float], float]
-    p: Callable[[float], float]
+    g: Callable[[np.ndarray], np.ndarray]
+    g_dot: Callable[[np.ndarray], np.ndarray]
+    kappa: Callable[[np.ndarray], np.ndarray | float]
+    p: Callable[[np.ndarray], np.ndarray | float]
     T: float
     beta_tube: float
     tau: float = 0.0
@@ -69,7 +71,7 @@ class DIProblem:
 
     @property
     def delta(self) -> float:
-        return float(np.linalg.norm(self.x0 - np.atleast_1d(self.g(0.0))))
+        return float(np.linalg.norm(self.x0 - self.g(np.zeros(1))[0]))
 
 
 @dataclass
@@ -111,9 +113,9 @@ def _cumtrapz(y: np.ndarray, h: float) -> np.ndarray:
 def xi_profile(
     delta: float, kappa, p, times: np.ndarray
 ) -> np.ndarray:
-    """xi on a whole grid by composite trapezoid quadrature."""
-    kv = np.array([float(kappa(t)) for t in times])
-    pv = np.array([float(p(t)) for t in times])
+    """xi on a whole grid by composite trapezoid quadrature, kappa and p read over it."""
+    kv = np.broadcast_to(np.asarray(kappa(times), dtype=float), times.shape)
+    pv = np.broadcast_to(np.asarray(p(times), dtype=float), times.shape)
     h = float(times[1] - times[0]) if len(times) > 1 else 0.0
     K = _cumtrapz(kv, h)
     inner = _cumtrapz(np.exp(-K) * pv, h)
@@ -164,9 +166,9 @@ def filippov_iterate(
     times = _grid(prob.T, grid_step)
     h = float(grid_step)
 
-    g_vals = np.array([np.atleast_1d(prob.g(t)) for t in times])
+    g_vals = np.asarray(prob.g(times), dtype=float)
     x_cur = g_vals + (prob.x0 - g_vals[0])
-    xdot_cur = np.array([np.atleast_1d(prob.g_dot(t)) for t in times])
+    xdot_cur = np.asarray(prob.g_dot(times), dtype=float)
 
     residuals: list[float] = []
     converged = False
@@ -228,8 +230,8 @@ def linear_tube_problem(
     return DIProblem(
         field_net=net,
         x0=np.array([float(x0)]),
-        g=lambda t: np.array([np.exp(-t)]),
-        g_dot=lambda t: np.array([-np.exp(-t)]),
+        g=lambda t: np.exp(-t)[:, None],
+        g_dot=lambda t: -np.exp(-t)[:, None],
         kappa=lambda t: 1.0,
         p=lambda t: 0.0,
         T=float(T),
@@ -248,8 +250,8 @@ def singleton_field_problem(x0=1.0, T=2.0, beta_tube=4.0) -> DIProblem:
     return DIProblem(
         field_net=net,
         x0=np.array([float(x0)]),
-        g=lambda t: np.array([float(x0) * np.exp(-t)]),
-        g_dot=lambda t: np.array([-float(x0) * np.exp(-t)]),
+        g=lambda t: (float(x0) * np.exp(-t))[:, None],
+        g_dot=lambda t: (-float(x0) * np.exp(-t))[:, None],
         kappa=lambda t: 1.0,
         p=lambda t: 0.0,
         T=float(T),
@@ -379,8 +381,8 @@ def problem_from_cellwise_svf(svf, x0, T, beta_tube, obj=None) -> DIProblem:
     return DIProblem(
         field_net=net,
         x0=x0,
-        g=lambda t: x0,
-        g_dot=lambda t: np.zeros_like(x0),
+        g=lambda t: np.tile(x0, (len(t), 1)),
+        g_dot=lambda t: np.zeros((len(t), len(x0))),
         kappa=lambda t: kappa_const,
         p=lambda t: p_const,
         T=T,

@@ -85,6 +85,7 @@ def mesh_shape(level: int, beta: int) -> tuple[int, ...]:
     return (2 ** (level + 1) + 1,) * beta
 
 
+@cache
 def mesh_value(level: int, flat: int, beta: int) -> tuple[Fraction, ...]:
     """The level's mesh node with row-major flat index `flat`: its digits
     over 2**(level+1)."""

@@ -42,7 +42,7 @@ from .setalg import (
     gbs_from_json,
     gbs_to_json,
 )
-from .domain import RepresentableDomain, RepresentabilityWitness
+from .domain import RepresentableDomain, RepresentabilityWitness, slab_box, slab_margin
 
 INSIDE_WITNESS = "inside_witness"  # `locate`'s reasons where no cell answers
 OUTSIDE_DOMAIN = "outside_domain"
@@ -343,19 +343,12 @@ class GridSpec:
         return tuple(idx)
 
     def slab_half_widths(self, eps: Fraction) -> tuple[Fraction, ...]:
-        """Per axis, the half-width h of the grid-plane witness's slabs.
-
-        eps is split evenly over the planes; a slab of axis j has volume
-        at most 2h * prod over the other axes of (width + 1), which needs
-        2h <= 1.  h <= min_w / 4 keeps the slabs of one axis apart.
-        """
+        """Per axis, the half-width h of the grid-plane witness's slabs:
+        `slab_margin` of an even share of eps per plane over the box, with
+        h <= min_w / 4 keeping the slabs of one axis apart."""
         budget = eps / sum(n + 1 for n in self.shape)
-        spans = [h - l + 1 for l, h in zip(self.box.lo, self.box.hi)]
-        min_w = min(self.widths())
-        return tuple(
-            min(budget / (2 * math.prod(spans[:j] + spans[j + 1 :])), min_w / 4, Fraction(1, 2))
-            for j in range(self.dim)
-        )
+        cap = min(self.widths()) / 4
+        return tuple(slab_margin(budget, self.box, j, cap) for j in range(self.dim))
 
     def slab_keys(self, eps: Fraction) -> tuple[AxisKeys, ...]:
         """Per axis, the slab ends v_0 - h, v_0 + h, ..., v_N + h over [v_0, v_N].
@@ -435,9 +428,6 @@ class SampledSVF:
     @property
     def beta(self) -> int:
         return self.range_map.beta
-
-    def net_raw(self, flat_idx: int) -> np.ndarray:
-        return self.nets[flat_idx]
 
     def cell_index_at(self, x) -> int | None:
         """The flat index of the grid cell holding x, or None outside the box."""
@@ -602,7 +592,9 @@ def sublevel_domains(
     Cellwise: each C_i is the exact union of accepted cells (closed
     comparison by default, strict when requested).  Sampled: cells are
     accepted when the net at their center passes the tau-inflated test,
-    a conservative superset of the honest delta + tau level.
+    a conservative superset of the honest delta + tau level.  Every
+    member and the union, an empty one included, is witnessed by the
+    SVF's one M(eps), `F.witness`, which serves every union of its cells.
     """
     delta = as_fraction(delta)
     if delta <= 0:
@@ -611,9 +603,6 @@ def sublevel_domains(
     if F.kind == "cellwise":
         slack, thr = 0.0, delta * delta
         distances = lambda r: [dist2_point_set(r, values) for _, values in F.cells]
-        domain_of = lambda seq: RepresentableDomain.from_carrier(
-            seq, F.domain_box, coverage="closure"
-        )
     else:
         # tau lives in normalized units; bound its original-space size by the
         # widest range axis (conservative for anisotropic maps)
@@ -624,16 +613,11 @@ def sublevel_domains(
             )
         thr = float(delta) + slack
         distances = lambda r: _net_distances(F, r)
-        domain_of = lambda seq: RepresentableDomain(
-            seq, F.domain_box, F.witness, coverage="closure"
-        )
 
     def domain(idxs) -> RepresentableDomain:
-        if idxs:
-            return domain_of(SetSequence.of([F.cell_box(i) for i in idxs], "rowmajor"))
-        seq = SetSequence((GeneralizedBasicSet.empty(F.alpha),), "rowmajor")
-        w = RepresentabilityWitness(lambda eps: GeneralizedBasicSet.empty(F.alpha))
-        return RepresentableDomain(seq, F.domain_box, w, coverage="closure")
+        items = [F.cell_box(i) for i in idxs] or [GeneralizedBasicSet.empty(F.alpha)]
+        seq = SetSequence.of(items, "rowmajor")
+        return RepresentableDomain(seq, F.domain_box, F.witness, coverage="closure")
 
     below = operator.lt if strict else operator.le
     accepted = tuple(
@@ -659,15 +643,9 @@ def grid_plane_witness(grid: GridSpec, eps) -> GeneralizedBasicSet:
     The endpoint set of any union of grid cells lies on the grid
     planes, so one witness shape serves every such domain.
     """
-    half_widths = grid.slab_half_widths(as_fraction(eps))
-    parts = []
-    for j, v in grid.grid_planes():
-        half = half_widths[j]
-        lo = [grid.box.lo[k] - half for k in range(grid.dim)]
-        hi = [grid.box.hi[k] + half for k in range(grid.dim)]
-        lo[j], hi[j] = v - half, v + half
-        parts.append(BasicSet.open_box(lo, hi))
-    return GeneralizedBasicSet.of(parts, dim=grid.dim)
+    half = grid.slab_half_widths(as_fraction(eps))
+    slabs = [slab_box(j, v, grid.box, half[j]) for j, v in grid.grid_planes()]
+    return GeneralizedBasicSet.of(slabs, dim=grid.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -511,14 +511,19 @@ def sublevel_reference(F, centers, delta, strict):
     Cellwise: the exact squared distance from r to each closed value
     part, read from its corners, against delta**2.  Sampled: the nearest
     net point of each active cell against delta plus the tau slack.
-    Each domain is a row-major sequence of one-box items; its witness is
-    `make_witness` (cellwise) or the grid-plane witness (sampled), and
-    an empty family gets an empty witness.  Returns (cell indices,
-    slack, domains, union domain).
+    Each domain is a row-major sequence of one-box items, or of one
+    empty set.  Every domain, an empty one included, has the one witness
+    of the SVF's cells: `make_witness` of all the cells with coverage
+    "closure" (cellwise) or the grid-plane witness (sampled).  Returns
+    (cell indices, slack, domains, union domain).
     """
     import numpy as np
 
-    from selectorkit.domain import RepresentableDomain, RepresentabilityWitness
+    from selectorkit.domain import (
+        RepresentableDomain,
+        RepresentabilityWitness,
+        make_witness,
+    )
     from selectorkit.setalg import GeneralizedBasicSet, SetSequence
     from selectorkit.svf import grid_plane_witness
 
@@ -554,25 +559,21 @@ def sublevel_reference(F, centers, delta, strict):
                     idxs.append(i)
         cell_indices.append(tuple(idxs))
 
+    if F.kind == "cellwise":
+        cells = SetSequence(tuple(GeneralizedBasicSet.of([c], dim=dim) for c, _ in F.cells))
+        witness = RepresentabilityWitness(
+            lambda eps: make_witness(cells, F.domain_box, eps, coverage="closure")
+        )
+    else:
+        witness = RepresentabilityWitness(lambda eps: grid_plane_witness(F.grid, eps))
+
     def domain(idxs):
-        if not idxs:
-            empty = GeneralizedBasicSet.empty(dim)
-            return RepresentableDomain(
-                SetSequence((empty,), "rowmajor"),
-                F.domain_box,
-                RepresentabilityWitness(lambda eps: empty),
-                coverage="closure",
-            )
         if F.kind == "cellwise":
             boxes = [F.cells[i][0] for i in idxs]
         else:
             boxes = [F.grid.cell_box(F.grid.unflat(i)) for i in idxs]
-        seq = SetSequence(
-            tuple(GeneralizedBasicSet.of([b], dim=dim) for b in boxes), "rowmajor"
-        )
-        if F.kind == "cellwise":
-            return RepresentableDomain.from_carrier(seq, F.domain_box, coverage="closure")
-        witness = RepresentabilityWitness(lambda eps: grid_plane_witness(F.grid, eps))
+        items = tuple(GeneralizedBasicSet.of([b], dim=dim) for b in boxes)
+        seq = SetSequence(items or (GeneralizedBasicSet.empty(dim),), "rowmajor")
         return RepresentableDomain(seq, F.domain_box, witness, coverage="closure")
 
     union = tuple(sorted({i for idxs in cell_indices for i in idxs}))
@@ -802,6 +803,36 @@ def cell_box_reference(grid, idx):
     return BasicSet.box(lo, hi, [True] * grid.dim, closed_hi)
 
 
+def grid_plane_witness_reference(grid, eps):
+    """grid_plane_witness's slabs, one per plane, with the rule written out.
+
+    eps is shared evenly by the planes; a plane of axis j gets the open
+    slab of half-width h_j = min(eps / #planes / (2 prod over k != j of
+    (w_k + 1)), min cell width / 4, 1/2) around it, reaching h_j past
+    the box on every other axis, w_k being the box's width on axis k.
+    """
+    from selectorkit.setalg import BasicSet
+
+    eps = Fraction(eps)
+    box, dim = grid.box, grid.dim
+    n_planes = sum(n + 1 for n in grid.shape)
+    widths = [box.hi[k] - box.lo[k] for k in range(dim)]
+    min_cell = min(widths[k] / grid.shape[k] for k in range(dim))
+    slabs = []
+    for j in range(dim):
+        other = Fraction(1)
+        for k in range(dim):
+            if k != j:
+                other *= widths[k] + 1
+        h = min(eps / n_planes / (2 * other), min_cell / 4, Fraction(1, 2))
+        for i in range(grid.shape[j] + 1):
+            v = box.lo[j] + widths[j] * i / grid.shape[j]
+            lo = [box.lo[k] - h if k != j else v - h for k in range(dim)]
+            hi = [box.hi[k] + h if k != j else v + h for k in range(dim)]
+            slabs.append(BasicSet.open_box(lo, hi))
+    return slabs
+
+
 def straddle_mask_reference(grid, sigma):
     """svf._straddle_mask cell by cell: a cell straddles when its corner
     signs disagree or one of them is zero."""
@@ -911,9 +942,10 @@ def projection_reference(net, target):
 def filippov_iterate_reference(prob, grid_step=0.01, max_iter=50, tol=1e-6):
     """inclusion.filippov_iterate, projecting one grid point at a time.
 
-    Each point's net comes from its own one-row call of the oracle, so
-    no padding enters; the sweep, the quadrature, the residual and the
-    certificate are written out as the solver's.
+    Each point's net, reference value and reference derivative come from
+    their own one-row calls of the oracles, so no padding enters; the
+    sweep, the quadrature, the residual and the certificate are written
+    out as the solver's.
     """
     import numpy as np
 
@@ -924,9 +956,9 @@ def filippov_iterate_reference(prob, grid_step=0.01, max_iter=50, tol=1e-6):
     h = float(grid_step)
     n, d = len(times), len(prob.x0)
 
-    g_vals = np.array([np.atleast_1d(prob.g(t)) for t in times])
+    g_vals = np.array([prob.g(times[j : j + 1])[0] for j in range(n)])
     x_cur = g_vals + (prob.x0 - g_vals[0])
-    xdot_cur = np.array([np.atleast_1d(prob.g_dot(t)) for t in times])
+    xdot_cur = np.array([prob.g_dot(times[j : j + 1])[0] for j in range(n)])
     residuals, converged, v = [], False, xdot_cur
     for _ in range(max_iter):
         v = np.empty((n, d))

@@ -432,7 +432,7 @@ def test_selector_values_inside_certified_ball():
             continue
         # compare against the value net at the cell center
         idx = svf.grid.cell_of_point([F_(c).limit_denominator(2**20) for c in x])
-        net = svf.range_map.normalize_array(svf.net_raw(svf.grid.flat(idx)))
+        net = svf.range_map.normalize_array(svf.nets[svf.grid.flat(idx)])
         val = np.array(
             [float(c) for c in svf.range_map.normalize(res.value)]
         )

@@ -34,6 +34,7 @@ from selectorkit.svf import _straddle_mask
 from oracles import (
     cell_box_reference,
     cell_of_point_reference,
+    grid_plane_witness_reference,
     straddle_mask_reference,
     sublevel_reference,
 )
@@ -166,7 +167,10 @@ def test_sublevel_all_empty():
     f = desk_svf()
     fam = sublevel_domains(f, [[F(-5)], [F(5)]], F(1, 8))
     assert all(ix == () for ix in fam.cell_indices)
-    assert fam.union_domain.witness(F(1, 10)).is_empty
+    # an empty union keeps the SVF's one witness, and nothing of it to cover
+    assert fam.union_domain.carrier_gbs().is_empty
+    assert fam.union_domain.witness is f.witness
+    assert fam.union_domain.verify(F(1, 10)).ok
 
 
 def test_cellwise_sublevel_verify_reads_the_witness_certificate(monkeypatch):
@@ -177,7 +181,7 @@ def test_cellwise_sublevel_verify_reads_the_witness_certificate(monkeypatch):
         return well_containment_margin(*args, **kwargs)
 
     monkeypatch.setattr("selectorkit.domain.well_containment_margin", counted)
-    dom = sublevel_domains(desk_svf(), [[F(1, 4)], [F(3, 4)]], F(1, 8)).union_domain
+    dom = desk_svf().cell_domain
     eps = F(1, 12)
     m = dom.witness(eps)
     cert = dom.verify(eps)
@@ -320,18 +324,18 @@ def _sampled_2d():
     return svf, centers, F(3, 16)
 
 
+_SUBLEVEL_CASES = [
+    lambda: (desk_svf(), [[0], [F(1, 4)], [F(1, 2)], [F(-5)]], F(1, 4)),
+    _cellwise_2d,
+    _sampled_1d,
+    _sampled_2d,
+    lambda: (_two_cell_masked_svf(), [[0], [F(1, 2)]], F(1, 4)),
+]
+_SUBLEVEL_IDS = ["desk", "cellwise-2d", "sampled-1d", "sampled-2d-mask", "sampled-2cell-mask"]
+
+
 @pytest.mark.parametrize("strict", [False, True], ids=["closed", "strict"])
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda: (desk_svf(), [[0], [F(1, 4)], [F(1, 2)], [F(-5)]], F(1, 4)),
-        _cellwise_2d,
-        _sampled_1d,
-        _sampled_2d,
-        lambda: (_two_cell_masked_svf(), [[0], [F(1, 2)]], F(1, 4)),
-    ],
-    ids=["desk", "cellwise-2d", "sampled-1d", "sampled-2d-mask", "sampled-2cell-mask"],
-)
+@pytest.mark.parametrize("make", _SUBLEVEL_CASES, ids=_SUBLEVEL_IDS)
 def test_sublevel_family_matches_per_cell_reference(make, strict):
     svf, centers, delta = make()
     fam = sublevel_domains(svf, centers, delta, strict=strict)
@@ -341,6 +345,17 @@ def test_sublevel_family_matches_per_cell_reference(make, strict):
     for got, want in zip((*fam.domains, fam.union_domain), (*domains, union)):
         assert got.carrier == want.carrier
         assert repr(got.verify(F(1, 10))) == repr(want.verify(F(1, 10)))
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["closed", "strict"])
+@pytest.mark.parametrize("make", _SUBLEVEL_CASES, ids=_SUBLEVEL_IDS)
+def test_sublevel_members_and_union_verify_under_the_svf_witness(make, strict):
+    svf, centers, delta = make()
+    fam = sublevel_domains(svf, centers, delta, strict=strict)
+    for dom in (*fam.domains, fam.union_domain):
+        assert dom.witness is svf.witness
+        for eps in (F(1, 3), F(1, 10), F(1, 12), F(1, 100)):
+            assert dom.verify(eps).ok
 
 
 @pytest.mark.parametrize(
@@ -416,6 +431,21 @@ def test_grid_plane_witness_budget():
         assert m.contains([F(2, 7), F(1, 2)])
 
 
+def test_grid_plane_witness_matches_the_per_plane_rule():
+    rng = random.Random(29)
+    for dim in (1, 2, 3):
+        for _ in range(4):
+            lo = [F(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(dim)]
+            hi = [l + F(rng.randint(1, 24), rng.randint(1, 6)) for l in lo]
+            shape = tuple(rng.randint(1, 5) for _ in range(dim))
+            grid = GridSpec(BasicSet.closed_box(lo, hi), shape)
+            for eps in (F(1), F(1, 3), F(1, 10), F(1, 100), F(7, 1000)):
+                got = grid_plane_witness(grid, eps)
+                want = grid_plane_witness_reference(grid, eps)
+                assert got.parts == tuple(want)
+                assert got.measure() <= eps
+
+
 # ---------------------------------------------------------------------------
 # Filippov regularization
 
@@ -435,7 +465,7 @@ def test_filippov_sign_field():
     assert d == pytest.approx(0.0, abs=1e-12)
     # at x = 0 (straddling cell): net spans [-1, 1]
     idx = svf.grid.cell_of_point([F(1, 1000)])
-    net = svf.net_raw(svf.grid.flat(idx))
+    net = svf.nets[svf.grid.flat(idx)]
     assert net.min() == -1.0 and net.max() == 1.0 and len(net) == 5
 
 
