@@ -354,23 +354,27 @@ def problem_from_cellwise_svf(svf, x0, T, beta_tube, obj=None) -> DIProblem:
     if not svf.domain_box.contains([as_fraction(c) for c in x0]):
         raise InputError(f"x0 {x0.tolist()} lies outside the SVF's working box")
 
+    cell_nets = {}  # cell index -> its net, built once; the padding below copies it
+
     def net(times, X):
         nets = []
         for t, x in zip(times.tolist(), X.tolist()):
-            i = svf.cell_index_at([as_fraction(c) for c in x])
+            i = svf.cell_index_at(x)  # the float iterate, located exactly
             if i is None:
                 raise DomainPointError(
                     f"Filippov iteration: the iterate at t={t!r} is {x!r}, "
                     "outside the SVF's working box"
                 )
-            pts = []
-            for part in svf.cells[i][1].parts:
-                lo = [float(c) for c in part.lo]
-                hi = [float(c) for c in part.hi]
-                pts.append(lo)
-                if hi != lo:
-                    pts.append(hi)
-                    pts.append([0.5 * (a + b) for a, b in zip(lo, hi)])
+            pts = cell_nets.get(i)
+            if pts is None:
+                pts = cell_nets[i] = []
+                for part in svf.cells[i][1].parts:
+                    lo = [float(c) for c in part.lo]
+                    hi = [float(c) for c in part.hi]
+                    pts.append(lo)
+                    if hi != lo:
+                        pts.append(hi)
+                        pts.append([0.5 * (a + b) for a, b in zip(lo, hi)])
             nets.append(pts)
         m = max(map(len, nets))
         return np.array([pts + pts[-1:] * (m - len(pts)) for pts in nets])

@@ -7,19 +7,19 @@ within 2**-(k-1) of the previous approximant, and ties go to the
 lowest mesh index via the countable reduction in row-major order.
 
 Only mesh points within four pitches of the previous value can pass,
-so both engines enumerate the same lattice ball around it
-(`_ball_offsets`) in lexicographic order, which keeps the tie-break,
-and differ only in the distance test.  The exact engine handles
-cellwise SVFs, which it never splits, and decides both tests exactly on
-one integer scale per cell and level (`_CellScale`): the previous value,
-the previous winner's mesh digits, and the ends of the cell's value-set
-parts, normalized through the range map's `int_axes`, are encoded as
-ints once, and each candidate is its digit vector.
+so both engines walk the same lattice ball around it in lexicographic
+order, which keeps the tie-break, as its runs of one first digit
+(`_ball_runs`), and differ only in the distance test.  The exact engine
+handles cellwise SVFs, which it never splits, and decides both tests
+exactly on one integer scale per cell and level (`_CellScale`), where
+the previous value and the cell's value-set ends are ints: both tests
+are sums of per-axis terms of a candidate's digits, tabled once per
+cell and level, and a run whose first-axis terms alone already fail
+either test is skipped whole.
 The grid engine handles sampled SVFs on their cell grid, vectorized in
 float64, with declared slack tau folded into every certificate
 (acceptance threshold 2**-k + 2*tau, certified error 2**-k + 3*tau).
-It walks the ball as its runs of one first digit, in order: each run
-is tested at once for the cells still without a winner whose
+Each run is tested at once for the cells still without a winner whose
 first-digit slab lies within reach of their net, and a cell's first
 hit is its lowest admitted index.
 
@@ -300,6 +300,17 @@ def _ball_offsets(beta: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+@cache
+def _ball_runs(beta: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
+    """`_ball_offsets` as its runs of one first digit, in ball order: per
+    run, (first offset, the offsets' other digits).  Both engines walk
+    these; at beta = 2 the runs are 5, 7, 9, 9, 9, 9, 9, 7, 5 long."""
+    return tuple(
+        (first, tuple(o[1:] for o in run))
+        for first, run in itertools.groupby(_ball_offsets(beta), key=lambda o: o[0])
+    )
+
+
 # ---------------------------------------------------------------------------
 # exact engine
 
@@ -316,18 +327,14 @@ def extraction_step(f_prev: Step | None, F: CellwiseSVF, k: int, budget=None) ->
         raise InputError("extraction level must be at least 2")
     budget = as_fraction(budget) if budget is not None else Fraction(1, 2 ** (k + 2))
     top = 2 ** (k + 1)  # largest mesh digit
-    offsets = _ball_offsets(F.beta)
+    runs = _ball_runs(F.beta)
     nodes = mesh_shape(k, F.beta)
 
     # winner per cell: the first ball candidate admitted from its previous value
     winner = [-1] * len(F.cells)
     for ci, w, scale in _cell_scales(F, k, f_prev):
-        base = scale.nearest_node()
-        for off in offsets:
-            digits = tuple(b + o for b, o in zip(base, off))
-            if all(0 <= d <= top for d in digits) and scale.admits(digits):
-                break
-        else:
+        digits = scale.first_admitted(runs, top)
+        if digits is None:
             pi = 0 if f_prev is None else _piece_rank(f_prev.winner, w)
             raise CoverageError(
                 f"no mesh point at level {k} serves cell {ci} from piece {pi}; "
@@ -372,26 +379,29 @@ class _CellScale:
     and the denominators of p and of those ratios; p and each part's lo and
     hi are encoded once as ints on L.  A candidate is its digit vector d,
     the mesh node d / 2**(k+1), which sits at d * m on L with
-    m = L >> (k+1).  The gap test 4**(k-1) * sum (d_j m - p_j)**2 < L**2
-    and the value test 4**k * sum clamp_j**2 < L**2 for some part, clamp
-    being the distance below lo or above hi, compare against
+    m = L >> (k+1).  Both tests are sums of per-axis terms (`terms`): on
+    axis j at digit d_j, the gap term (d_j m - p_j)**2 and, per part, the
+    value term clamp**2, clamp being the distance below lo or above hi.
+    The gap test 4**(k-1) * sum of gap terms < L**2 and the value test
+    4**k * sum of a part's value terms < L**2 for some part compare against
     L**2 >> 2(k-1) and L**2 >> 2k, exact since 4**(k+1) divides L**2.  Like
     `BasicSet.dist2_point`, the value test measures to each part's
-    closure, so closure flags do not enter.
+    closure, so closure flags do not enter.  `admits` decides one digit
+    vector; `first_admitted` walks the ball on tables of the same terms.
     """
 
-    __slots__ = ("step", "prev", "boxes", "gap2", "err2")
+    __slots__ = ("step", "prev", "ends", "gap2", "err2")
 
     def __init__(self, prev: Sequence[tuple[int, int]], values: GeneralizedBasicSet, axes, k: int):
         def normalized(end: Fraction, a: int, b: int, s: int) -> tuple[int, int]:
             n, d = end.as_integer_ratio()
             return n * s - a * d, d * b
 
-        ends = [
-            [(normalized(lo, *ax), normalized(hi, *ax)) for lo, hi, ax in zip(q.lo, q.hi, axes)]
-            for q in values.parts
+        ends = [  # per axis, per part
+            [(normalized(q.lo[j], *ax), normalized(q.hi[j], *ax)) for q in values.parts]
+            for j, ax in enumerate(axes)
         ]
-        dens = [d for _, d in prev] + [d for box in ends for end in box for _, d in end]
+        dens = [d for _, d in prev] + [d for axis in ends for end in axis for _, d in end]
         scale = math.lcm(2 ** (k + 1), *dens)
 
         def on_scale(ratio: tuple[int, int]) -> int:
@@ -399,7 +409,7 @@ class _CellScale:
 
         self.step = scale >> (k + 1)  # m, one mesh pitch on the scale
         self.prev = [on_scale(c) for c in prev]
-        self.boxes = [[(on_scale(lo), on_scale(hi)) for lo, hi in box] for box in ends]
+        self.ends = [[(on_scale(lo), on_scale(hi)) for lo, hi in axis] for axis in ends]
         self.gap2 = (scale * scale) >> (2 * (k - 1))
         self.err2 = (scale * scale) >> (2 * k)
 
@@ -411,21 +421,46 @@ class _CellScale:
             base.append(q + (2 * rem > self.step or (2 * rem == self.step and q & 1)))
         return base
 
+    def terms(self, j: int, d: int) -> tuple[int, list[int]]:
+        """Axis j's terms at mesh digit d: the gap term and one value term per part."""
+        x = d * self.step
+        return (x - self.prev[j]) ** 2, [
+            (lo - x) ** 2 if x < lo else (x - hi) ** 2 if x > hi else 0 for lo, hi in self.ends[j]
+        ]
+
     def admits(self, digits: Sequence[int]) -> bool:
         """Whether the level-k node with these mesh digits passes both tests."""
-        xs = [d * self.step for d in digits]
-        if sum((x - p) * (x - p) for x, p in zip(xs, self.prev)) >= self.gap2:
-            return False
-        for box in self.boxes:
-            acc = 0
-            for x, (lo, hi) in zip(xs, box):
-                if x < lo:
-                    acc += (lo - x) * (lo - x)
-                elif x > hi:
-                    acc += (x - hi) * (x - hi)
-            if acc < self.err2:
-                return True
-        return False
+        gaps, values = zip(*map(self.terms, range(len(digits)), digits))
+        return sum(gaps) < self.gap2 and any(sum(v) < self.err2 for v in zip(*values))
+
+    def first_admitted(self, runs, top: int) -> tuple[int, ...] | None:
+        """The first admitted digits in ball order around `nearest_node()`,
+        the lowest admitted mesh index, or None; `runs` is `_ball_runs(beta)`.
+
+        The terms of the digits base_j - 4 .. base_j + 4 within [0, top] are
+        tabled once per axis.  Terms are non-negative, so a run whose first-axis
+        gap term reaches gap2, or whose first-axis value terms all reach err2,
+        is skipped whole; inside a run only the parts still in reach are summed.
+        """
+        base = self.nearest_node()
+        first, *rest = (
+            {o: self.terms(j, b + o) for o in range(-4, 5) if 0 <= b + o <= top}
+            for j, b in enumerate(base)
+        )
+        for o0, tails in runs:
+            if o0 not in first:
+                continue
+            gap0, values0 = first[o0]
+            live = [(i, v) for i, v in enumerate(values0) if v < self.err2]
+            if gap0 >= self.gap2 or not live:
+                continue
+            for tail in tails:
+                terms = [t.get(o) for t, o in zip(rest, tail)]
+                if None in terms or gap0 + sum(g for g, _ in terms) >= self.gap2:
+                    continue
+                if any(v + sum(vs[i] for _, vs in terms) < self.err2 for i, v in live):
+                    return (base[0] + o0, *(b + o for b, o in zip(base[1:], tail)))
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -457,9 +492,9 @@ def _grid_step(prev_step: Step | None, F: SampledSVF, k: int, budget) -> Step:
         prev_ok = prev_ok & F.mask
 
     # the ball's offsets in runs of one first digit, in ball order
-    offsets = np.array(_ball_offsets(beta))
-    first_offsets, run_starts = np.unique(offsets[:, 0], return_index=True)
-    runs = np.split(offsets, run_starts[1:])
+    ball_runs = _ball_runs(beta)
+    first_offsets = np.array([o0 for o0, _ in ball_runs])
+    runs = [np.array([(o0, *tail) for tail in tails]) for o0, tails in ball_runs]
     winner = np.full(n_cells, -1, dtype=np.int64)
     accept2 = eps_accept * eps_accept
     gap2 = gap * gap

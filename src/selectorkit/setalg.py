@@ -39,7 +39,7 @@ from operator import gt
 from typing import Iterable, Sequence
 
 from .errors import InputError
-from .rational import as_fraction, int_from_json, rational_from_json, rational_to_json
+from .rational import as_exact, as_fraction, int_from_json, rational_from_json, rational_to_json
 
 MAX_DIM = 3
 
@@ -452,14 +452,17 @@ class GeneralizedBasicSet:
     def locate(self, point: Sequence) -> int | None:
         """Index of the first part containing the point, or None.
 
-        Each coordinate is placed in its slot among the axis's sorted
-        endpoint values by `AxisKeys`.  The parts holding the point
-        start at or before that slot and end at or after it on every
-        axis; the lowest bit of that mask is the first of them.
+        Each coordinate, read exactly through `as_exact`, is placed in its
+        slot among the axis's sorted endpoint values by `AxisKeys`.  The
+        parts holding the point start at or before that slot and end at or
+        after it on every axis; the lowest bit of that mask is the first.
         """
         if not self.parts:
             return None
-        pt = _aspoint(point, self.dim)
+        return self.locate_exact(_aspoint(point, self.dim, as_exact))
+
+    def locate_exact(self, pt: Sequence) -> int | None:
+        """`locate` for a point already checked by `_aspoint` with `as_exact`."""
         hits = (1 << len(self.parts)) - 1
         for c, (axis, starts, ends) in zip(pt, self._rank_index):
             s = axis.slot(*axis.place(c))

@@ -172,6 +172,7 @@ class CellwiseSVF:
 
         One point location in the union of M(eps) within the closed box,
         then the cells, built once per eps: the first part holding x decides.
+        x comes checked by `_aspoint` with `as_exact`, as `final_answer` hands it.
         """
         key = eps.as_integer_ratio()  # a tuple of ints hashes faster than a Fraction
         located = self._located.get(key)
@@ -180,7 +181,7 @@ class CellwiseSVF:
             union = GeneralizedBasicSet(self.alpha, m.parts + self._cell_union.parts)
             located = self._located[key] = (union, len(m.parts))
         union, n_witness = located
-        i = union.locate(x)
+        i = union.locate_exact(x)
         if i is None:
             return OUTSIDE_DOMAIN, None
         return (INSIDE_WITNESS, None) if i < n_witness else (None, i - n_witness)

@@ -392,6 +392,21 @@ def admissible_reference(r, prev, vals, k):
     )
 
 
+def first_admitted_reference(scale, top):
+    """selector._CellScale.first_admitted as the ball walk was first
+    written: `admits` on every ball offset around `nearest_node()` whose
+    digits lie in [0, top], in ball order; the first admitted digits, or
+    None."""
+    from selectorkit.selector import _ball_offsets
+
+    base = scale.nearest_node()
+    for off in _ball_offsets(len(base)):
+        digits = tuple(b + o for b, o in zip(base, off))
+        if all(0 <= d <= top for d in digits) and scale.admits(digits):
+            return digits
+    return None
+
+
 def extraction_step_reference(prev, F, k, budget=None):
     """selector.extraction_step as first written: every cell of F against
     every previous piece, each non-empty meet an atom with its own winner.

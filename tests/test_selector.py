@@ -21,6 +21,7 @@ from selectorkit.selector import (
     EvalResult,
     Step,
     _ball_offsets,
+    _ball_runs,
     _CellScale,
     cauchy_defect,
     chain_from_json,
@@ -55,6 +56,7 @@ from oracles import (
     brute_force_selector,
     cauchy_defect_reference,
     extraction_step_reference,
+    first_admitted_reference,
     eval_selector_reference,
     first_part_containing,
     grid_cauchy_defect_reference,
@@ -189,6 +191,23 @@ def test_ball_offsets_hold_every_node_within_gap():
             for d in itertools.product(range(2 ** (k + 1) + 1), repeat=beta):
                 if sum((pitch * i - c) ** 2 for i, c in zip(d, v)) < gap2:
                     assert d in ball
+
+
+def test_ball_runs_split_the_ball_by_first_digit():
+    lengths = {1: [1] * 9, 2: [5, 7, 9, 9, 9, 9, 9, 7, 5], 3: [21, 45, 61, 69, 69, 69, 61, 45, 21]}
+    for beta, want in lengths.items():
+        runs = _ball_runs(beta)
+        assert runs is _ball_runs(beta)
+        assert [len(tails) for _, tails in runs] == want
+        assert [(o0, *tail) for o0, tails in runs for tail in tails] == list(_ball_offsets(beta))
+
+
+def test_both_engines_walk_the_ball_runs():
+    exact, grid = desk_svf(), _slab_boundary_svf(0.0, 2, 0)
+    with mock.patch.object(selector, "_ball_runs", wraps=selector._ball_runs) as runs:
+        extract(exact, 2)
+        extract(grid, 2)
+    assert runs.call_args_list == [mock.call(exact.beta), mock.call(grid.beta)]
 
 
 def test_mesh_rejects_low_level():
@@ -400,8 +419,12 @@ def test_exact_steps_match_cell_by_piece_reference_hypothesis(pair):
         ref = want[0]
 
 
-# unit offsets in the plane with exact rational length 1, axis-aligned and not
-_UNIT_2D = [(1, 0), (0, -1), (F_(3, 5), F_(4, 5)), (F_(-4, 5), F_(3, 5)), (F_(5, 13), F_(-12, 13))]
+# unit offsets with exact rational length 1, axis-aligned and not
+_UNITS = {
+    1: [(1,), (-1,)],
+    2: [(1, 0), (0, -1), (F_(3, 5), F_(4, 5)), (F_(-4, 5), F_(3, 5)), (F_(5, 13), F_(-12, 13))],
+    3: [(1, 0, 0), (0, 0, -1), (F_(2, 3), F_(-2, 3), F_(1, 3)), (F_(2, 7), F_(3, 7), F_(-6, 7))],
+}
 
 
 @st.composite
@@ -413,8 +436,9 @@ def admissible_cases(draw):
     closed, mixed, degenerate or singletons, in normalized coordinates.
     rmap is a range map with dyadic, non-dyadic or float-valued ends; prev
     may be its normalized zero.  The digits lie in [0, 2**(k+1)], as every
-    reader's do."""
-    k, beta = draw(st.integers(2, 5)), draw(st.integers(1, 2))
+    reader's do, the mesh edges 0 and 2**(k+1) drawn often.  With `far`
+    the parts move 2 along the first axis, out of every mesh node's reach."""
+    k, beta = draw(st.integers(2, 5)), draw(st.integers(1, 3))
     ends = [
         (draw(st.sampled_from([0, F_(-1, 3), F_(-2, 7), -1, F_(-5, 3), 0.1])),
          draw(st.sampled_from([1, F_(7, 5), F_(2, 9), F_(10, 3), 2.3])))
@@ -422,14 +446,14 @@ def admissible_cases(draw):
     ]
     rmap = AffineRangeMap.of([l for l, _ in ends], [as_fraction(l) + w for l, w in ends])
     top = 2 ** (k + 1)
-    digits = [draw(st.integers(0, top)) for _ in range(beta)]
+    digits = [draw(st.one_of(st.sampled_from([0, top]), st.integers(0, top))) for _ in range(beta)]
     r = [F_(d, top) for d in digits]
 
     def offset(length):
         kind = draw(st.sampled_from(["tie", "tie", "under", "over", "free"]))
         if kind == "free":
             return [F_(draw(st.integers(-3 * top, 3 * top)), 6 * top) for _ in range(beta)]
-        unit = draw(st.sampled_from(_UNIT_2D)) if beta == 2 else (draw(st.sampled_from([1, -1])),)
+        unit = draw(st.sampled_from(_UNITS[beta]))
         scale = {"tie": 1, "under": F_(96, 97), "over": F_(98, 97)}[kind]
         return [length * scale * u for u in unit]
 
@@ -441,9 +465,10 @@ def admissible_cases(draw):
     else:
         prev = [F_(draw(st.integers(0, top // 2)), top // 2) for _ in range(beta)]
 
-    parts = []
+    parts, far = [], draw(st.integers(0, 7)) == 0
     for _ in range(draw(st.integers(1, 3))):
         gap = offset(F_(1, 2**k))  # from r to the part's nearest point q
+        gap[0] += 2 * far
         kind = draw(st.sampled_from(["open", "closed", "mixed", "degenerate", "singleton"]))
         flat = {"singleton": set(range(beta)), "degenerate": {draw(st.integers(0, beta - 1))}}
         lo, hi = [], []
@@ -470,14 +495,31 @@ def test_admissible_matches_fraction_reference_on_ties_hypothesis(case):
     coordinates decides as the `Fraction` one on the node and the normalized
     value set, exact ties included."""
     digits, prev, vals, rmap, k = case
+    got = _case_scale(case).admits(digits)
+    r = tuple(F_(d, 2 ** (k + 1)) for d in digits)
+    assert got == admissible_reference(r, prev, vals, k)
+
+
+@given(case=admissible_cases())
+@settings(max_examples=400, deadline=None)
+def test_first_admitted_matches_ball_walk_reference_hypothesis(case):
+    """The tabled walk of the ball's runs finds the digits that `admits` on
+    every in-range ball offset finds first, and None where none passes."""
+    top = 2 ** (case[-1] + 1)
+    scale = _case_scale(case)
+    assert scale.first_admitted(_ball_runs(case[2].dim), top) == first_admitted_reference(scale, top)
+
+
+def _case_scale(case):
+    """The `_CellScale` of an `admissible_cases` draw, its value set
+    denormalized to range coordinates."""
+    _, prev, vals, rmap, k = case
     raw = GeneralizedBasicSet.of(
         [BasicSet.box(rmap.denormalize(p.lo), rmap.denormalize(p.hi), p.closed_lo, p.closed_hi)
          for p in vals.parts],
         dim=vals.dim,
     )
-    got = _CellScale([c.as_integer_ratio() for c in prev], raw, rmap.int_axes, k).admits(digits)
-    r = tuple(F_(d, 2 ** (k + 1)) for d in digits)
-    assert got == admissible_reference(r, prev, vals, k)
+    return _CellScale([c.as_integer_ratio() for c in prev], raw, rmap.int_axes, k)
 
 
 @given(pair=cellwise_svf_pairs(), drop=st.booleans())
@@ -830,8 +872,9 @@ def test_eval_refuses_malformed_points(name):
             x[j] = bad
             with pytest.raises(error, match=match):
                 eval_selector(chain, x)
-    with pytest.raises(SetAlgebraError, match=f"point dimension {dim + 1} != set dimension {dim}"):
-        eval_selector(chain, [F_(1, 3)] * (dim + 1))
+    for x in ([F_(1, 3)] * (dim + 1), [1 / 3] * (dim + 1), [1 / 3] * (dim - 1)):
+        with pytest.raises(SetAlgebraError, match=f"point dimension {len(x)} != set dimension {dim}"):
+            eval_selector(chain, x)
 
 
 # ---------------------------------------------------------------------------

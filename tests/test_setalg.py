@@ -276,6 +276,11 @@ def test_locate_matches_linear_scan_hypothesis(case):
         assert g.locate(x) == want
         assert g.contains(x) == (want is not None)
         assert kept.contains(x) == (want is not None)
+        # a float point is located by its exact value, on faces too
+        xf = [float(c) for c in x]
+        assert g.locate(xf) == g.locate([F(c) for c in xf]) == first_part_containing(
+            g.parts, [F(c) for c in xf]
+        )
 
 
 @st.composite
@@ -462,6 +467,7 @@ def test_locate_first_of_overlapping_parts():
     assert [g.locate([F(k, 4)]) for k in range(-1, 10)] == [
         None, 0, 0, 0, 0, 0, 1, 1, 1, 1, None
     ]
+    assert [g.locate([k / 4]) for k in range(-1, 10)] == [g.locate([F(k, 4)]) for k in range(-1, 10)]
     assert gbs(iv(0, 1, False, False), BasicSet.singleton([F(0)])).locate([0]) == 1
     assert gbs().locate([0]) is None
 
