@@ -505,9 +505,9 @@ def test_admissible_matches_fraction_reference_on_ties_hypothesis(case):
 def test_first_admitted_matches_ball_walk_reference_hypothesis(case):
     """The tabled walk of the ball's runs finds the digits that `admits` on
     every in-range ball offset finds first, and None where none passes."""
-    top = 2 ** (case[-1] + 1)
-    scale = _case_scale(case)
-    assert scale.first_admitted(_ball_runs(case[2].dim), top) == first_admitted_reference(scale, top)
+    _, _, vals, _, k = case
+    scale, top = _case_scale(case), 2 ** (k + 1)
+    assert scale.first_admitted(_ball_runs(vals.dim), top) == first_admitted_reference(scale, top)
 
 
 def _case_scale(case):
