@@ -459,12 +459,8 @@ class GeneralizedBasicSet:
         """
         if not self.parts:
             return None
-        return self.locate_exact(_aspoint(point, self.dim, as_exact))
-
-    def locate_exact(self, pt: Sequence) -> int | None:
-        """`locate` for a point already checked by `_aspoint` with `as_exact`."""
         hits = (1 << len(self.parts)) - 1
-        for c, (axis, starts, ends) in zip(pt, self._rank_index):
+        for c, (axis, starts, ends) in zip(_aspoint(point, self.dim, as_exact), self._rank_index):
             s = axis.slot(*axis.place(c))
             hits &= starts[s] & ends[s]
             if not hits:

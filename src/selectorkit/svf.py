@@ -1,7 +1,7 @@
 """Representable set-valued functions.
 
 Two tiers share one contract (computable distance to values, sublevel
-domains):
+domains) and one witness M(eps) and point location, from a `PlaneSet`:
 
 * cellwise: a finite disjoint tiling of the working box, each cell
   carrying a generalized set of range values.  Distances and sublevel
@@ -126,21 +126,53 @@ def symmetric_range_box(values: np.ndarray) -> AffineRangeMap:
 
 
 # ---------------------------------------------------------------------------
-# cellwise SVFs
+# the witness planes and point location of both tiers
 
 
 @dataclass(frozen=True)
-class CellwiseSVF:
-    """Exact piecewise SVF: disjoint cells tiling the working box."""
+class PlaneSet:
+    """Distinct planes per axis over a closed box, none on an axis of zero width.
 
-    domain_box: BasicSet
-    range_map: AffineRangeMap
-    cells: tuple[tuple[BasicSet, GeneralizedBasicSet], ...]
-    # per admitted eps, by its integer ratio: `locate`'s union and M(eps)'s part count
-    _located: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    Every face of a union of boxes whose ends are planes lies on a plane, so
+    slabs around the planes witness every such union.  They cut the box into blocks.
+    """
 
-    kind = "cellwise"
-    tau = 0.0
+    box: BasicSet
+    planes: tuple[tuple[Fraction, ...], ...]  # per axis, increasing
+
+    @cached_property
+    def shape(self) -> tuple[int, ...]:
+        return tuple(max(len(p) - 1, 1) for p in self.planes)  # one block without planes
+
+    def half_widths(self, eps: Fraction) -> tuple[Fraction, ...]:
+        """Per axis, the slabs' half-width h: `slab_margin` of an even share of
+        eps per plane over the box, at most a quarter of the smallest gap."""
+        cap = min((b - a for p in self.planes for a, b in zip(p, p[1:])), default=0) / 4
+        budget = eps / max(sum(map(len, self.planes)), 1)
+        return tuple(slab_margin(budget, self.box, j, cap) for j in range(self.box.dim))
+
+    def witness(self, eps) -> GeneralizedBasicSet:
+        """Open slabs of half-width h around the planes, reaching h past the
+        box on the other axes; measure <= eps, empty without planes."""
+        half = self.half_widths(as_fraction(eps))
+        slabs = [slab_box(j, v, self.box, half[j]) for j, p in enumerate(self.planes) for v in p]
+        return GeneralizedBasicSet.of(slabs, dim=self.box.dim)
+
+    def slab_keys(self, eps: Fraction) -> tuple[AxisKeys, ...]:
+        """Per axis, the slab ends v_0 - h, v_0 + h, ..., v_N + h over the closed box.
+
+        They increase, as h is at most a quarter gap.  A coordinate with a == b
+        ends below and at or below it lies in an open slab exactly when a is odd,
+        else in block b // 2 - 1; without planes, ends lo - 2, lo - 1 give block 0.
+        """
+        return tuple(
+            AxisKeys.of([v + s for v in p for s in (-h, h)] or [lo - 2, lo - 1], lo, hi)
+            for p, h, lo, hi in zip(self.planes, self.half_widths(eps), self.box.lo, self.box.hi)
+        )
+
+
+class SVFBase:
+    """What both SVF tiers share: dimensions, and M(eps) and `locate` from `plane_set`."""
 
     @property
     def alpha(self) -> int:
@@ -150,6 +182,60 @@ class CellwiseSVF:
     def beta(self) -> int:
         return self.range_map.beta
 
+    @cached_property
+    def witness(self) -> RepresentabilityWitness:
+        """The plane set's M(eps), which serves every union of the cells."""
+        return RepresentabilityWitness(self.plane_set.witness)
+
+    @cached_property
+    def _owner(self) -> Sequence[int]:
+        """Per block of the plane grid, row-major, the cell holding it: itself by default."""
+        return range(math.prod(self.plane_set.shape))
+
+    def locate(self, x, eps: Fraction) -> tuple[str | None, int | None]:
+        """(reason, None) outside the closed box or inside M(eps), else (None, cell index).
+
+        One integer placement per axis among the ends of M(eps)'s slabs
+        decides all three.  Coordinates are exact rationals read through
+        `as_integer_ratio`, floats included, so none becomes a `Fraction`.
+        """
+        key = eps.as_integer_ratio()  # a tuple of ints hashes faster than a Fraction
+        located = self._located.get(key)
+        if located is None:
+            self.witness(eps)  # admits eps only when M(eps) fits its budget
+            planes = self.plane_set
+            located = self._located[key] = (planes.slab_keys(eps), planes.shape, self._owner)
+        axes, shape, owner = located
+        flat, in_slab = 0, False
+        for c, axis, n in zip(x, axes, shape):
+            placed = axis.place(c)
+            if placed is None:
+                return OUTSIDE_DOMAIN, None
+            below, upto = placed
+            if below == upto and below & 1:
+                in_slab = True
+            else:
+                flat = flat * n + upto // 2 - 1
+        return (INSIDE_WITNESS, None) if in_slab else (None, owner[flat])
+
+
+# ---------------------------------------------------------------------------
+# cellwise SVFs
+
+
+@dataclass(frozen=True)
+class CellwiseSVF(SVFBase):
+    """Exact piecewise SVF: disjoint cells tiling the working box."""
+
+    domain_box: BasicSet
+    range_map: AffineRangeMap
+    cells: tuple[tuple[BasicSet, GeneralizedBasicSet], ...]
+    # per admitted eps, by its integer ratio: `locate`'s slab ends, block grid and owners
+    _located: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    kind = "cellwise"
+    tau = 0.0
+
     def cell_index_at(self, x) -> int | None:
         return self._cell_union.locate(x)
 
@@ -158,33 +244,34 @@ class CellwiseSVF:
         return GeneralizedBasicSet(self.alpha, tuple(cell for cell, _ in self.cells))
 
     @cached_property
+    def plane_set(self) -> PlaneSet:
+        """The distinct ends of the non-empty cells on each axis of positive width."""
+        box, cells = self.domain_box, [c for c, _ in self.cells if not c.is_empty]
+        return PlaneSet(box, tuple(
+            tuple(sorted({e for c in cells for e in (c.lo[j], c.hi[j])})) if lo < hi else ()
+            for j, (lo, hi) in enumerate(zip(box.lo, box.hi))
+        ))
+
+    @cached_property
+    def _owner(self) -> list[int]:
+        """A cell holds, on each axis, the blocks between the ranks of its ends,
+        none where it is degenerate.  Size: the product of the axes' plane gaps."""
+        shape, planes = self.plane_set.shape, self.plane_set.planes
+        owner = [None] * math.prod(shape)
+        for i, (cell, _) in enumerate(self.cells):
+            if cell.is_empty:
+                continue
+            spans = [range(p.index(a), p.index(b)) if p else range(1)
+                     for p, a, b in zip(planes, cell.lo, cell.hi)]
+            for idx in itertools.product(*spans):
+                owner[ravel(idx, shape)] = i
+        return owner
+
+    @cached_property
     def cell_domain(self) -> RepresentableDomain:
-        """The cells as one domain over the box: every exact step's domain."""
-        return RepresentableDomain.from_cells(self._cell_union.parts, self.domain_box, "closure")
-
-    @property
-    def witness(self) -> RepresentabilityWitness:
-        """M(eps) of the cell domain, which serves every union of the cells."""
-        return self.cell_domain.witness
-
-    def locate(self, x, eps: Fraction) -> tuple[str | None, int | None]:
-        """(reason, None) outside the closed box or inside M(eps), else (None, cell index).
-
-        One point location in the union of M(eps) within the closed box,
-        then the cells, built once per eps: the first part holding x decides.
-        x comes checked by `_aspoint` with `as_exact`, as `final_answer` hands it.
-        """
-        key = eps.as_integer_ratio()  # a tuple of ints hashes faster than a Fraction
-        located = self._located.get(key)
-        if located is None:
-            m = self.witness(eps).intersect(self.domain_box.closure())
-            union = GeneralizedBasicSet(self.alpha, m.parts + self._cell_union.parts)
-            located = self._located[key] = (union, len(m.parts))
-        union, n_witness = located
-        i = union.locate_exact(x)
-        if i is None:
-            return OUTSIDE_DOMAIN, None
-        return (INSIDE_WITNESS, None) if i < n_witness else (None, i - n_witness)
+        """The cells as one domain over the box under `witness`: every exact step's domain."""
+        seq = SetSequence.of(self._cell_union.parts, "rowmajor")
+        return RepresentableDomain(seq, self.domain_box, self.witness, "closure")
 
     def cell_box(self, i: int) -> BasicSet:
         return self.cells[i][0]
@@ -343,26 +430,6 @@ class GridSpec:
             idx.append(min(placed[1], n) - 1)
         return tuple(idx)
 
-    def slab_half_widths(self, eps: Fraction) -> tuple[Fraction, ...]:
-        """Per axis, the half-width h of the grid-plane witness's slabs:
-        `slab_margin` of an even share of eps per plane over the box, with
-        h <= min_w / 4 keeping the slabs of one axis apart."""
-        budget = eps / sum(n + 1 for n in self.shape)
-        cap = min(self.widths()) / 4
-        return tuple(slab_margin(budget, self.box, j, cap) for j in range(self.dim))
-
-    def slab_keys(self, eps: Fraction) -> tuple[AxisKeys, ...]:
-        """Per axis, the slab ends v_0 - h, v_0 + h, ..., v_N + h over [v_0, v_N].
-
-        They strictly increase because h <= min_w / 4.  A coordinate
-        with a == b keys below and at or below it lies in an open slab
-        exactly when a is odd; otherwise its cell is b // 2 - 1.
-        """
-        return tuple(
-            AxisKeys.of([v + s for v in p for s in (-h, h)], p[0], p[-1])
-            for p, h in zip(self.planes, self.slab_half_widths(eps))
-        )
-
     def flat(self, idx: tuple[int, ...]) -> int:
         return ravel(idx, self.shape)
 
@@ -383,12 +450,9 @@ class GridSpec:
             tuple(i == n - 1 for i, n in zip(idx, self.shape)),
         )
 
-    def grid_planes(self) -> list[tuple[int, Fraction]]:
-        return [(j, v) for j, planes in enumerate(self.planes) for v in planes]
-
 
 @dataclass(frozen=True, eq=False)
-class SampledSVF:
+class SampledSVF(SVFBase):
     """Grid-sampled SVF: finite value nets at cell centers, slack tau.
 
     `mask`, when present, marks active cells; excluded cells (empty
@@ -403,7 +467,7 @@ class SampledSVF:
     tau: float  # normalized units
     meta: dict = field(default_factory=dict)
     mask: np.ndarray | None = field(default=None, repr=False)
-    # per admitted eps, by its integer ratio: the slab ends of M(eps) per axis
+    # per admitted eps, by its integer ratio: `locate`'s slab ends, block grid and owners
     _located: dict = field(default_factory=dict, init=False, repr=False)
 
     kind = "sampled"
@@ -422,47 +486,14 @@ class SampledSVF:
     def domain_box(self) -> BasicSet:
         return self.grid.box
 
-    @property
-    def alpha(self) -> int:
-        return self.grid.dim
-
-    @property
-    def beta(self) -> int:
-        return self.range_map.beta
-
     def cell_index_at(self, x) -> int | None:
         """The flat index of the grid cell holding x, or None outside the box."""
         idx = self.grid.cell_of_point(x)
         return None if idx is None else self.grid.flat(idx)
 
     @cached_property
-    def witness(self) -> RepresentabilityWitness:
-        """The grid-plane witness, which serves every union of the grid's cells."""
-        return RepresentabilityWitness(lambda eps: grid_plane_witness(self.grid, eps))
-
-    def locate(self, x, eps: Fraction) -> tuple[str | None, int | None]:
-        """(reason, None) outside the closed box or inside M(eps), else (None, flat cell index).
-
-        One integer placement per axis among the ends of M(eps)'s slabs
-        decides all three.  Coordinates are exact rationals read through
-        `as_integer_ratio`, floats included, so none becomes a `Fraction`.
-        """
-        key = eps.as_integer_ratio()  # a tuple of ints hashes faster than a Fraction
-        axes = self._located.get(key)
-        if axes is None:
-            self.witness(eps)  # admits eps only when M(eps) fits its budget
-            axes = self._located[key] = self.grid.slab_keys(eps)
-        flat, in_slab = 0, False
-        for c, axis, n_cells in zip(x, axes, self.grid.shape):
-            placed = axis.place(c)
-            if placed is None:
-                return OUTSIDE_DOMAIN, None
-            below, upto = placed
-            if below == upto and below & 1:
-                in_slab = True
-            else:
-                flat = flat * n_cells + upto // 2 - 1
-        return (INSIDE_WITNESS, None) if in_slab else (None, flat)
+    def plane_set(self) -> PlaneSet:
+        return PlaneSet(self.grid.box, self.grid.planes)
 
     def cell_box(self, i: int) -> BasicSet:
         return self.grid.cell_box(self.grid.unflat(i))
@@ -636,17 +667,6 @@ def _net_distances(F: SampledSVF, r) -> list[float]:
         float(np.linalg.norm(net - rv, axis=-1).min()) if F.active(i) else math.inf
         for i, net in enumerate(F.nets)
     ]
-
-
-def grid_plane_witness(grid: GridSpec, eps) -> GeneralizedBasicSet:
-    """Thin open slabs around every grid plane; total measure <= eps.
-
-    The endpoint set of any union of grid cells lies on the grid
-    planes, so one witness shape serves every such domain.
-    """
-    half = grid.slab_half_widths(as_fraction(eps))
-    slabs = [slab_box(j, v, grid.box, half[j]) for j, v in grid.grid_planes()]
-    return GeneralizedBasicSet.of(slabs, dim=grid.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -528,19 +528,13 @@ def sublevel_reference(F, centers, delta, strict):
     net point of each active cell against delta plus the tau slack.
     Each domain is a row-major sequence of one-box items, or of one
     empty set.  Every domain, an empty one included, has the one witness
-    of the SVF's cells: `make_witness` of all the cells with coverage
-    "closure" (cellwise) or the grid-plane witness (sampled).  Returns
+    of the SVF's cells, `plane_witness_reference` of its planes.  Returns
     (cell indices, slack, domains, union domain).
     """
     import numpy as np
 
-    from selectorkit.domain import (
-        RepresentableDomain,
-        RepresentabilityWitness,
-        make_witness,
-    )
+    from selectorkit.domain import RepresentableDomain, RepresentabilityWitness
     from selectorkit.setalg import GeneralizedBasicSet, SetSequence
-    from selectorkit.svf import grid_plane_witness
 
     delta = Fraction(delta)
     dim = F.domain_box.dim
@@ -574,13 +568,12 @@ def sublevel_reference(F, centers, delta, strict):
                     idxs.append(i)
         cell_indices.append(tuple(idxs))
 
-    if F.kind == "cellwise":
-        cells = SetSequence(tuple(GeneralizedBasicSet.of([c], dim=dim) for c, _ in F.cells))
-        witness = RepresentabilityWitness(
-            lambda eps: make_witness(cells, F.domain_box, eps, coverage="closure")
+    planes = svf_planes_reference(F)
+    witness = RepresentabilityWitness(
+        lambda eps: GeneralizedBasicSet.of(
+            plane_witness_reference(F.domain_box, planes, eps), dim=dim
         )
-    else:
-        witness = RepresentabilityWitness(lambda eps: grid_plane_witness(F.grid, eps))
+    )
 
     def domain(idxs):
         if F.kind == "cellwise":
@@ -609,15 +602,12 @@ def eval_selector_reference(chain, x, eps_dom=None):
 
     Three answers in order: outside the closed working box, inside the
     witness M(eps_dom), then the final step's value, or outside_domain
-    where it has none.  The exact engine's witness is `make_witness` of
-    the final step's parts (coverage "closure") and its value the first
-    piece holding x by a linear scan; the grid engine's witness is
-    `grid_plane_witness` and its value the mesh node its cell won.
+    where it has none.  Both engines' witness is `plane_witness_reference`
+    of the SVF's planes.  The exact engine's value is the first piece
+    holding x by a linear scan, the grid engine's the mesh node its cell
+    won.
     """
-    from selectorkit.domain import make_witness
     from selectorkit.selector import EvalResult
-    from selectorkit.setalg import GeneralizedBasicSet
-    from selectorkit.svf import grid_plane_witness
 
     F = chain.svf
     box = F.domain_box
@@ -626,15 +616,11 @@ def eval_selector_reference(chain, x, eps_dom=None):
     if first_part_containing([box.closure()], x) is None:
         return EvalResult(None, EvalResult.OUTSIDE_DOMAIN)
     step = chain.steps[-1]
+    slabs = plane_witness_reference(box, svf_planes_reference(F), eps)
     if F.kind == "cellwise":
-        carrier = GeneralizedBasicSet.of(
-            [p for q, _ in step.pieces for p in q.parts], dim=box.dim
-        )
-        m = make_witness(carrier, box, eps, coverage="closure")
         owners = [r for q, r in step.pieces if first_part_containing(q.parts, x) is not None]
         r = owners[0] if owners else None
     else:
-        m = grid_plane_witness(F.grid, eps)
         idx = F.grid.cell_of_point(x)
         w = -1 if idx is None else int(step.winner[F.grid.flat(idx)])
         r = None
@@ -642,7 +628,7 @@ def eval_selector_reference(chain, x, eps_dom=None):
             n_axis = 2 ** (step.level + 1) + 1
             digits = [(w // n_axis ** (F.beta - 1 - j)) % n_axis for j in range(F.beta)]
             r = tuple(Fraction(d, 2 ** (step.level + 1)) for d in digits)
-    if first_part_containing(m.parts, x) is not None:
+    if first_part_containing(slabs, x) is not None:
         return EvalResult(None, EvalResult.INSIDE_WITNESS)
     if r is None:
         return EvalResult(None, EvalResult.OUTSIDE_DOMAIN)
@@ -818,30 +804,77 @@ def cell_box_reference(grid, idx):
     return BasicSet.box(lo, hi, [True] * grid.dim, closed_hi)
 
 
-def grid_plane_witness_reference(grid, eps):
-    """grid_plane_witness's slabs, one per plane, with the rule written out.
+def locate_reference(F, eps):
+    """`locate` at eps written out, as a function of the point: outside the
+    closed box, then inside a slab of `plane_witness_reference`, then the
+    first cell holding x (a cellwise SVF's cells, or a sampled SVF's grid
+    cell, flat)."""
+    box = F.domain_box
+    slabs = plane_witness_reference(box, svf_planes_reference(F), eps)
+    cells = [c for c, _ in F.cells] if F.kind == "cellwise" else None
+
+    def answer(x):
+        if first_part_containing([box.closure()], x) is None:
+            return "outside_domain", None
+        if first_part_containing(slabs, x) is not None:
+            return "inside_witness", None
+        if cells is not None:
+            return None, first_part_containing(cells, x)
+        return None, F.grid.flat(F.grid.cell_of_point(x))
+
+    return answer
+
+
+def grid_planes_reference(grid):
+    """A grid's planes lo + i * width / n per axis, i = 0 .. n."""
+    box = grid.box
+    return [
+        [box.lo[j] + (box.hi[j] - box.lo[j]) * i / n for i in range(n + 1)]
+        for j, n in enumerate(grid.shape)
+    ]
+
+
+def svf_planes_reference(F):
+    """An SVF's witness planes per axis, written out: a sampled SVF's grid
+    planes, and for a cellwise SVF the distinct ends of its non-empty
+    cells on each axis of positive width, none on the others."""
+    box = F.domain_box
+    if F.kind == "sampled":
+        return grid_planes_reference(F.grid)
+    return [
+        sorted({e for c, _ in F.cells if not c.is_empty for e in (c.lo[j], c.hi[j])})
+        if box.hi[j] > box.lo[j]
+        else []
+        for j in range(box.dim)
+    ]
+
+
+def plane_witness_reference(box, planes, eps):
+    """The plane witness's slabs, one per plane, with the rule written out.
 
     eps is shared evenly by the planes; a plane of axis j gets the open
     slab of half-width h_j = min(eps / #planes / (2 prod over k != j of
-    (w_k + 1)), min cell width / 4, 1/2) around it, reaching h_j past
-    the box on every other axis, w_k being the box's width on axis k.
+    (w_k + 1)), smallest gap between adjacent planes / 4, 1/2) around it,
+    reaching h_j past the box on every other axis, w_k being the box's
+    width on axis k.  No planes, no slabs.
     """
     from selectorkit.setalg import BasicSet
 
     eps = Fraction(eps)
-    box, dim = grid.box, grid.dim
-    n_planes = sum(n + 1 for n in grid.shape)
+    dim = box.dim
+    n_planes = sum(len(p) for p in planes)
+    if n_planes == 0:
+        return []
     widths = [box.hi[k] - box.lo[k] for k in range(dim)]
-    min_cell = min(widths[k] / grid.shape[k] for k in range(dim))
+    min_gap = min(p[i + 1] - p[i] for p in planes for i in range(len(p) - 1))
     slabs = []
     for j in range(dim):
         other = Fraction(1)
         for k in range(dim):
             if k != j:
                 other *= widths[k] + 1
-        h = min(eps / n_planes / (2 * other), min_cell / 4, Fraction(1, 2))
-        for i in range(grid.shape[j] + 1):
-            v = box.lo[j] + widths[j] * i / grid.shape[j]
+        h = min(eps / n_planes / (2 * other), min_gap / 4, Fraction(1, 2))
+        for v in planes[j]:
             lo = [box.lo[k] - h if k != j else v - h for k in range(dim)]
             hi = [box.hi[k] + h if k != j else v + h for k in range(dim)]
             slabs.append(BasicSet.open_box(lo, hi))

@@ -125,14 +125,16 @@ def test_solve_di_artifacts_are_pinned(tmp_path):
 # and of `eval.json` at points of that chain; a change to these bytes must be named
 DESK_EXTRACT_DIGESTS = {
     "chain.json": "e9c67fb18db1dff4b58b69d0645fdd62fc7c796e77b830522d1e752b6d899887",
-    "selector_section.csv": "211b5370220eae452ac314f3bacc21e950176d3fcd9f9188bc2f078268ccb35c",
+    # rows at x = 0.01171875, 0.4921875, 0.5078125, 0.9921875, 0.99609375
+    # follow the plane witness's slabs of half-width 1/48 around 0, 1/2, 1
+    "selector_section.csv": "721aba7813adf7296c2b0fc46f73b52cb2040e00b6c5237b65b7ab2bcffc6b57",
 }
 DESK_EVAL_DIGESTS = {
     "0.3": "20703ec9b1c0564a6609cbfe53cf02ffbf8ecd11fa7fd7982746e8eb12d460d5",  # 7/32
     # the cell boundary and the box face, each inside M(1/16)
     "1/2": "b63ab8ed2548b26f999e6bb16916d846207dd5215fd000d2eef926ba0d0129a2",
     "1": "31bec7487f04c1f30f453e26576a3a3b13e5fcfcd802dbec19e856b042e64dc0",
-    # outside the box: inside M(1/16)'s slab (-1/64, 1/64), and beyond it
+    # outside the box: inside M(1/16)'s slab (-1/96, 1/96), and beyond it
     "-1/128": "d5778e82f0905fdf6c5501f59c4e2566d62fd6af8036bb9f58d390f7fe551b91",
     "3/2": "eb25d2885b591d01afea028777f2962a6335cbf5ea9c681621c9336ebc970cc6",
 }

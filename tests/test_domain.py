@@ -32,7 +32,7 @@ from selectorkit.setalg import (
     SetAlgebraError,
     SetSequence,
 )
-from selectorkit.svf import GridSpec, grid_plane_witness
+from selectorkit.svf import GridSpec, PlaneSet
 
 from oracles import adjacency_reference, margin_reference
 
@@ -678,7 +678,7 @@ def test_built_witnesses_are_all_open():
     tilings = [_random_tiling_domain(rng, dim) for dim in (1, 2, 3)]
     witnesses = [d.witness(eps) for d in [square_domain(), *tilings]]
     grid = GridSpec(BasicSet.closed_box([0, 0], [1, 1]), (3, 4))
-    witnesses.append(grid_plane_witness(grid, eps))
+    witnesses.append(PlaneSet(grid.box, grid.planes).witness(eps))
     witnesses.append(intersect_domains(tilings[1], square_domain()).witness(eps))
     for m in witnesses:
         assert m.parts and all(p.kind == "open-box" for p in m.parts)

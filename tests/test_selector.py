@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from selectorkit.domain import PiecewiseConstantMap, continuous_extension, make_witness
+from selectorkit.domain import PiecewiseConstantMap, continuous_extension
 from selectorkit.errors import CoverageError, InputError, PrecisionError
 from selectorkit.rational import as_fraction, rational_from_json, rational_to_json
 from selectorkit import selector
@@ -37,7 +37,6 @@ from selectorkit.setalg import (
     BasicSet,
     GeneralizedBasicSet,
     SetAlgebraError,
-    SetSequence,
     basic_set_from_json,
 )
 from selectorkit.svf import (
@@ -62,6 +61,8 @@ from oracles import (
     grid_cauchy_defect_reference,
     grid_step_reference,
     normalized_values_reference,
+    plane_witness_reference,
+    svf_planes_reference,
 )
 
 F_ = Fraction
@@ -668,17 +669,37 @@ def test_point_location_matches_linear_scan(svf_fn):
     "svf_fn",
     [desk_svf, three_cell_svf, four_cell_svf, offmesh_beta2_svf, beta3_svf],
 )
-def test_exact_final_witness_is_make_witness_of_per_part_sequence(svf_fn):
+def test_exact_final_witness_is_the_plane_witness(svf_fn):
     f = svf_fn()
     chain = extract(f, 4)
-    dim = f.domain_box.dim
-    parts = [p for q, _ in chain.steps[-1].pieces for p in q.parts]
-    seq = SetSequence(
-        tuple(GeneralizedBasicSet.of([p], dim=dim) for p in parts), "rowmajor"
-    )
+    planes = svf_planes_reference(f)
     for eps in (chain.dom_budget, F_(1, 7), F_(1, 100)):
-        want = make_witness(seq, f.domain_box, eps, coverage="closure")
-        assert chain.final_witness(eps) == want
+        want = plane_witness_reference(f.domain_box, planes, eps)
+        assert chain.final_witness(eps).parts == tuple(want)
+
+
+def test_zero_width_axis_holds_no_plane():
+    """Box [0,1] x [0,0]: the slabs lie around x = 0, 1/2, 1 only, so the
+    point (1/8, 0) keeps its value; a slab around y = 0 would swallow the
+    whole domain."""
+    box = BasicSet.closed_box([0, 0], [1, 0])
+    h = F_(1, 2)
+    cells = [
+        (BasicSet.box([0, 0], [h, 0], [True, True], [False, True]), atoms(F_(1, 8))),
+        (BasicSet.closed_box([h, 0], [1, 0]), atoms(F_(1, 4))),
+    ]
+    f = build_cellwise_svf(box, cells)
+    assert f.plane_set.planes == ((0, h, 1), ())
+    chain = extract(f, 3)
+    assert eval_selector(chain, [F_(1, 8), 0]) == EvalResult((F_(1, 16),))
+    assert eval_selector(chain, [F_(3, 4), 0]) == EvalResult((F_(3, 16),))
+    assert eval_selector(chain, [h, 0]).reason == EvalResult.INSIDE_WITNESS
+    assert eval_selector(chain, [F_(1, 8), F_(1, 1000)]).reason == EvalResult.OUTSIDE_DOMAIN
+    assert f.cell_domain.verify(chain.dom_budget).ok
+    # zero width on every axis: no plane, the empty witness, one answer
+    point = build_cellwise_svf(BasicSet.singleton([0]), [(BasicSet.singleton([0]), atoms(F_(1, 8)))])
+    assert point.witness(F_(1, 16)).is_empty
+    assert eval_selector(extract(point, 3), [0]).defined
 
 
 def test_eval_rejects_nonpositive_witness_budget():

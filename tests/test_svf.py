@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -13,18 +14,18 @@ from selectorkit.errors import (
     InputError,
     PrecisionError,
 )
-from selectorkit.domain import decide_clauses, well_containment_margin
+from selectorkit.domain import RepresentableDomain, decide_clauses, well_containment_margin
 from selectorkit.setalg import BasicSet, GeneralizedBasicSet, SetAlgebraError
 from selectorkit.svf import (
     AffineRangeMap,
     GridSpec,
+    PlaneSet,
     SampledSVF,
     build_cellwise_svf,
     build_sampled_svf,
     cellwise_svf_from_json,
     cellwise_svf_to_json,
     filippov_regularize,
-    grid_plane_witness,
     sublevel_domains,
     svf_distance,
     symmetric_range_box,
@@ -34,7 +35,9 @@ from selectorkit.svf import _straddle_mask
 from oracles import (
     cell_box_reference,
     cell_of_point_reference,
-    grid_plane_witness_reference,
+    grid_planes_reference,
+    locate_reference,
+    plane_witness_reference,
     straddle_mask_reference,
     sublevel_reference,
 )
@@ -181,7 +184,8 @@ def test_cellwise_sublevel_verify_reads_the_witness_certificate(monkeypatch):
         return well_containment_margin(*args, **kwargs)
 
     monkeypatch.setattr("selectorkit.domain.well_containment_margin", counted)
-    dom = desk_svf().cell_domain
+    f = desk_svf()
+    dom = RepresentableDomain.from_cells([c for c, _ in f.cells], f.domain_box, "closure")
     eps = F(1, 12)
     m = dom.witness(eps)
     cert = dom.verify(eps)
@@ -392,7 +396,7 @@ def test_cell_of_point_on_and_beside_every_plane():
         return tuple(idx)
 
     center = grid.center((4, 1))
-    for j, v in grid.grid_planes():
+    for j, v in ((j, v) for j, p in enumerate(grid.planes) for v in p):
         for c in (v - tiny, v, v + tiny):
             x = list(center)
             x[j] = c
@@ -424,7 +428,7 @@ def test_normalized_nets_match_per_cell_normalization():
 def test_grid_plane_witness_budget():
     grid = GridSpec(BasicSet.closed_box([0, 0], [1, 1]), (4, 4))
     for eps in (F(1, 4), F(1, 64)):
-        m = grid_plane_witness(grid, eps)
+        m = PlaneSet(grid.box, grid.planes).witness(eps)
         assert m.measure() <= eps
         # covers the grid planes
         assert m.contains([F(1, 4), F(1, 3)])
@@ -440,10 +444,108 @@ def test_grid_plane_witness_matches_the_per_plane_rule():
             shape = tuple(rng.randint(1, 5) for _ in range(dim))
             grid = GridSpec(BasicSet.closed_box(lo, hi), shape)
             for eps in (F(1), F(1, 3), F(1, 10), F(1, 100), F(7, 1000)):
-                got = grid_plane_witness(grid, eps)
-                want = grid_plane_witness_reference(grid, eps)
+                got = PlaneSet(grid.box, grid.planes).witness(eps)
+                want = plane_witness_reference(grid.box, grid_planes_reference(grid), eps)
                 assert got.parts == tuple(want)
                 assert got.measure() <= eps
+
+
+def _cut(piece, j, c, side):
+    """Piece split on axis j at c: the plane c goes to the part below
+    (side "below") or above it ("above"), or is its own degenerate cell
+    between them ("slab")."""
+
+    def part(lo, hi, clo, chi):
+        return BasicSet(
+            piece.dim,
+            piece.lo[:j] + (lo,) + piece.lo[j + 1 :],
+            piece.hi[:j] + (hi,) + piece.hi[j + 1 :],
+            piece.closed_lo[:j] + (clo,) + piece.closed_lo[j + 1 :],
+            piece.closed_hi[:j] + (chi,) + piece.closed_hi[j + 1 :],
+        )
+
+    lo, hi = piece.lo[j], piece.hi[j]
+    below = part(lo, c, piece.closed_lo[j], side == "below")
+    above = part(c, hi, side == "above", piece.closed_hi[j])
+    return [below, above] if side != "slab" else [below, part(c, c, True, True), above]
+
+
+@st.composite
+def guillotine_svfs(draw):
+    """A cellwise SVF of dims 1-3 on a random box, tiled by guillotine cuts.
+
+    The box is cut on a drawn axis at a drawn inner point, and then each
+    part is cut the same way or kept, independently of the others, so
+    neighbouring rows stagger like bricks and the plane grid has more
+    blocks than cells.
+    """
+    dim = draw(st.integers(1, 3))
+    lo = [F(draw(st.integers(-4, 4)), draw(st.integers(1, 3))) for _ in range(dim)]
+    hi = [l + F(draw(st.integers(1, 6)), draw(st.integers(1, 3))) for l in lo]
+    pieces, cells = [(BasicSet.closed_box(lo, hi), 0)], []
+    while pieces:
+        piece, depth = pieces.pop()
+        axes = [j for j in range(dim) if piece.lo[j] < piece.hi[j]]
+        if depth == 3 or not axes or (depth and not draw(st.booleans())):
+            cells.append(piece)
+            continue
+        j = draw(st.sampled_from(axes))
+        c = piece.lo[j] + (piece.hi[j] - piece.lo[j]) * F(draw(st.integers(1, 7)), 8)
+        side = draw(st.sampled_from(["below", "above", "slab"]))
+        pieces += [(p, depth + 1) for p in _cut(piece, j, c, side)]
+    values = [gv(F(i % 5, 5)) for i in range(len(cells))]
+    return build_cellwise_svf(BasicSet.closed_box(lo, hi), list(zip(cells, values)))
+
+
+def _check_plane_witness(svf, eps, members, rng):
+    """M(eps) fits eps, verifies for the cell union and each member (a list
+    of cell indices), and `locate` agrees with `locate_reference` on,
+    beside and between the planes and past the box, at up to 300 of those
+    points drawn by rng, each also rounded to floats."""
+    box, m = svf.domain_box, svf.witness(eps)
+    assert m.measure() <= eps
+    boxes = [c for c, _ in svf.cells]
+    for idxs in [range(len(boxes)), *members]:
+        carrier = GeneralizedBasicSet.of([boxes[i] for i in idxs], dim=box.dim)
+        assert decide_clauses(carrier, box, m, eps, "closure").ok
+    half = svf.plane_set.half_widths(eps)
+    probes = []
+    for j, p in enumerate(svf.plane_set.planes):
+        h = half[j]
+        near = {v + d for v in p for d in (-h, -h / 2, 0, h / 2, h)}
+        between = {(a + b) / 2 for a, b in zip(p, p[1:])}
+        probes.append(sorted(near | between | {box.lo[j] - 1, box.hi[j] + 1}))
+    points = list(itertools.product(*probes))
+    want = locate_reference(svf, eps)
+    for x in rng.sample(points, min(len(points), 300)):
+        for y in (x, tuple(map(float, x))):
+            assert svf.locate(y, eps) == want(y)
+
+
+@given(svf=guillotine_svfs(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_plane_witness_serves_every_guillotine_tiling_hypothesis(svf, data):
+    eps = data.draw(st.sampled_from([F(1), F(1, 10), F(1, 1000)]))
+    n = len(svf.cells)
+    members = [
+        data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        for _ in range(2)
+    ]
+    _check_plane_witness(svf, eps, members, random.Random(data.draw(st.integers(0, 99))))
+
+
+def test_brick_tiling_locates_through_its_owner_table():
+    """Staggered rows: 5 cells, 4 x 2 blocks in the plane grid."""
+    h, q = F(1, 2), F(1, 4)
+    rows = _cut(BasicSet.closed_box([0, 0], [1, 1]), 1, h, "below")
+    cells = _cut(rows[0], 0, h, "above")
+    left, rest = _cut(rows[1], 0, q, "below")
+    cells += [left, *_cut(rest, 0, 3 * q, "above")]
+    svf = build_cellwise_svf(BasicSet.closed_box([0, 0], [1, 1]), [(c, gv(F(1, 4))) for c in cells])
+    assert svf.plane_set.shape == (4, 2) and len(svf.cells) == 5
+    assert svf._owner == [0, 2, 0, 3, 1, 3, 1, 4]
+    for eps in (F(1, 10), F(1, 64)):
+        _check_plane_witness(svf, eps, [[0, 3], [2]], random.Random(0))
 
 
 # ---------------------------------------------------------------------------
