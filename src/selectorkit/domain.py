@@ -6,6 +6,10 @@ at most eps covering the endpoint set of X with a strictly positive
 margin, such that the ambient minus M sits inside X.  All three
 clauses are decidable here because the set algebra is exact.
 
+One rule builds every M(eps): open slabs around the distinct part ends
+per axis (`PlaneSet`), which meet clause 1 by construction; clauses 2
+and 3 are then decided (`decide_clauses`).
+
 Piecewise-constant maps on such domains extend to continuous functions
 off an exception set of measure eps: ramps across witness gaps in 1-D,
 multilinear blending over adjacent pieces in higher dimension.
@@ -14,6 +18,7 @@ multilinear blending over adjacent pieces in higher dimension.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -22,6 +27,7 @@ from typing import Callable, Sequence
 from .errors import AdjacencyError, InputError, WitnessError
 from .rational import as_fraction
 from .setalg import (
+    AxisKeys,
     BasicSet,
     GeneralizedBasicSet,
     SetAlgebraError,
@@ -38,53 +44,82 @@ from .setalg import (
 
 
 # ---------------------------------------------------------------------------
-# witness construction
+# witness construction: the one plane rule
 
 
-def _face_groups(faces: Sequence[BasicSet]) -> list[tuple[int, Fraction, BasicSet]]:
-    """Merge faces into maximal coplanar slab extents.
+@dataclass(frozen=True)
+class PlaneSet:
+    """Distinct planes per axis over a closed box, none on an axis of zero
+    width unless the box is a point (`of`).
 
-    Faces are grouped by (first degenerate axis, pinned value); each
-    group is summarized by the bounding box of its members.  Covering
-    the bounding extent instead of each face separately keeps slab
-    boundaries away from transversal endpoint segments.
+    Every face of a union of boxes whose ends are planes lies on a plane,
+    and open slabs around the planes hold each such face with a margin:
+    grown by less than its slab's half-width, a face stays inside the
+    slab, and a union of open boxes has no essential boundary to meet.
+    So the slabs witness every such union.  The planes cut the box into
+    blocks.
     """
-    groups: dict[tuple[int, Fraction], list[BasicSet]] = {}
-    for f in faces:
-        pin = next(j for j in range(f.dim) if f.axis_degenerate(j))
-        groups.setdefault((pin, f.lo[pin]), []).append(f)
-    out = []
-    for (pin, value), members in sorted(
-        groups.items(), key=lambda kv: (kv[0][0], kv[0][1])
-    ):
-        dim = members[0].dim
-        lo = [min(m.lo[j] for m in members) for j in range(dim)]
-        hi = [max(m.hi[j] for m in members) for j in range(dim)]
-        out.append((pin, value, BasicSet.closed_box(lo, hi)))
-    return out
 
+    box: BasicSet
+    planes: tuple[tuple[Fraction, ...], ...]  # per axis, increasing
 
-def _budgets(eps: Fraction, n: int) -> list[Fraction]:
-    """Geometric budgets eps/2, eps/4, ..., one per slab, summing below eps."""
-    return [eps * Fraction(1, 2 ** (i + 1)) for i in range(n)]
+    @staticmethod
+    def of(box: BasicSet, parts: Sequence[BasicSet]) -> "PlaneSet":
+        """Per axis of positive width, the distinct ends of the non-empty parts
+        that lie in the closed box.  Ends outside it are dropped: no slab
+        over the box holds a face there.  A box of zero width on every axis
+        gets one plane, its point, on axis 0."""
+        parts, planes = [p for p in parts if not p.is_empty], []
+        for j, (lo, hi) in enumerate(zip(box.lo, box.hi)):
+            ends = {e for p in parts for e in (p.lo[j], p.hi[j])} if lo < hi else ()
+            planes.append(tuple(sorted(e for e in ends if lo <= e <= hi)))
+        if box.lo == box.hi:
+            planes[0] = (box.lo[0],)
+        return PlaneSet(box, tuple(planes))
 
+    @cached_property
+    def shape(self) -> tuple[int, ...]:
+        return tuple(max(len(p) - 1, 1) for p in self.planes)  # one block without planes
 
-def slab_margin(budget: Fraction, extent: BasicSet, pin: int, cap: Fraction) -> Fraction:
-    """Half-width h <= cap, 1/2 of a slab around x[pin] over extent, whose volume at
-    most 2h * prod over the other axes of (width + 1) fits the budget."""
-    other = Fraction(1)
-    for j in range(extent.dim):
-        if j != pin:
-            other *= (extent.hi[j] - extent.lo[j]) + 1
-    return min(Fraction(1, 2), cap, budget / (2 * other))
+    def half_widths(self, eps: Fraction) -> tuple[Fraction, ...]:
+        """Per axis j, the slabs' half-width h_j.
 
+        Each plane gets eps / #planes.  A slab of axis j spans the box grown by
+        h_j <= 1/2 on the other axes, so its volume is at most 2 h_j times the
+        product over k != j of (w_k + 1), w_k the box's widths; h_j is the
+        largest h within the share, capped at a quarter of the smallest gap
+        between adjacent planes (slabs of one axis stay apart) and at 1/2.
+        """
+        cap = min([Fraction(2), *(b - a for p in self.planes for a, b in zip(p, p[1:]))]) / 4
+        budget = eps / max(sum(map(len, self.planes)), 1)
+        grown = [h - l + 1 for l, h in zip(self.box.lo, self.box.hi)]
+        return tuple(
+            min(cap, budget / (2 * math.prod(grown[:j] + grown[j + 1 :])))
+            for j in range(self.box.dim)
+        )
 
-def slab_box(pin: int, value: Fraction, extent: BasicSet, half: Fraction) -> BasicSet:
-    """The open box around the plane x[pin] = value over extent, grown by half."""
-    lo = [c - half for c in extent.lo]
-    hi = [c + half for c in extent.hi]
-    lo[pin], hi[pin] = value - half, value + half
-    return BasicSet.open_box(lo, hi)
+    def witness(self, eps) -> GeneralizedBasicSet:
+        """M(eps): open slabs of half-width h around the planes, reaching h
+        past the box on the other axes; measure <= eps, empty without planes."""
+        box, slabs = self.box, []
+        for j, (p, h) in enumerate(zip(self.planes, self.half_widths(as_fraction(eps)))):
+            lo, hi = [c - h for c in box.lo], [c + h for c in box.hi]
+            for v in p:
+                lo[j], hi[j] = v - h, v + h
+                slabs.append(BasicSet.open_box(lo, hi))
+        return GeneralizedBasicSet.of(slabs, dim=box.dim)
+
+    def slab_keys(self, eps: Fraction) -> tuple[AxisKeys, ...]:
+        """Per axis, the slab ends v_0 - h, v_0 + h, ..., v_N + h over the closed box.
+
+        They increase, as h is at most a quarter gap.  A coordinate with a == b
+        ends below and at or below it lies in an open slab exactly when a is odd,
+        else in block b // 2 - 1; without planes, ends lo - 2, lo - 1 give block 0.
+        """
+        return tuple(
+            AxisKeys.of([v + s for v in p for s in (-h, h)] or [lo - 2, lo - 1], lo, hi)
+            for p, h, lo, hi in zip(self.planes, self.half_widths(eps), self.box.lo, self.box.hi)
+        )
 
 
 def make_witness(
@@ -96,11 +131,12 @@ def make_witness(
     """Build a witness M(eps) for the endpoint set of x, in one attempt.
 
     The carrier is x itself, a GeneralizedBasicSet, or a SetSequence's
-    union.  Open slabs around each merged endpoint group, budgeted
-    geometrically, clipped to a slight inflation of the ambient box.
-    Each failed clause raises WitnessError: a vanishing slab margin or a
-    measure over eps (clause 1), or, from `decide_clauses`, no positive
-    well-containment margin (clause 2) or coverage-region points outside
+    union.  M(eps) is the plane witness of the carrier's part ends in the
+    ambient box, `PlaneSet.of(ambient, parts).witness(eps)`, whose measure
+    is at most eps by construction (clause 1).  Each other failed clause
+    raises WitnessError from `decide_clauses`: no positive
+    well-containment margin (clause 2: a face off every slab, such as a
+    part end outside the ambient box) or coverage-region points outside
     both the witness and the carrier (clause 3, non-representable input).
     """
     return _witness_and_certificate(x, ambient, eps, coverage)[0]
@@ -121,33 +157,9 @@ def _witness_and_certificate(
     if eps <= 0:
         raise WitnessError("witness budget must be positive")
     carrier = x.as_gbs() if isinstance(x, SetSequence) else x
-    gamma = carrier.gamma
-    dim = ambient.dim
-    if not gamma:
-        return GeneralizedBasicSet.empty(dim), None
-
-    groups = _face_groups(gamma)
-    budgets = _budgets(eps, len(groups))
-
-    # keep slab thickness under a quarter of the closest parallel plane gap
-    caps = []
-    for i, (pin, value, _) in enumerate(groups):
-        gaps = [
-            abs(value - v2) for (p2, v2, _) in groups if p2 == pin and v2 != value
-        ]
-        caps.append(min(gaps) / 4 if gaps else Fraction(1, 2))
-
-    parts = []
-    for (pin, value, extent), budget, cap in zip(groups, budgets, caps):
-        m = slab_margin(budget, extent, pin, cap)
-        if m <= 0:
-            raise WitnessError("witness margin vanished")
-        parts.append(slab_box(pin, value, extent, m))
-    max_m = max((p.hi[0] - p.lo[0]) for p in parts) if parts else Fraction(0)
-    clip = ambient.inflate(max_m)
-    witness = GeneralizedBasicSet.of([p.intersect(clip) for p in parts], dim=dim)
-    if witness.measure() > eps:
-        raise WitnessError("witness exceeds its measure budget")
+    if not carrier.gamma:
+        return GeneralizedBasicSet.empty(ambient.dim), None
+    witness = PlaneSet.of(ambient, carrier.parts).witness(eps)
     cert = decide_clauses(carrier, ambient, witness, eps, coverage)
     if cert.margin is None:
         raise WitnessError("could not realize a positive well-containment margin")
@@ -692,10 +704,10 @@ def domain_to_json(dom: RepresentableDomain) -> dict:
 
 
 def domain_from_json(obj: dict) -> RepresentableDomain:
-    """A domain whose witness make_witness builds with its geometric budgets."""
-    rule = obj.get("witness_budget_rule", "geometric")
-    if rule != "geometric":
-        raise InputError(f"unknown witness budget rule {rule!r}; only 'geometric' is built")
+    """A domain whose witness make_witness builds by the plane rule, `PlaneSet`."""
+    rule = obj.get("witness_budget_rule", "planes")
+    if rule != "planes":
+        raise InputError(f"unknown witness budget rule {rule!r}; only 'planes' is built")
     carrier = sequence_from_json(obj)
     ambient = basic_set_from_json(obj["ambient"], int(obj["dim"]))
     return RepresentableDomain.from_carrier(carrier, ambient)

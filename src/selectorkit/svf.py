@@ -1,7 +1,8 @@
 """Representable set-valued functions.
 
 Two tiers share one contract (computable distance to values, sublevel
-domains) and one witness M(eps) and point location, from a `PlaneSet`:
+domains) and one witness M(eps) and point location, from the
+`domain.PlaneSet` of their cell ends (a sampled SVF's grid planes):
 
 * cellwise: a finite disjoint tiling of the working box, each cell
   carrying a generalized set of range values.  Distances and sublevel
@@ -42,7 +43,7 @@ from .setalg import (
     gbs_from_json,
     gbs_to_json,
 )
-from .domain import RepresentableDomain, RepresentabilityWitness, slab_box, slab_margin
+from .domain import PlaneSet, RepresentableDomain, RepresentabilityWitness
 
 INSIDE_WITNESS = "inside_witness"  # `locate`'s reasons where no cell answers
 OUTSIDE_DOMAIN = "outside_domain"
@@ -126,49 +127,7 @@ def symmetric_range_box(values: np.ndarray) -> AffineRangeMap:
 
 
 # ---------------------------------------------------------------------------
-# the witness planes and point location of both tiers
-
-
-@dataclass(frozen=True)
-class PlaneSet:
-    """Distinct planes per axis over a closed box, none on an axis of zero width.
-
-    Every face of a union of boxes whose ends are planes lies on a plane, so
-    slabs around the planes witness every such union.  They cut the box into blocks.
-    """
-
-    box: BasicSet
-    planes: tuple[tuple[Fraction, ...], ...]  # per axis, increasing
-
-    @cached_property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(max(len(p) - 1, 1) for p in self.planes)  # one block without planes
-
-    def half_widths(self, eps: Fraction) -> tuple[Fraction, ...]:
-        """Per axis, the slabs' half-width h: `slab_margin` of an even share of
-        eps per plane over the box, at most a quarter of the smallest gap."""
-        cap = min((b - a for p in self.planes for a, b in zip(p, p[1:])), default=0) / 4
-        budget = eps / max(sum(map(len, self.planes)), 1)
-        return tuple(slab_margin(budget, self.box, j, cap) for j in range(self.box.dim))
-
-    def witness(self, eps) -> GeneralizedBasicSet:
-        """Open slabs of half-width h around the planes, reaching h past the
-        box on the other axes; measure <= eps, empty without planes."""
-        half = self.half_widths(as_fraction(eps))
-        slabs = [slab_box(j, v, self.box, half[j]) for j, p in enumerate(self.planes) for v in p]
-        return GeneralizedBasicSet.of(slabs, dim=self.box.dim)
-
-    def slab_keys(self, eps: Fraction) -> tuple[AxisKeys, ...]:
-        """Per axis, the slab ends v_0 - h, v_0 + h, ..., v_N + h over the closed box.
-
-        They increase, as h is at most a quarter gap.  A coordinate with a == b
-        ends below and at or below it lies in an open slab exactly when a is odd,
-        else in block b // 2 - 1; without planes, ends lo - 2, lo - 1 give block 0.
-        """
-        return tuple(
-            AxisKeys.of([v + s for v in p for s in (-h, h)] or [lo - 2, lo - 1], lo, hi)
-            for p, h, lo, hi in zip(self.planes, self.half_widths(eps), self.box.lo, self.box.hi)
-        )
+# point location of both tiers
 
 
 class SVFBase:
@@ -245,12 +204,8 @@ class CellwiseSVF(SVFBase):
 
     @cached_property
     def plane_set(self) -> PlaneSet:
-        """The distinct ends of the non-empty cells on each axis of positive width."""
-        box, cells = self.domain_box, [c for c, _ in self.cells if not c.is_empty]
-        return PlaneSet(box, tuple(
-            tuple(sorted({e for c in cells for e in (c.lo[j], c.hi[j])})) if lo < hi else ()
-            for j, (lo, hi) in enumerate(zip(box.lo, box.hi))
-        ))
+        """The cells' planes, by the rule `make_witness` applies to any carrier."""
+        return PlaneSet.of(self.domain_box, [c for c, _ in self.cells])
 
     @cached_property
     def _owner(self) -> list[int]:

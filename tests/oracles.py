@@ -836,17 +836,39 @@ def grid_planes_reference(grid):
 
 def svf_planes_reference(F):
     """An SVF's witness planes per axis, written out: a sampled SVF's grid
-    planes, and for a cellwise SVF the distinct ends of its non-empty
-    cells on each axis of positive width, none on the others."""
-    box = F.domain_box
+    planes, and for a cellwise SVF `carrier_planes_reference` of its cells."""
     if F.kind == "sampled":
         return grid_planes_reference(F.grid)
-    return [
-        sorted({e for c, _ in F.cells if not c.is_empty for e in (c.lo[j], c.hi[j])})
-        if box.hi[j] > box.lo[j]
-        else []
-        for j in range(box.dim)
-    ]
+    return carrier_planes_reference(F.domain_box, [c for c, _ in F.cells])
+
+
+def carrier_planes_reference(box, parts):
+    """The witness planes of parts in a box, axis by axis and part by part.
+
+    On an axis where the box has positive width, every lower or upper end
+    of a part holding a point that lies in [box lo, box hi] is a plane,
+    each value once, in increasing order; an axis of zero width has none.
+    If every axis has zero width, the box's point is the one plane, on
+    the first axis.
+    """
+    planes = []
+    for j in range(box.dim):
+        axis = []
+        if box.lo[j] < box.hi[j]:
+            for p in parts:
+                if any(
+                    p.lo[k] > p.hi[k]
+                    or (p.lo[k] == p.hi[k] and not (p.closed_lo[k] and p.closed_hi[k]))
+                    for k in range(p.dim)
+                ):
+                    continue  # a part without points has no ends
+                for e in (p.lo[j], p.hi[j]):
+                    if box.lo[j] <= e <= box.hi[j] and e not in axis:
+                        axis.append(e)
+        planes.append(sorted(axis))
+    if all(box.lo[j] == box.hi[j] for j in range(box.dim)):
+        planes[0] = [box.lo[0]]
+    return planes
 
 
 def plane_witness_reference(box, planes, eps):
@@ -856,7 +878,8 @@ def plane_witness_reference(box, planes, eps):
     slab of half-width h_j = min(eps / #planes / (2 prod over k != j of
     (w_k + 1)), smallest gap between adjacent planes / 4, 1/2) around it,
     reaching h_j past the box on every other axis, w_k being the box's
-    width on axis k.  No planes, no slabs.
+    width on axis k.  With no two planes on any axis there is no gap, and
+    only 1/2 caps h_j.  No planes, no slabs.
     """
     from selectorkit.setalg import BasicSet
 
@@ -866,7 +889,8 @@ def plane_witness_reference(box, planes, eps):
     if n_planes == 0:
         return []
     widths = [box.hi[k] - box.lo[k] for k in range(dim)]
-    min_gap = min(p[i + 1] - p[i] for p in planes for i in range(len(p) - 1))
+    gaps = [p[i + 1] - p[i] for p in planes for i in range(len(p) - 1)]
+    min_gap = min(gaps) if gaps else Fraction(2)
     slabs = []
     for j in range(dim):
         other = Fraction(1)

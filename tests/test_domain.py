@@ -1,6 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +12,7 @@ from hypothesis import strategies as st
 
 from selectorkit.domain import (
     PiecewiseConstantMap,
+    PlaneSet,
     RepresentabilityWitness,
     RepresentableDomain,
     check_weak_finite_adjacency,
@@ -32,9 +37,14 @@ from selectorkit.setalg import (
     SetAlgebraError,
     SetSequence,
 )
-from selectorkit.svf import GridSpec, PlaneSet
+from selectorkit.svf import GridSpec
 
-from oracles import adjacency_reference, margin_reference
+from oracles import (
+    adjacency_reference,
+    carrier_planes_reference,
+    margin_reference,
+    plane_witness_reference,
+)
 
 F = Fraction
 
@@ -71,8 +81,8 @@ def square_domain(nx=2, ny=2):
 # make_witness
 
 
-def test_witness_geometric_budget_three_point_cover():
-    """The three endpoint slabs take eps/2, eps/4 and eps/8 in plane order."""
+def test_witness_plane_slabs_three_point_cover():
+    """Planes 0, 1/2, 1 share eps evenly: slabs of half-width eps / 6."""
     seq = SetSequence.of(
         [
             BasicSet.interval(0, F(1, 2), True, True),
@@ -84,11 +94,11 @@ def test_witness_geometric_budget_three_point_cover():
     m = make_witness(seq, ambient, F(3, 10))
     got = sorted((p.lo[0], p.hi[0]) for p in m.parts)
     assert got == [
-        (F(-3, 40), F(3, 40)),
-        (F(37, 80), F(43, 80)),
-        (F(157, 160), F(163, 160)),
+        (F(-1, 20), F(1, 20)),
+        (F(9, 20), F(11, 20)),
+        (F(19, 20), F(21, 20)),
     ]
-    assert m.measure() == F(21, 80)
+    assert m.measure() == F(3, 10)
 
 
 def test_from_cells_rejects_cell_of_other_dimension():
@@ -113,7 +123,7 @@ def test_witness_budget_halves():
     assert dom.verify(F(3, 10)).ok and dom.verify(F(3, 20)).ok
 
 
-def test_witness_geometric_measure_under_budget():
+def test_witness_plane_measure_under_budget():
     dom = unit_interval_domain()
     for eps in (F(1, 4), F(1, 16), F(1, 64)):
         m = dom.witness(eps)
@@ -210,11 +220,13 @@ def test_verify_decides_each_domains_clauses_once(monkeypatch):
 
 
 SIXTEENTHS = [F(k, 16) for k in range(17)]
+PAST_UNIT_BOX = [F(k, 16) for k in range(-8, 25)]
 
 
 @st.composite
-def carriers_inside_unit_box(draw):
-    """Unions of 1-3 boxes with corners on the 1/16 grid inside [0,1]^d.
+def carriers_inside_unit_box(draw, corners=SIXTEENTHS):
+    """Unions of 1-3 boxes with corners on the 1/16 grid inside [0,1]^d,
+    or drawn from `corners` (PAST_UNIT_BOX reaches half a unit outside).
 
     Parts may overlap, and a zero width makes an axis degenerate.
     """
@@ -223,7 +235,7 @@ def carriers_inside_unit_box(draw):
     for _ in range(draw(st.integers(1, 3))):
         lo, hi = [], []
         for _ in range(dim):
-            a, b = sorted(draw(st.tuples(*[st.sampled_from(SIXTEENTHS)] * 2)))
+            a, b = sorted(draw(st.tuples(*[st.sampled_from(corners)] * 2)))
             lo.append(a)
             hi.append(b)
         flags = st.tuples(*[st.booleans()] * dim)
@@ -245,6 +257,35 @@ def test_witness_margin_holds_for_carriers_inside_ambient(carrier):
         assert not carrier.gamma
     else:
         assert well_containment_margin(carrier.gamma, m) == _thinnest_side(m) / 4
+
+
+@given(
+    st.one_of(carriers_inside_unit_box(), carriers_inside_unit_box(PAST_UNIT_BOX)),
+    st.sampled_from([F(1), F(1, 10), F(1, 1000)]),
+)
+@settings(max_examples=150, deadline=None)
+def test_make_witness_is_the_plane_witness_of_its_carrier_hypothesis(carrier, eps):
+    """make_witness returns the reference slabs of the carrier's planes, or
+    refuses exactly when those slabs fail clause 2 or 3."""
+    ambient = BasicSet.closed_box([0] * carrier.dim, [1] * carrier.dim)
+    planes = carrier_planes_reference(ambient, carrier.parts)
+    want = GeneralizedBasicSet.of(plane_witness_reference(ambient, planes, eps), dim=carrier.dim)
+    try:
+        got = make_witness(carrier, ambient, eps, "closure")
+    except WitnessError:
+        assert not decide_clauses(carrier, ambient, want, eps, "closure").ok
+        return
+    assert got == (want if carrier.gamma else GeneralizedBasicSet.empty(carrier.dim))
+
+
+def test_domain_and_set_algebra_import_no_numpy():
+    # the domain suite's memory stays free of numpy: PlaneSet lives in domain
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import sys, selectorkit.domain, selectorkit.setalg; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
@@ -725,10 +766,11 @@ def test_domain_json_roundtrip():
 def test_domain_json_names_no_budget_rule_and_refuses_other_rules():
     obj = domain_to_json(unit_interval_domain())
     assert "witness_budget_rule" not in obj
-    back = domain_from_json(dict(obj, witness_budget_rule="geometric"))
+    back = domain_from_json(dict(obj, witness_budget_rule="planes"))
     assert back.verify(F(1, 10)).ok
-    with pytest.raises(InputError, match="'equal'"):
-        domain_from_json(dict(obj, witness_budget_rule="equal"))
+    for rule in ("geometric", "equal", "slabs"):
+        with pytest.raises(InputError, match=f"'{rule}'.*only 'planes' is built"):
+            domain_from_json(dict(obj, witness_budget_rule=rule))
 
 
 def test_witness_distance_oracle():

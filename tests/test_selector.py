@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from selectorkit.domain import PiecewiseConstantMap, continuous_extension
+from selectorkit.domain import PiecewiseConstantMap, RepresentableDomain, continuous_extension
 from selectorkit.errors import CoverageError, InputError, PrecisionError
 from selectorkit.rational import as_fraction, rational_from_json, rational_to_json
 from selectorkit import selector
@@ -696,10 +696,15 @@ def test_zero_width_axis_holds_no_plane():
     assert eval_selector(chain, [h, 0]).reason == EvalResult.INSIDE_WITNESS
     assert eval_selector(chain, [F_(1, 8), F_(1, 1000)]).reason == EvalResult.OUTSIDE_DOMAIN
     assert f.cell_domain.verify(chain.dom_budget).ok
-    # zero width on every axis: no plane, the empty witness, one answer
-    point = build_cellwise_svf(BasicSet.singleton([0]), [(BasicSet.singleton([0]), atoms(F_(1, 8)))])
-    assert point.witness(F_(1, 16)).is_empty
-    assert eval_selector(extract(point, 3), [0]).defined
+    # zero width on every axis: the point is the one plane, on axis 0, so
+    # its slab certifies the one-cell domain and holds the point itself
+    pt = BasicSet.singleton([0, 0])
+    point = build_cellwise_svf(pt, [(pt, atoms(F_(1, 8)))])
+    assert point.plane_set.planes == ((0,), ())
+    assert point.witness(F_(1, 16)).parts == (BasicSet.open_box([F_(-1, 32)] * 2, [F_(1, 32)] * 2),)
+    assert point.cell_domain.verify(F_(1, 16)).ok
+    assert RepresentableDomain.from_cells([pt], pt).verify(F_(1, 16)).ok
+    assert eval_selector(extract(point, 3), [0, 0]).reason == EvalResult.INSIDE_WITNESS
 
 
 def test_eval_rejects_nonpositive_witness_budget():

@@ -14,12 +14,11 @@ from selectorkit.errors import (
     InputError,
     PrecisionError,
 )
-from selectorkit.domain import RepresentableDomain, decide_clauses, well_containment_margin
+from selectorkit.domain import PlaneSet, RepresentableDomain, decide_clauses, well_containment_margin
 from selectorkit.setalg import BasicSet, GeneralizedBasicSet, SetAlgebraError
 from selectorkit.svf import (
     AffineRangeMap,
     GridSpec,
-    PlaneSet,
     SampledSVF,
     build_cellwise_svf,
     build_sampled_svf,
@@ -532,6 +531,10 @@ def test_plane_witness_serves_every_guillotine_tiling_hypothesis(svf, data):
         for _ in range(2)
     ]
     _check_plane_witness(svf, eps, members, random.Random(data.draw(st.integers(0, 99))))
+    # make_witness of the cell domain is the SVF's witness: one plane rule
+    cells = [c for c, _ in svf.cells]
+    dom = RepresentableDomain.from_cells(cells, svf.domain_box, "closure")
+    assert dom.witness(eps) == svf.witness(eps)
 
 
 def test_brick_tiling_locates_through_its_owner_table():
